@@ -31,10 +31,11 @@ from .classifiers import (
     is_j_hyperideal,
     preserves_intersections,
 )
-from .core import FiniteStructure, verify_canonical_hypergroup
+from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
     IdealLattice,
+    _set_product,
     is_hyperideal,
     is_local,
     prime_witness,
@@ -392,27 +393,16 @@ def _ideal_tuple_form(ctx: StructureContext, Q, trigger, target) -> bool:
     one = S.one
     for combo in multisets(len(pool), S.n):
         sets = [pool[i] for i in combo]
-        prod_set = _product_of_sets(S, sets)
+        prod_set = _set_product(S, sets)
         if not prod_set <= Q:
             continue
         for slot in range(len(sets)):
             if sets[slot] <= trigger:
                 continue
             rest = sets[:slot] + [frozenset({one})] + sets[slot + 1 :]
-            if not _product_of_sets(S, rest) <= target:
+            if not _set_product(S, rest) <= target:
                 return False
     return True
-
-
-def _product_of_sets(S: FiniteStructure, sets) -> frozenset:
-    from itertools import product as iproduct
-
-    from .core import msort
-
-    out = set()
-    for combo in {msort(c) for c in iproduct(*[sorted(s) for s in sets])}:
-        out.add(S.mul[combo])
-    return frozenset(out)
 
 
 def _t05(ctx: StructureContext):
@@ -640,11 +630,11 @@ def _mixed_tuple_form(ctx: StructureContext, Q, delta) -> bool:
     for combo in multisets(len(pool), S.n - 1):
         sets = [pool[i] for i in combo]
         for x in S.carrier:
-            if not _product_of_sets(S, sets + [frozenset({x})]) <= Q:
+            if not _set_product(S, sets + [frozenset({x})]) <= Q:
                 continue
             if x in ctx.jac:
                 continue
-            if not _product_of_sets(S, sets + [frozenset({one})]) <= delta(Q):
+            if not _set_product(S, sets + [frozenset({one})]) <= delta(Q):
                 return False
     return True
 
@@ -1043,7 +1033,7 @@ def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
                         Discrepancy(
                             S.name, claim.as_dict(), "subset is a hyperideal",
                             f"clause {check.clause} fails",
-                            {"clause": check.clause, "witness": _plain(check.witness)},
+                            {"clause": check.clause, "witness": _jsonable(check.witness)},
                         )
                     )
             else:
@@ -1056,7 +1046,7 @@ def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
                             S.name, claim.as_dict(), "J-hyperideal",
                             verdict.value,
                             wit.as_dict() if wit else (
-                                {"clause": check.clause, "witness": _plain(check.witness)}
+                                {"clause": check.clause, "witness": _jsonable(check.witness)}
                                 if not check.ok else None
                             ),
                         )
@@ -1066,14 +1056,6 @@ def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
                 Discrepancy(S.name, claim.as_dict(), "known claim kind", "unknown", None)
             )
     return out
-
-
-def _plain(obj):
-    if isinstance(obj, (tuple, list)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return obj
 
 
 def replay_cell(entries: list[CatalogEntry], cell: AuditCell, k_max: int = 3) -> bool:

@@ -6,8 +6,14 @@ from membership orbits: neutrality, inverse uniqueness and reversibility link
 individual memberships x in f(..) into closed orbits, so consistent tables
 are exactly the unions of orbits extending the forced ones.  Surviving
 candidates get the full axiom sweep.  Multiplication candidates are filtered
-by associativity, then paired with a distributivity check.  A plain
-product-scan strategy exists as a cross-check oracle.
+by associativity once per shape.  Distributivity is then decided through
+translation maps: g distributes over f exactly when every map
+x -> g(a_1..a_{n-1}, x) is an endomorphism of f.  The distinct maps of all
+candidate multiplications are far fewer than the multiplications, so each is
+tested once per hypergroup, and a pair is kept only if all of its
+multiplication's maps pass.  Every kept pair still gets the full
+witness-producing verification.  A plain product-scan strategy exists as a
+cross-check oracle for the hyperaddition candidates.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .core import (
     msort,
     multiset_minus,
     multisets,
-    sub_multisets,
+    split_plan,
     verify_canonical_hypergroup,
     verify_krasner,
 )
@@ -319,10 +325,10 @@ def _mul_candidates(order: int, n: int) -> Iterator[dict]:
 
 
 def _mul_associative(order: int, n: int, mul: dict) -> bool:
-    for whole in multisets(order, 2 * n - 1):
+    for _, splits in split_plan(order, 2 * n - 1, n):
         first = None
-        for A in sub_multisets(whole, n):
-            v = mul[msort((mul[A],) + multiset_minus(whole, A))]
+        for A, rest in splits:
+            v = mul[msort((mul[A],) + rest)]
             if first is None:
                 first = v
             elif v != first:
@@ -330,14 +336,44 @@ def _mul_associative(order: int, n: int, mul: dict) -> bool:
     return True
 
 
-def _distributive(order: int, m: int, n: int, add: dict, mul: dict) -> bool:
-    for a in multisets(order, n - 1):
-        for xs in multisets(order, m):
-            lhs = frozenset(mul[msort(a + (s,))] for s in add[xs])
-            rhs = add[msort(tuple(mul[msort(a + (x,))] for x in xs))]
-            if lhs != rhs:
-                return False
+def _translation_maps(order: int, n: int, mul: dict) -> tuple[tuple[int, ...], ...]:
+    """The distinct translations x -> g(a, x) of a multiplication, for a over
+    the (n-1)-multisets, each as the tuple of its images."""
+    maps = (
+        tuple(mul[msort(a + (x,))] for x in range(order))
+        for a in multisets(order, n - 1)
+    )
+    return tuple(dict.fromkeys(maps))
+
+
+def _is_endomorphism(order: int, m: int, add: dict, phi: tuple[int, ...]) -> bool:
+    """phi(f(xs)) = f(phi(xs)) elementwise, for every m-multiset xs."""
+    for xs in multisets(order, m):
+        lhs = frozenset(phi[s] for s in add[xs])
+        if lhs != add[msort(tuple(phi[x] for x in xs))]:
+            return False
     return True
+
+
+def _distributive_muls(
+    order: int, m: int, add: dict, muls: list[tuple[dict, tuple]]
+) -> Iterator[dict]:
+    """The multiplications that distribute over ``add``, in the given order.
+
+    g distributes over f exactly when every translation map of g is an
+    endomorphism of f.  ``muls`` pairs each multiplication with its
+    translation maps; many multiplications share maps, so each distinct map
+    is tested at most once per hyperaddition.
+    """
+    endo: dict[tuple[int, ...], bool] = {}
+    for mul, maps in muls:
+        for phi in maps:
+            if phi not in endo:
+                endo[phi] = _is_endomorphism(order, m, add, phi)
+            if not endo[phi]:
+                break
+        else:
+            yield mul
 
 
 def _raw_add_candidates(order: int, m: int) -> Iterator[dict]:
@@ -435,7 +471,9 @@ def enumerate_structures(
         raise CapExceeded(
             f"scan of {order}^{n_free_mul} multiplication tables exceeds cap {cap}"
         )
-    muls = list(_mul_candidates(order, n))
+    muls = [
+        (mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)
+    ]
     labels = tuple(_default_labels(order))
     survivors = []
     seen_keys = set()
@@ -449,9 +487,7 @@ def enumerate_structures(
         )
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
-        for mul in muls:
-            if not _distributive(order, m, n, add, mul):
-                continue
+        for mul in _distributive_muls(order, m, add, muls):
             S = FiniteStructure.build("candidate", m, n, labels, add, mul, 0)
             if not verify_krasner(S).ok:
                 continue

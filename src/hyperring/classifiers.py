@@ -30,7 +30,7 @@ from .core import (
     msort,
     multiset_minus,
     multisets,
-    sub_multisets,
+    split_plan,
 )
 from .ideals import IdealLattice, enumerate_hyperideals, radical_by_primes
 
@@ -321,17 +321,15 @@ def is_absorbing_delta_j(
         )
     jac = lattice.jacobson.members
     dQ = delta(members)
-    for whole in multisets(S.size, total):
+    for whole, splits in split_plan(S.size, total, part):
         if S.multiply_iterated(whole) not in members:
             continue
-        subs = sub_multisets(whole, part)
-        in_dq = [S.multiply_iterated(A) in dQ for A in subs]
+        in_dq = [S.multiply_iterated(A) in dQ for A, _ in splits]
         any_in_dq = sum(in_dq)
-        for idx, A in enumerate(subs):
+        for idx, (A, rest) in enumerate(splits):
             if S.multiply_iterated(A) in jac:
                 continue
             # is A realisable by a second index selection?
-            rest = multiset_minus(whole, A)
             repeat = any(v in rest for v in A)
             alternatives = any_in_dq - (0 if repeat else int(in_dq[idx]))
             if alternatives == 0:

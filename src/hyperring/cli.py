@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 clean, 1 negative verification/classification verdict,
-2 usage error.  ``audit`` exits 0 even when cells fail or discrepancies are
-found: those are findings, not tool errors.
+2 usage error, including a structure beyond the exhaustive-verification
+size guard (``CapExceeded``).  ``audit`` exits 0 even when cells fail or
+discrepancies are found: those are findings, not tool errors.
 """
 
 from __future__ import annotations
@@ -49,7 +50,21 @@ def _echo_json(obj) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-@click.group()
+class _CapError(click.ClickException):
+    exit_code = 2
+
+
+class _Workbench(click.Group):
+    """Reports a hit size guard as a one-line error, for every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CapExceeded as e:
+            raise _CapError(str(e)) from None
+
+
+@click.group(cls=_Workbench)
 @click.version_option(__version__)
 def main() -> None:
     """Finite Krasner (m,n)-hyperring workbench."""

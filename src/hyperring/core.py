@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -78,6 +79,26 @@ def multiset_minus(ms: Multiset, sub: Multiset) -> Multiset:
     if any(c < 0 for c in left.values()):
         raise ValueError(f"{sub} is not a sub-multiset of {ms}")
     return tuple(sorted(left.elements()))
+
+
+Split = tuple  # (whole, ((sub, remainder), ...))
+
+
+@lru_cache(maxsize=128)
+def split_plan(size: int, total: int, part: int) -> tuple[Split, ...]:
+    """Every ``total``-multiset over {0..size-1}, in ``multisets`` order, with
+    each of its distinct ``part``-sub-multisets and the remainder, in the
+    lexicographic order of ``sub_multisets``.
+
+    The plan depends on the shape only, never on a table, so the exhaustive
+    scans that split multisets (associativity, reversibility, the
+    (k,n)-absorbing scan) share one copy per shape.  Plans are built on first
+    use and the cache is bounded.
+    """
+    return tuple(
+        (whole, tuple((A, multiset_minus(whole, A)) for A in sub_multisets(whole, part)))
+        for whole in multisets(size, total)
+    )
 
 
 # Exhaustive verification gets expensive fast; these guards keep desk-scale
@@ -422,10 +443,9 @@ def _check_reversibility(S: FiniteStructure) -> AxiomCheck:
     # Instances whose inverses are undefined are already reported by the
     # inverse check, so they are skipped here.
     inv = _inverse_map(S)
-    for key in multisets(S.size, S.m):
+    for key, splits in split_plan(S.size, S.m, 1):
         for x in sorted(S.add[key]):
-            for a in sorted(set(key)):
-                others = multiset_minus(key, (a,))
+            for (a,), others in splits:
                 if not all(o in inv for o in others):
                     continue
                 target = S.add[msort((x,) + tuple(inv[o] for o in others))]
@@ -447,13 +467,11 @@ def _check_add_associativity(S: FiniteStructure) -> AxiomCheck:
     # With multiset-keyed (commutative) tables, m-ary associativity over all
     # (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
     # f(f(A), rest) does not depend on the chosen m-sub-multiset A.
-    for whole in multisets(S.size, 2 * S.m - 1):
-        subs = sub_multisets(whole, S.m)
+    for whole, splits in split_plan(S.size, 2 * S.m - 1, S.m):
         first = None
         first_sub = None
-        for A in subs:
+        for A, rest in splits:
             inner = S.add[A]
-            rest = multiset_minus(whole, A)
             value = S.hyperadd_subsets([inner] + [{r} for r in rest])
             if first is None:
                 first, first_sub = value, A
@@ -463,13 +481,11 @@ def _check_add_associativity(S: FiniteStructure) -> AxiomCheck:
 
 
 def _check_mul_associativity(S: FiniteStructure) -> AxiomCheck:
-    for whole in multisets(S.size, 2 * S.n - 1):
-        subs = sub_multisets(whole, S.n)
+    for whole, splits in split_plan(S.size, 2 * S.n - 1, S.n):
         first = None
         first_sub = None
-        for A in subs:
+        for A, rest in splits:
             inner = S.mul[A]
-            rest = multiset_minus(whole, A)
             value = S.mul[msort((inner,) + rest)]
             if first is None:
                 first, first_sub = value, A

@@ -62,6 +62,8 @@ def parse_structure(text: str) -> FiniteStructure:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
     for fld in ("name", "m", "n", "elements", "zero", "f", "g"):
         if fld not in doc:
             raise ParseError(f"missing field {fld!r}")
@@ -76,7 +78,7 @@ def parse_structure(text: str) -> FiniteStructure:
         raise ParseError("arities m, n must be integers >= 2")
 
     def resolve(label, where):
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise ParseError(f"unknown label {label!r} in {where}")
         return index[label]
 
@@ -84,6 +86,12 @@ def parse_structure(text: str) -> FiniteStructure:
     declared_one = None
     if doc.get("one") is not None:
         declared_one = resolve(doc["one"], "one")
+    for fld in ("f", "g"):
+        if not isinstance(doc[fld], list):
+            raise ParseError(f"{fld} must be a list of entries")
+        for entry in doc[fld]:
+            if not isinstance(entry, dict):
+                raise ParseError(f"{fld} entry {entry!r} must be an object")
 
     add = {}
     for entry in doc["f"]:

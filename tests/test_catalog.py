@@ -13,8 +13,20 @@ from hyperring import (
     search_counterexample,
     verify_krasner,
 )
-from hyperring.catalog import _involutions
-from hyperring.core import CapExceeded
+from hyperring.catalog import (
+    _add_candidates,
+    _distributive_muls,
+    _involutions,
+    _mul_candidates,
+    _translation_maps,
+)
+from hyperring.core import (
+    CapExceeded,
+    FiniteStructure,
+    _check_distributivity,
+    multisets,
+    verify_canonical_hypergroup,
+)
 
 
 # -- built-in tables -----------------------------------------------------------
@@ -78,6 +90,37 @@ def test_enumeration_counts(mn):
         assert len(out) == count
         for S in out:
             assert verify_krasner(S).ok
+
+
+@pytest.mark.parametrize("m,n,order,count", [(2, 2, 4, 137), (2, 4, 3, 19)])
+def test_enumeration_counts_beyond_order3(m, n, order, count):
+    assert len(enumerate_structures(m, n, order)) == count
+
+
+@pytest.mark.parametrize("m,n,order", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 3)])
+def test_translation_map_filter_matches_distributivity_check(m, n, order):
+    # over every (verified hypergroup, associative multiplication) pair, the
+    # translation-map filter keeps exactly the pairs the axiom check passes
+    labels = tuple(str(i) for i in range(order))
+    muls = list(_mul_candidates(order, n))
+    paired = [(mul, _translation_maps(order, n, mul)) for mul in muls]
+    zero_mul = {k: 0 for k in multisets(order, n)}
+    hypergroups = 0
+    kept = 0
+    for add in _add_candidates(order, m):
+        probe = FiniteStructure.build("probe", m, n, labels, add, zero_mul, 0)
+        if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
+            continue
+        hypergroups += 1
+        accepted = [id(mul) for mul in _distributive_muls(order, m, add, paired)]
+        expected = []
+        for mul in muls:
+            S = FiniteStructure("pair", m, n, labels, add, mul, 0)
+            if _check_distributivity(S).passed:
+                expected.append(id(mul))
+        assert accepted == expected
+        kept += len(accepted)
+    assert hypergroups > 0 and kept > 0
 
 
 def test_two_element_field_analog_enumerated():

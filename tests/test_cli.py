@@ -48,6 +48,33 @@ def test_verify_usage_error_is_exit_two(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.fixture()
+def nine_element_file(kmn_file):
+    # well-formed but past the size guard of exhaustive verification
+    from hyperring import FiniteStructure
+    from hyperring.core import multisets
+
+    add = {k: frozenset({k[1]} if k[0] == 0 else range(9)) for k in multisets(9, 2)}
+    mul = {k: 0 for k in multisets(9, 2)}
+    labels = tuple(str(i) for i in range(9))
+    return kmn_file(FiniteStructure.build("big9", 2, 2, labels, add, mul, 0))
+
+
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_oversize_structure_is_exit_two(runner, nine_element_file, command):
+    res = runner.invoke(main, [command, nine_element_file])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert res.output.strip().count("\n") == 0
+    assert "exceed the exhaustive verification guard" in res.output
+
+
+def test_verify_allow_large_runs_past_the_guard(runner, nine_element_file):
+    res = invoke(runner, "verify", nine_element_file, "--allow-large")
+    assert res.exit_code == 1
+    assert "Krasner axioms: FAIL" in res.output
+
+
 def test_ideals_listing(runner, kmn_file, b24):
     path = kmn_file(b24.structure)
     res = invoke(runner, "ideals", path)

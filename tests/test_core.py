@@ -17,7 +17,14 @@ from hyperring import (
     verify_canonical_hypergroup,
     verify_krasner,
 )
-from hyperring.core import CapExceeded, msort, multiset_minus, multisets, sub_multisets
+from hyperring.core import (
+    CapExceeded,
+    msort,
+    multiset_minus,
+    multisets,
+    split_plan,
+    sub_multisets,
+)
 
 
 def idx(entry, *labels):
@@ -38,6 +45,31 @@ def test_multiset_minus():
     assert multiset_minus((0, 1, 1, 2), (1, 2)) == (0, 1)
     with pytest.raises(ValueError):
         multiset_minus((0, 1), (2,))
+
+
+def _split_shapes():
+    # every (size, total, part) the split scans ask for on carriers up to 4:
+    # reversibility (m, 1), associativity (2a-1, a), and the
+    # (k,n)-absorbing scan (k(n-1)+1, (k-1)(n-1)+1) for k up to 3
+    shapes = set()
+    for size in range(1, 5):
+        for a in (2, 3, 4):
+            shapes.add((size, a, 1))
+            shapes.add((size, 2 * a - 1, a))
+            for k in (2, 3):
+                shapes.add((size, k * (a - 1) + 1, (k - 1) * (a - 1) + 1))
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("size,total,part", _split_shapes())
+def test_split_plan_matches_sub_multisets(size, total, part):
+    expected = [
+        (whole, [(A, multiset_minus(whole, A)) for A in sub_multisets(whole, part)])
+        for whole in multisets(size, total)
+    ]
+    plan = split_plan(size, total, part)
+    assert [(whole, list(splits)) for whole, splits in plan] == expected
+    assert split_plan(size, total, part) is plan
 
 
 # -- table evaluation --------------------------------------------------------

@@ -125,3 +125,31 @@ def test_arity_fields_validated(b24):
     doc["n"] = 1
     with pytest.raises(ParseError, match="integers >= 2"):
         parse_structure(json.dumps(doc))
+
+
+def test_document_must_be_an_object():
+    with pytest.raises(ParseError, match="must be a JSON object"):
+        parse_structure("[1, 2, 3]")
+
+
+@pytest.mark.parametrize("fld", ["f", "g"])
+def test_table_must_be_a_list(b24, fld):
+    doc = _doc(b24)
+    doc[fld] = {"args": ["0", "0"], "value": "0"}
+    with pytest.raises(ParseError, match=f"{fld} must be a list of entries"):
+        parse_structure(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fld", ["f", "g"])
+def test_table_entry_must_be_an_object(b24, fld):
+    doc = _doc(b24)
+    doc[fld][0] = [["0", "0"], "0"]
+    with pytest.raises(ParseError, match=f"{fld} entry .* must be an object"):
+        parse_structure(json.dumps(doc))
+
+
+def test_unhashable_label_rejected(b24):
+    doc = _doc(b24)
+    doc["zero"] = ["0"]
+    with pytest.raises(ParseError, match="unknown label"):
+        parse_structure(json.dumps(doc))
