@@ -1,12 +1,29 @@
 """Executable theorem registry and the catalog audit runner.
 
-Each registered check T01..T27 turns one implication about J-family
-hyperideals into an exhaustive scan over a structure's lattice (and, for the
-transfer checks, over generated homomorphism fixtures).  A cell is SKIPped
-with a reason when the structure fails the check's applicability gates
-(unverified tables, missing scalar identity, ...), PASSes when every
-hypothesis-satisfying instance also satisfies the conclusion, and otherwise
-FAILs carrying a replayable instance witness.
+Each registered check T01..T27 is one ``Implication`` about J-family
+hyperideals, quantified over a structure's lattice (and, for the transfer
+checks, over homomorphism fixtures and quotients):
+
+* ``gate(ctx)`` returns a skip reason when the check is out of scope;
+* ``domain(ctx)`` yields the instances, as tuples, in a fixed order;
+* ``hypothesis(ctx, *inst)`` says whether an instance is in range; every
+  instance where it holds counts as checked;
+* ``conclusion(ctx, *inst)`` returns None where the statement holds,
+  otherwise the witness fields.
+
+One runner evaluates them all: the first failing conclusion makes the cell
+FAIL with a replayable witness, otherwise the cell PASSes.  An equivalence
+is an implication with a true hypothesis whose conclusion is that its sides
+agree.  A cell is SKIPped with a reason when the structure fails
+verification, lacks a scalar identity the check needs, or fails the gate.
+
+The checks share their verdicts through a ``StructureContext``, which
+computes each J, delta-J, delta-primary, (k,n)-absorbing and radical verdict
+once.  The memo key is the lattice object the verdict is computed against,
+plus the member set, the expansion name and k.  The context holds every
+lattice it keys on for its whole life, so no key outlives its lattice, and
+within one lattice an expansion name names one expansion: a registered one,
+a composition ``gammaodelta`` or an induced quotient expansion ``delta_q``.
 
 Built-in claims are compared against computed verdicts and mismatches are
 emitted as discrepancy records: auditing the claims is part of the job, so a
@@ -18,24 +35,32 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from itertools import combinations, product
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import __version__
-from .catalog import CatalogEntry
+from .catalog import CatalogEntry, Claim
 from .classifiers import (
+    ExpansionFunction,
     Verdict,
+    _drop_scan,
+    classify,
     compose_expansions,
+    delta_j_ideal_form,
+    delta_j_mixed_form,
     is_absorbing_delta_j,
     is_delta_j,
     is_delta_primary,
     is_j_hyperideal,
     preserves_intersections,
+    standard_registry,
 )
 from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
     IdealLattice,
-    _set_product,
+    enumerate_hyperideals,
     is_hyperideal,
     is_local,
     prime_witness,
@@ -44,7 +69,7 @@ from .ideals import (
     residual,
 )
 from .morphology import (
-    Homomorphism,
+    QuotientStructure,
     enumerate_homomorphisms,
     identity_hom,
     is_delta_gamma_hom,
@@ -68,14 +93,7 @@ class AuditCell:
     witness: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "theorem": self.theorem,
-            "status": self.status,
-            "checked": self.checked,
-            "reason": self.reason,
-            "witness": self.witness,
-        }
+        return dict(vars(self))  # shallow; dataclasses.asdict deep-copies the witness
 
 
 @dataclass
@@ -87,13 +105,7 @@ class Discrepancy:
     witness: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "claim": self.claim,
-            "expected": self.expected,
-            "computed": self.computed,
-            "witness": self.witness,
-        }
+        return dict(vars(self))  # shallow; dataclasses.asdict deep-copies the witness
 
 
 @dataclass
@@ -111,37 +123,21 @@ class AuditReport:
         return out
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "record": "meta",
-                    "version": self.version,
-                    "catalog_hash": self.catalog_hash,
-                    "k_max": self.k_max,
-                },
-                sort_keys=True,
-            )
-        ]
-        for c in self.cells:
-            lines.append(json.dumps({"record": "cell", **c.as_dict()}, sort_keys=True))
-        for d in self.discrepancies:
-            lines.append(
-                json.dumps({"record": "discrepancy", **d.as_dict()}, sort_keys=True)
-            )
         counts = self.counts()
-        lines.append(
-            json.dumps(
-                {
-                    "record": "summary",
-                    "pass": counts[PASS],
-                    "fail": counts[FAIL],
-                    "skip": counts[SKIP],
-                    "discrepancies": len(self.discrepancies),
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
+        meta = {"version": self.version, "catalog_hash": self.catalog_hash, "k_max": self.k_max}
+        summary = {
+            "pass": counts[PASS],
+            "fail": counts[FAIL],
+            "skip": counts[SKIP],
+            "discrepancies": len(self.discrepancies),
+        }
+        records = [
+            {"record": "meta", **meta},
+            *({"record": "cell", **c.as_dict()} for c in self.cells),
+            *({"record": "discrepancy", **d.as_dict()} for d in self.discrepancies),
+            {"record": "summary", **summary},
+        ]
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     def summary_text(self) -> str:
         counts = self.counts()
@@ -171,8 +167,18 @@ def catalog_hash(entries: list[CatalogEntry]) -> str:
 # -- per-structure audit context ---------------------------------------------
 
 
+class Quotient(NamedTuple):
+    """A well-defined quotient of the audited structure whose tables verify."""
+
+    modulus: frozenset
+    q: QuotientStructure
+    lattice: IdealLattice
+    induced: dict  # base expansion name -> induced quotient expansion
+
+
 class StructureContext:
-    """Everything the theorem checks need about one catalog entry."""
+    """Everything the theorem checks need about one catalog entry, with the
+    verdicts they share computed once."""
 
     def __init__(self, entry: CatalogEntry, catalog: list[CatalogEntry], k_max: int):
         self.entry = entry
@@ -180,6 +186,9 @@ class StructureContext:
         self.k_max = k_max
         self.S: FiniteStructure = entry.structure
         self._fixtures: Optional[list] = None
+        self._quotients: Optional[list] = None
+        self._verdicts: dict = {}
+        self._lattices: dict = {}  # id -> every lattice a memo key names
 
     @property
     def lattice(self) -> IdealLattice:
@@ -189,12 +198,64 @@ class StructureContext:
     def registry(self) -> dict:
         return self.entry.registry()
 
-    @property
+    @cached_property
     def jac(self) -> frozenset:
         return self.lattice.jacobson.members
 
-    def proper_ideals(self):
-        return self.lattice.proper()
+    @cached_property
+    def top(self) -> frozenset:
+        return frozenset(self.S.carrier)
+
+    @cached_property
+    def proper(self) -> tuple[frozenset, ...]:
+        return tuple(i.members for i in self.lattice.proper())
+
+    @cached_property
+    def maximal(self) -> frozenset:
+        return frozenset(i.members for i in self.lattice.maximal)
+
+    def _memo(self, lattice: Optional[IdealLattice], key: tuple, compute: Callable):
+        lattice = self.lattice if lattice is None else lattice
+        key = (id(lattice),) + key
+        if key not in self._verdicts:
+            self._lattices[id(lattice)] = lattice
+            self._verdicts[key] = compute(lattice.parent, lattice)
+        return self._verdicts[key]
+
+    def j(self, Q: frozenset, lattice: Optional[IdealLattice] = None):
+        return self._memo(lattice, ("j", Q), lambda S, L: is_j_hyperideal(S, Q, L))
+
+    def delta_j(self, Q: frozenset, delta: ExpansionFunction, lattice=None):
+        key = ("delta_j", Q, delta.name)
+        return self._memo(lattice, key, lambda S, L: is_delta_j(S, Q, delta, L))
+
+    def delta_primary(self, Q: frozenset, delta: ExpansionFunction):
+        key = ("delta_primary", Q, delta.name)
+        return self._memo(None, key, lambda S, L: is_delta_primary(S, Q, delta, L))
+
+    def absorbing(self, Q: frozenset, delta: ExpansionFunction, k: int, lattice=None):
+        key = ("absorbing", Q, delta.name, k)
+        return self._memo(lattice, key, lambda S, L: is_absorbing_delta_j(S, Q, delta, k, L))
+
+    def radical(self, Q: frozenset) -> frozenset:
+        return self._memo(None, ("radical", Q), lambda S, L: radical_by_primes(S, Q, L).members)
+
+    def quotients(self) -> list[Quotient]:
+        """Every well-defined quotient whose tables verify, with its lattice
+        and the quotient expansions the registry induces, built once."""
+        if self._quotients is None:
+            self._quotients = []
+            for ideal in self.lattice:
+                res = quotient(self.S, ideal.members)
+                if res.ok and res.axiom_report.ok:
+                    qs = res.quotient
+                    qlat = enumerate_hyperideals(qs.structure)
+                    induced = {
+                        name: quotient_expansion(qs, delta, self.lattice, qlat)
+                        for name, delta in self.registry.items()
+                    }
+                    self._quotients.append(Quotient(ideal.members, qs, qlat, induced))
+        return self._quotients
 
     def hom_fixtures(self) -> list[dict]:
         """Identity, quotient projections and small monomorphisms, each with
@@ -202,83 +263,32 @@ class StructureContext:
         compatible homomorphism."""
         if self._fixtures is not None:
             return self._fixtures
-        fixtures = []
         S = self.S
-        homs: list[tuple[str, Homomorphism, object]] = [
-            ("identity", identity_hom(S), None)
-        ]
-        for ideal in self.lattice:
-            q = quotient(S, ideal.members)
-            if q.ok and q.axiom_report.ok:
-                homs.append((f"projection/{{{','.join(ideal.labels())}}}", projection_hom(q.quotient), q.quotient))
-        if S.size <= MONO_FIXTURE_MAX_ORDER:
-            for other in self.catalog:
-                T = other.structure
-                if (
-                    other.verified
-                    and (T.m, T.n) == (S.m, S.n)
-                    and T.size <= MONO_FIXTURE_MAX_ORDER
-                ):
-                    for h in enumerate_homomorphisms(S, T, injective_only=True):
-                        homs.append((f"mono->{T.name}", h, None))
-        from .classifiers import standard_registry
-        from .ideals import enumerate_hyperideals
-
-        for tag, h, qstruct in homs:
-            target = h.target
-            if target is S:
-                target_lattice, target_registry = self.lattice, self.registry
-            else:
-                target_lattice = enumerate_hyperideals(target)
-                target_registry = standard_registry(target, target_lattice)
-            if qstruct is not None:
-                # the projection pairs every base expansion with its induced
-                # quotient expansion
-                for name, delta in self.registry.items():
-                    dq = quotient_expansion(qstruct, delta, self.lattice, target_lattice)
-                    ok, _ = is_delta_gamma_hom(h, delta, dq, self.lattice, target_lattice)
-                    if ok:
-                        fixtures.append(
-                            {
-                                "tag": tag,
-                                "hom": h,
-                                "delta": delta,
-                                "gamma": dq,
-                                "target_lattice": target_lattice,
-                                "target_registry": target_registry,
-                            }
-                        )
-            pairs = [
-                (d, g)
-                for d in self.registry.values()
-                for g in target_registry.values()
-            ]
+        # (tag, hom, target lattice, target registry, induced expansions)
+        homs = [("identity", identity_hom(S), self.lattice, self.registry, {})]
+        for quot in self.quotients():
+            tag = f"projection/{{{','.join(S.labels_of(quot.modulus))}}}"
+            registry = standard_registry(quot.q.structure, quot.lattice)
+            homs.append((tag, projection_hom(quot.q), quot.lattice, registry, quot.induced))
+        for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
+            T = other.structure
+            if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
+                for h in enumerate_homomorphisms(S, T, injective_only=True):
+                    homs.append((f"mono->{T.name}", h, other.lattice(), other.registry(), {}))
+        self._fixtures = []
+        for tag, h, tl, treg, induced in homs:
+            # a projection pairs every base expansion with its induced
+            # quotient expansion first
+            pairs = [(self.registry[name], dq) for name, dq in induced.items()]
+            pairs += product(self.registry.values(), treg.values())
+            fixture = dict(tag=tag, hom=h, target_lattice=tl, target_registry=treg)
             for delta, gamma in pairs:
-                ok, _ = is_delta_gamma_hom(h, delta, gamma, self.lattice, target_lattice)
-                if ok:
-                    fixtures.append(
-                        {
-                            "tag": tag,
-                            "hom": h,
-                            "delta": delta,
-                            "gamma": gamma,
-                            "target_lattice": target_lattice,
-                            "target_registry": target_registry,
-                        }
-                    )
-        self._fixtures = fixtures
-        return fixtures
+                if is_delta_gamma_hom(h, delta, gamma, self.lattice, tl)[0]:
+                    self._fixtures.append(dict(fixture, delta=delta, gamma=gamma))
+        return self._fixtures
 
 
 # -- theorem checks ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    tid: str
-    statement: str
-    needs_identity: bool
-    run: Callable
 
 
 def _wit(ctx: StructureContext, **kw) -> dict:
@@ -295,767 +305,490 @@ def _wit(ctx: StructureContext, **kw) -> dict:
     return out
 
 
-def _bool_of(res) -> bool:
-    return res.verdict is Verdict.TRUE
+@dataclass(frozen=True)
+class Implication:
+    """One theorem: every instance of the domain that satisfies the
+    hypothesis satisfies the conclusion (see the module docstring)."""
+
+    tid: str
+    statement: str
+    needs_identity: bool
+    domain: Callable[[StructureContext], Iterable[tuple]]
+    hypothesis: Callable[..., object]
+    conclusion: Callable[..., Optional[dict]]
+    gate: Callable[[StructureContext], Optional[str]] = lambda ctx: None
+
+    def run(self, ctx: StructureContext):
+        reason = self.gate(ctx)
+        if reason:
+            return SKIP, 0, reason
+        checked = 0
+        for inst in self.domain(ctx):
+            if self.hypothesis(ctx, *inst):
+                checked += 1
+                bad = self.conclusion(ctx, *inst)
+                if bad is not None:
+                    return FAIL, checked, _wit(ctx, **bad)
+        return PASS, checked, None
 
 
-def _t01(ctx: StructureContext):
-    # a J-hyperideal always sits inside the Jacobson radical
-    checked = 0
-    for q in ctx.proper_ideals():
-        if _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice)):
-            checked += 1
-            if not q.members <= ctx.jac:
-                return FAIL, checked, _wit(ctx, ideal=q.members, jacobson=ctx.jac)
-    return PASS, checked, None
+@dataclass(frozen=True)
+class TheoremCheck:
+    tid: str
+    statement: str
+    needs_identity: bool
+    run: Callable
 
 
-def _t02(ctx: StructureContext):
-    # local structure <=> every proper hyperideal is a J-hyperideal;
-    # degenerate one-element structures have no proper hyperideal to witness
-    # either side, so the equivalence is out of scope there
-    if not ctx.proper_ideals():
-        return SKIP, 0, "no proper hyperideals"
-    local = is_local(ctx.S, ctx.lattice)
-    all_j = all(
-        _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-        for q in ctx.proper_ideals()
-    )
-    if local != all_j:
-        bad = next(
-            (
-                q
-                for q in ctx.proper_ideals()
-                if not _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-            ),
-            None,
-        )
-        return FAIL, 1, _wit(
-            ctx,
-            local=local,
-            all_proper_are_j=all_j,
-            ideal=bad.members if bad else frozenset(),
-        )
-    return PASS, 1, None
-
-
-def _t03(ctx: StructureContext):
-    # J-hyperideals are closed under intersection
-    checked = 0
-    js = [
-        q
-        for q in ctx.proper_ideals()
-        if _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-    ]
-    for a in js:
-        for b in js:
-            meet = a.members & b.members
-            checked += 1
-            if meet not in ctx.lattice:
-                return FAIL, checked, _wit(ctx, first=a.members, second=b.members)
-            if not _bool_of(is_j_hyperideal(ctx.S, meet, ctx.lattice)):
-                return FAIL, checked, _wit(ctx, first=a.members, second=b.members, meet=meet)
-    return PASS, checked, None
-
-
-def _residual_or_none(ctx, Q, T):
-    return residual(ctx.S, Q, T)
-
-
-def _t04(ctx: StructureContext):
-    # three-way equivalence: J-hyperideal <=> fixed by every residual at
-    # elements outside the Jacobson radical <=> ideal-tuple form
-    checked = 0
-    for q in ctx.proper_ideals():
-        j = _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-        fixed = all(
-            _residual_or_none(ctx, q.members, {x}) == q.members
-            for x in ctx.S.carrier
-            if x not in ctx.jac
-        )
-        subset_form = _ideal_tuple_form(ctx, q.members, ctx.jac, q.members)
-        checked += 1
-        if not (j == fixed == subset_form):
-            return FAIL, checked, _wit(
-                ctx, ideal=q.members, j=j, residual_fixed=fixed, tuple_form=subset_form
-            )
-    return PASS, checked, None
-
-
-def _ideal_tuple_form(ctx: StructureContext, Q, trigger, target) -> bool:
-    """For hyperideal tuples I_1..I_n with product inside Q: every I_i not
-    inside ``trigger`` forces the identity-substituted product into
-    ``target``."""
-    from .core import multisets
-
-    S = ctx.S
-    pool = [i.members for i in ctx.lattice]
-    one = S.one
-    for combo in multisets(len(pool), S.n):
-        sets = [pool[i] for i in combo]
-        prod_set = _set_product(S, sets)
-        if not prod_set <= Q:
-            continue
-        for slot in range(len(sets)):
-            if sets[slot] <= trigger:
-                continue
-            rest = sets[:slot] + [frozenset({one})] + sets[slot + 1 :]
-            if not _set_product(S, rest) <= target:
-                return False
+def _always(ctx, *inst) -> bool:
     return True
 
 
-def _t05(ctx: StructureContext):
-    # J-hyperideal <=> residuals at elements outside Q stay inside J(R)
-    checked = 0
-    for q in ctx.proper_ideals():
-        j = _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-        cond = all(
-            _residual_or_none(ctx, q.members, {x}) <= ctx.jac
-            for x in ctx.S.carrier
-            if x not in q.members
-        )
-        checked += 1
-        if j != cond:
-            return FAIL, checked, _wit(ctx, ideal=q.members, j=j, residuals_in_jacobson=cond)
-    return PASS, checked, None
+def _no_proper(ctx) -> Optional[str]:
+    # a one-element structure has no proper hyperideal to witness either
+    # side of a locality equivalence or of a transfer
+    return None if ctx.proper else "no proper hyperideals"
 
 
-def _t06(ctx: StructureContext):
-    # residual of a J-hyperideal at any subset not inside it is a J-hyperideal
-    checked = 0
-    S = ctx.S
-    from itertools import combinations
-
-    elems = list(S.carrier)
-    for q in ctx.proper_ideals():
-        if not _bool_of(is_j_hyperideal(S, q.members, ctx.lattice)):
-            continue
-        for r in range(1, len(elems) + 1):
-            for combo in combinations(elems, r):
-                T = frozenset(combo)
-                if T <= q.members:
-                    continue
-                checked += 1
-                u = residual(S, q.members, T)
-                if not is_hyperideal(S, u).ok:
-                    return FAIL, checked, _wit(ctx, ideal=q.members, subset=T, residual=u)
-                if u == frozenset(S.carrier) or not _bool_of(
-                    is_j_hyperideal(S, u, ctx.lattice)
-                ):
-                    return FAIL, checked, _wit(ctx, ideal=q.members, subset=T, residual=u)
-    return PASS, checked, None
+def _proper(ctx) -> Iterable[tuple]:
+    return ((q,) for q in ctx.proper)
 
 
-def _t07(ctx: StructureContext):
-    # maximal members of the J-hyperideal family are prime
-    js = [
-        q
-        for q in ctx.proper_ideals()
-        if _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice))
-    ]
-    checked = 0
-    for q in js:
-        if any(q.members < other.members for other in js):
-            continue
-        checked += 1
-        ok, w = prime_witness(ctx.S, q.members)
-        if not ok:
-            return FAIL, checked, _wit(ctx, ideal=q.members, args=w)
-    return PASS, checked, None
+def _cases(ctx) -> Iterable[tuple]:
+    """(Q, name, delta) over proper ideals, then registered expansions."""
+    return ((q, name, delta) for q in ctx.proper for name, delta in ctx.registry.items())
 
 
-def _t08(ctx: StructureContext):
-    # a prime Jacobson radical is a J-hyperideal with nothing J above it
-    jac = ctx.jac
-    if jac == frozenset(ctx.S.carrier):
-        return SKIP, 0, "jacobson radical is the whole carrier"
-    ok, _ = prime_witness(ctx.S, jac)
-    if not ok:
-        return SKIP, 0, "jacobson radical is not prime"
-    if not _bool_of(is_j_hyperideal(ctx.S, jac, ctx.lattice)):
-        return FAIL, 1, _wit(ctx, ideal=jac, reason="radical not a j-hyperideal")
-    for q in ctx.proper_ideals():
-        if jac < q.members and _bool_of(is_j_hyperideal(ctx.S, q.members, ctx.lattice)):
-            return FAIL, 1, _wit(ctx, ideal=q.members, reason="j-hyperideal above the radical")
-    return PASS, 1, None
+def _agree(context: dict, **sides: bool) -> Optional[dict]:
+    """None when every side of an equivalence agrees, else the witness."""
+    return None if len(set(sides.values())) == 1 else {**context, **sides}
 
 
-def _t09(ctx: StructureContext):
-    # delta(Q) a J-hyperideal forces Q delta-J
-    checked = 0
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            dq = delta(q.members)
-            if dq == frozenset(ctx.S.carrier):
-                continue
-            if not _bool_of(is_j_hyperideal(ctx.S, dq, ctx.lattice)):
-                continue
-            checked += 1
-            if not _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice)):
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name)
-    return PASS, checked, None
+def _absorbing_fails(ctx, Q, expansion, degree, **context) -> Optional[dict]:
+    """The witness when Q is not (degree,n)-absorbing delta-J, else None."""
+    res = ctx.absorbing(Q, expansion, degree)
+    return dict(context, witness=res.witness.as_dict()) if res.verdict is Verdict.FALSE else None
 
 
-def _t10(ctx: StructureContext):
-    # a delta1-J hyperideal has a J-hyperideal radical
-    delta1 = ctx.registry["delta1"]
-    checked = 0
-    for q in ctx.proper_ideals():
-        if not _bool_of(is_delta_j(ctx.S, q.members, delta1, ctx.lattice)):
-            continue
-        checked += 1
-        rad = radical_by_primes(ctx.S, q.members, ctx.lattice).members
-        if rad == frozenset(ctx.S.carrier) or not _bool_of(
-            is_j_hyperideal(ctx.S, rad, ctx.lattice)
-        ):
-            return FAIL, checked, _wit(ctx, ideal=q.members, radical=rad)
-    return PASS, checked, None
+def _local_iff_all_j(ctx) -> Optional[dict]:
+    bad = next((q for q in ctx.proper if not ctx.j(q)), None)
+    local = is_local(ctx.S, ctx.lattice)
+    return _agree(dict(ideal=bad or frozenset()), local=local, all_proper_are_j=bad is None)
 
 
-def _t11(ctx: StructureContext):
-    # delta(Q) gamma-J forces Q (gamma o delta)-J
-    checked = 0
-    for q in ctx.proper_ideals():
-        for dname, delta in ctx.registry.items():
-            dq = delta(q.members)
-            if dq == frozenset(ctx.S.carrier):
-                continue
-            for gname, gamma in ctx.registry.items():
-                if not _bool_of(is_delta_j(ctx.S, dq, gamma, ctx.lattice)):
-                    continue
-                checked += 1
-                composed = compose_expansions(gamma, delta)
-                if not _bool_of(is_delta_j(ctx.S, q.members, composed, ctx.lattice)):
-                    return FAIL, checked, _wit(ctx, ideal=q.members, delta=dname, gamma=gname)
-    return PASS, checked, None
+def _meet_is_j(ctx, a, b) -> Optional[dict]:
+    if a & b not in ctx.lattice:
+        return dict(first=a, second=b)
+    return None if ctx.j(a & b) else dict(first=a, second=b, meet=a & b)
 
 
-def _t12(ctx: StructureContext):
-    # sandwich: Q1 <= Q2 <= Q3, Q3 delta-J, delta(Q1)=delta(Q3) force Q2 delta-J
-    checked = 0
-    props = ctx.proper_ideals()
-    for q1 in props:
-        for q2 in props:
-            if not q1.members <= q2.members:
-                continue
-            for q3 in props:
-                if not q2.members <= q3.members:
-                    continue
+def _residual_is_j(ctx, q, T) -> Optional[dict]:
+    u = residual(ctx.S, q, T)
+    if is_hyperideal(ctx.S, u).ok and u != ctx.top and ctx.j(u):
+        return None
+    return dict(ideal=q, subset=T, residual=u)
+
+
+def _is_prime(ctx, q) -> Optional[dict]:
+    ok, args = prime_witness(ctx.S, q)
+    return None if ok else dict(ideal=q, args=args)
+
+
+def _jacobson_prime(ctx) -> Optional[str]:
+    if ctx.jac == ctx.top:
+        return "jacobson radical is the whole carrier"
+    return None if prime_witness(ctx.S, ctx.jac)[0] else "jacobson radical is not prime"
+
+
+def _top_j(ctx, q) -> Optional[dict]:
+    # the first instance is the radical itself, the others lie above it
+    if q != ctx.jac:
+        return dict(ideal=q, reason="j-hyperideal above the radical")
+    return None if ctx.j(q) else dict(ideal=q, reason="radical not a j-hyperideal")
+
+
+def _sandwiches(ctx) -> Iterable[tuple]:
+    for q1 in ctx.proper:
+        for q2 in (q for q in ctx.proper if q1 <= q):
+            for q3 in (q for q in ctx.proper if q2 <= q):
                 for name, delta in ctx.registry.items():
-                    if delta(q1.members) != delta(q3.members):
-                        continue
-                    if not _bool_of(is_delta_j(ctx.S, q3.members, delta, ctx.lattice)):
-                        continue
-                    checked += 1
-                    if not _bool_of(is_delta_j(ctx.S, q2.members, delta, ctx.lattice)):
-                        return FAIL, checked, _wit(
-                            ctx, q1=q1.members, q2=q2.members, q3=q3.members, delta=name
-                        )
-    return PASS, checked, None
+                    yield q1, q2, q3, name, delta
 
 
-def _t13(ctx: StructureContext):
-    # hypothesis-gated: delta-J plus radical(delta(Q)) <= delta(radical(Q))
-    # force radical(Q) delta-J
-    checked = 0
-    S = ctx.S
-    top = frozenset(S.carrier)
-    for q in ctx.proper_ideals():
-        rad = radical_by_primes(S, q.members, ctx.lattice).members
-        for name, delta in ctx.registry.items():
-            if not _bool_of(is_delta_j(S, q.members, delta, ctx.lattice)):
-                continue
-            rad_dq = radical_by_primes(S, delta(q.members), ctx.lattice).members
-            if not rad_dq <= delta(rad):
-                continue
-            checked += 1
-            # an improper radical cannot be a delta-J hyperideal
-            if rad == top or not _bool_of(is_delta_j(S, rad, delta, ctx.lattice)):
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name, radical=rad)
-    return PASS, checked, None
-
-
-def _t14(ctx: StructureContext):
-    # delta1 preserves intersections; intersection-preserving expansions
-    # keep delta-J stable under pairwise intersection
-    if not preserves_intersections(ctx.S, ctx.lattice, ctx.registry["delta1"]):
-        return FAIL, 1, _wit(ctx, reason="delta1 does not preserve intersections")
-    checked = 1
+def _meets(ctx) -> Iterable[tuple]:
+    # the first instance is the leading check that delta1 preserves meets
+    yield "delta1", ctx.registry["delta1"], None, None
     for name, delta in ctx.registry.items():
-        if not preserves_intersections(ctx.S, ctx.lattice, delta):
-            continue
-        js = [
-            q
-            for q in ctx.proper_ideals()
-            if _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice))
-        ]
-        for a in js:
-            for b in js:
-                meet = a.members & b.members
-                checked += 1
-                if not _bool_of(is_delta_j(ctx.S, meet, delta, ctx.lattice)):
-                    return FAIL, checked, _wit(
-                        ctx, first=a.members, second=b.members, delta=name
-                    )
-    return PASS, checked, None
+        if preserves_intersections(ctx.S, ctx.lattice, delta):
+            for a, b in product(ctx.proper, repeat=2):
+                yield name, delta, a, b
 
 
-def _t15(ctx: StructureContext):
-    # three forms of the delta-J property agree: elementwise, (n-1) ideals
-    # plus one element, n ideals
-    checked = 0
-    S = ctx.S
-    from .core import multisets
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            elem = _bool_of(is_delta_j(S, q.members, delta, ctx.lattice))
-            mixed = _mixed_tuple_form(ctx, q.members, delta)
-            tuples = _ideal_tuple_form(ctx, q.members, ctx.jac, delta(q.members))
-            checked += 1
-            if not (elem == mixed == tuples):
-                return FAIL, checked, _wit(
-                    ctx, ideal=q.members, delta=name, elementwise=elem,
-                    mixed_form=mixed, tuple_form=tuples,
-                )
-    return PASS, checked, None
+def _meet_is_delta_j(ctx, name, delta, a, b) -> Optional[dict]:
+    if a is None:
+        if preserves_intersections(ctx.S, ctx.lattice, delta):
+            return None
+        return dict(reason="delta1 does not preserve intersections")
+    return None if ctx.delta_j(a & b, delta) else dict(first=a, second=b, delta=name)
 
 
-def _mixed_tuple_form(ctx: StructureContext, Q, delta) -> bool:
-    from .core import multisets
-
-    S = ctx.S
-    pool = [i.members for i in ctx.lattice]
-    one = S.one
-    for combo in multisets(len(pool), S.n - 1):
-        sets = [pool[i] for i in combo]
-        for x in S.carrier:
-            if not _set_product(S, sets + [frozenset({x})]) <= Q:
-                continue
-            if x in ctx.jac:
-                continue
-            if not _set_product(S, sets + [frozenset({one})]) <= delta(Q):
-                return False
-    return True
+def _maximal_relative_drops(ctx, q, name, delta) -> bool:
+    # the drop clause, triggered outside the intersection of the maximal
+    # hyperideals over Q
+    m_q = ctx.top
+    for m in ctx.lattice.maximal:
+        if q <= m.members:
+            m_q &= m.members
+    return q <= ctx.jac and bool(_drop_scan(ctx.S, q, m_q, delta(q), "delta-j", name))
 
 
-def _t16(ctx: StructureContext):
-    # delta-J <=> inside J(R) and the drop condition relative to the
-    # intersection of maximal hyperideals containing Q
-    checked = 0
-    S = ctx.S
-    from .core import msort, multiset_minus, multisets
-
-    for q in ctx.proper_ideals():
-        over = [m.members for m in ctx.lattice.maximal if q.members <= m.members]
-        m_q = frozenset(S.carrier)
-        for m in over:
-            m_q &= m
-        for name, delta in ctx.registry.items():
-            lhs = _bool_of(is_delta_j(S, q.members, delta, ctx.lattice))
-            rhs = q.members <= ctx.jac
-            if rhs:
-                dq = delta(q.members)
-                for key in multisets(S.size, S.n):
-                    if S.mul[key] not in q.members:
-                        continue
-                    for v in sorted(set(key)):
-                        if v in m_q:
-                            continue
-                        dropped = S.mul[msort(multiset_minus(key, (v,)) + (S.one,))]
-                        if dropped not in dq:
-                            rhs = False
-                            break
-                    if not rhs:
-                        break
-            checked += 1
-            if lhs != rhs:
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name, lhs=lhs, rhs=rhs)
-    return PASS, checked, None
+def _local_iff_delta_j(ctx, name, delta) -> Optional[dict]:
+    principals = [principal_ideal(ctx.S, x, ctx.lattice).ideal for x in ctx.S.carrier]
+    return _agree(
+        dict(delta=name),
+        local=is_local(ctx.S, ctx.lattice),
+        principal_all=all(ctx.delta_j(p.members, delta) for p in principals if p.proper),
+        proper_all=all(ctx.delta_j(q, delta) for q in ctx.proper),
+    )
 
 
-def _t17(ctx: StructureContext):
-    # local <=> every proper principal hyperideal is delta-J <=> every
-    # proper hyperideal is delta-J; degenerate as in T02
-    if not ctx.proper_ideals():
-        return SKIP, 0, "no proper hyperideals"
-    local = is_local(ctx.S, ctx.lattice)
-    checked = 0
-    for name, delta in ctx.registry.items():
-        principals = []
-        for x in ctx.S.carrier:
-            p = principal_ideal(ctx.S, x, ctx.lattice)
-            if p.ideal.proper:
-                principals.append(p.ideal)
-        all_principal = all(
-            _bool_of(is_delta_j(ctx.S, p.members, delta, ctx.lattice)) for p in principals
-        )
-        all_proper = all(
-            _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice))
-            for q in ctx.proper_ideals()
-        )
-        checked += 1
-        if not (local == all_principal == all_proper):
-            return FAIL, checked, _wit(
-                ctx, delta=name, local=local,
-                principal_all=all_principal, proper_all=all_proper,
-            )
-    return PASS, checked, None
-
-
-def _t18(ctx: StructureContext):
-    # for delta-primary Q: delta-J <=> Q inside J(R)
-    checked = 0
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            if not _bool_of(is_delta_primary(ctx.S, q.members, delta, ctx.lattice)):
-                continue
-            checked += 1
-            lhs = _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice))
-            rhs = q.members <= ctx.jac
-            if lhs != rhs:
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name, lhs=lhs, rhs=rhs)
-    return PASS, checked, None
-
-
-def _t19(ctx: StructureContext):
-    # for maximal Q: delta-J <=> Q equals J(R)
-    checked = 0
-    for q in ctx.lattice.maximal:
-        for name, delta in ctx.registry.items():
-            checked += 1
-            lhs = _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice))
-            rhs = q.members == ctx.jac
-            if lhs != rhs:
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name, lhs=lhs, rhs=rhs)
-    return PASS, checked, None
-
-
-def _hom_applicable(fix) -> bool:
-    t = fix["hom"].target
-    return t.one is not None
-
-
-def _t20(ctx: StructureContext):
-    # transfer along expansion-compatible homomorphisms: preimages of
-    # gamma-J hyperideals under monomorphisms are delta-J; images of delta-J
-    # hyperideals under epimorphisms with small kernel are gamma-J
-    if not ctx.proper_ideals():
-        return SKIP, 0, "no proper hyperideals"
-    checked = 0
+def _transfers(ctx, ks) -> Iterable[tuple]:
+    """(fixture, k, side, Q): per fixture whose target has a scalar identity,
+    the target ideals to pull back along a monomorphism, then the source
+    ideals over the kernel to push along an epimorphism."""
     for fix in ctx.hom_fixtures():
-        if not _hom_applicable(fix):
-            continue
         h = fix["hom"]
-        tl = fix["target_lattice"]
-        delta, gamma = fix["delta"], fix["gamma"]
-        if h.injective:
-            for i2 in tl.proper():
-                if not _bool_of(is_delta_j(h.target, i2.members, gamma, tl)):
-                    continue
-                pre = h.preimage(i2.members)
-                checked += 1
-                if pre == frozenset(h.source.carrier) or pre not in ctx.lattice:
-                    return FAIL, checked, _wit(ctx, fixture=fix["tag"], target_ideal=sorted(i2.labels()))
-                if not _bool_of(is_delta_j(h.source, pre, delta, ctx.lattice)):
-                    return FAIL, checked, _wit(
-                        ctx, fixture=fix["tag"], target_ideal=sorted(i2.labels()), preimage=pre
-                    )
-        if h.surjective:
-            ker = kernel(h)
-            for i1 in ctx.proper_ideals():
-                if not ker <= i1.members:
-                    continue
-                if not _bool_of(is_delta_j(h.source, i1.members, delta, ctx.lattice)):
-                    continue
-                img = h.image(i1.members)
-                checked += 1
-                if img == frozenset(h.target.carrier) or img not in tl:
-                    return FAIL, checked, _wit(ctx, fixture=fix["tag"], ideal=i1.members)
-                if not _bool_of(is_delta_j(h.target, img, gamma, tl)):
-                    return FAIL, checked, _wit(
-                        ctx, fixture=fix["tag"], ideal=i1.members,
-                        image=sorted(h.target.labels_of(img)),
-                    )
-    return PASS, checked, None
-
-
-def _t21(ctx: StructureContext):
-    # quotient corollary: Q delta-J and I <= Q give Q/I delta_q-J in the quotient
-    checked = 0
-    S = ctx.S
-    for ideal in ctx.lattice:
-        q = quotient(S, ideal.members)
-        if not (q.ok and q.axiom_report.ok):
-            continue
-        if q.quotient.structure.one is None:
-            continue
-        from .ideals import enumerate_hyperideals as enum
-
-        qlat = enum(q.quotient.structure)
-        for name, delta in ctx.registry.items():
-            dq = quotient_expansion(q.quotient, delta, ctx.lattice, qlat)
-            for big in ctx.proper_ideals():
-                if not ideal.members <= big.members:
-                    continue
-                if not _bool_of(is_delta_j(S, big.members, delta, ctx.lattice)):
-                    continue
-                checked += 1
-                img = q.quotient.project(big.members)
-                if img == frozenset(q.quotient.structure.carrier) or img not in qlat:
-                    return FAIL, checked, _wit(ctx, modulus=ideal.members, ideal=big.members, delta=name)
-                if not _bool_of(is_delta_j(q.quotient.structure, img, dq, qlat)):
-                    return FAIL, checked, _wit(
-                        ctx, modulus=ideal.members, ideal=big.members, delta=name,
-                        quotient_ideal=sorted(q.quotient.structure.labels_of(img)),
-                    )
-    return PASS, checked, None
-
-
-def _t22(ctx: StructureContext):
-    # delta-J forces (2,n)-absorbing delta-J
-    checked = 0
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            if not _bool_of(is_delta_j(ctx.S, q.members, delta, ctx.lattice)):
-                continue
-            checked += 1
-            res = is_absorbing_delta_j(ctx.S, q.members, delta, 2, ctx.lattice)
-            if res.verdict is Verdict.FALSE:
-                return FAIL, checked, _wit(ctx, ideal=q.members, delta=name, witness=res.witness.as_dict())
-    return PASS, checked, None
-
-
-def _t23(ctx: StructureContext):
-    # successor step of the absorbing chain: (k,n)-absorbing delta-J implies
-    # (k+1,n)-absorbing delta-J (audited in place of the s>n phrasing)
-    checked = 0
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            for k in range(2, ctx.k_max):
-                res_k = is_absorbing_delta_j(ctx.S, q.members, delta, k, ctx.lattice)
-                if res_k.verdict is not Verdict.TRUE:
-                    continue
-                checked += 1
-                res_next = is_absorbing_delta_j(ctx.S, q.members, delta, k + 1, ctx.lattice)
-                if res_next.verdict is Verdict.FALSE:
-                    return FAIL, checked, _wit(
-                        ctx, ideal=q.members, delta=name, k=k,
-                        witness=res_next.witness.as_dict(),
-                    )
-    return PASS, checked, None
-
-
-def _t24(ctx: StructureContext):
-    # (k,n)-absorbing with the identity expansion forces the radical to be
-    # (k,n)-absorbing for every registered expansion
-    checked = 0
-    delta0 = ctx.registry["delta0"]
-    top = frozenset(ctx.S.carrier)
-    for q in ctx.proper_ideals():
-        rad = radical_by_primes(ctx.S, q.members, ctx.lattice).members
-        for k in range(2, ctx.k_max + 1):
-            if is_absorbing_delta_j(ctx.S, q.members, delta0, k, ctx.lattice).verdict is not Verdict.TRUE:
-                continue
-            for name, delta in ctx.registry.items():
-                checked += 1
-                if rad == top:
-                    return FAIL, checked, _wit(
-                        ctx, ideal=q.members, radical=rad, delta=name, k=k
-                    )
-                res = is_absorbing_delta_j(ctx.S, rad, delta, k, ctx.lattice)
-                if res.verdict is Verdict.FALSE:
-                    return FAIL, checked, _wit(
-                        ctx, ideal=q.members, radical=rad, delta=name, k=k,
-                        witness=res.witness.as_dict(),
-                    )
-    return PASS, checked, None
-
-
-def _t25(ctx: StructureContext):
-    # delta(Q) (2,n)-absorbing with the identity expansion forces Q
-    # (3,n)-absorbing delta-J
-    checked = 0
-    delta0 = ctx.registry["delta0"]
-    top = frozenset(ctx.S.carrier)
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            dq = delta(q.members)
-            if dq == top:
-                continue
-            if is_absorbing_delta_j(ctx.S, dq, delta0, 2, ctx.lattice).verdict is not Verdict.TRUE:
-                continue
-            checked += 1
-            res = is_absorbing_delta_j(ctx.S, q.members, delta, 3, ctx.lattice)
-            if res.verdict is Verdict.FALSE:
-                return FAIL, checked, _wit(
-                    ctx, ideal=q.members, delta=name, witness=res.witness.as_dict()
-                )
-    return PASS, checked, None
-
-
-def _t26(ctx: StructureContext):
-    # delta(Q) (k+1,n)-absorbing delta-J forces Q (k+1,n)-absorbing delta-J
-    checked = 0
-    top = frozenset(ctx.S.carrier)
-    for q in ctx.proper_ideals():
-        for name, delta in ctx.registry.items():
-            dq = delta(q.members)
-            if dq == top:
-                continue
-            for k1 in range(2, ctx.k_max + 1):
-                if is_absorbing_delta_j(ctx.S, dq, delta, k1, ctx.lattice).verdict is not Verdict.TRUE:
-                    continue
-                checked += 1
-                res = is_absorbing_delta_j(ctx.S, q.members, delta, k1, ctx.lattice)
-                if res.verdict is Verdict.FALSE:
-                    return FAIL, checked, _wit(
-                        ctx, ideal=q.members, delta=name, k=k1,
-                        witness=res.witness.as_dict(),
-                    )
-    return PASS, checked, None
-
-
-def _t27(ctx: StructureContext):
-    # absorbing transfers along expansion-compatible homomorphisms, both
-    # directions (conclusion read as the (k,n)-absorbing property)
-    if not ctx.proper_ideals():
-        return SKIP, 0, "no proper hyperideals"
-    checked = 0
-    for fix in ctx.hom_fixtures():
-        if not _hom_applicable(fix):
-            continue
-        h = fix["hom"]
-        tl = fix["target_lattice"]
-        delta, gamma = fix["delta"], fix["gamma"]
-        for k in range(2, ctx.k_max + 1):
+        for k in ks if h.target.one is not None else ():
             if h.injective:
-                for i2 in tl.proper():
-                    if is_absorbing_delta_j(h.target, i2.members, gamma, k, tl).verdict is not Verdict.TRUE:
-                        continue
-                    pre = h.preimage(i2.members)
-                    checked += 1
-                    if pre == frozenset(h.source.carrier) or pre not in ctx.lattice:
-                        return FAIL, checked, _wit(ctx, fixture=fix["tag"], k=k)
-                    res = is_absorbing_delta_j(h.source, pre, delta, k, ctx.lattice)
-                    if res.verdict is Verdict.FALSE:
-                        return FAIL, checked, _wit(
-                            ctx, fixture=fix["tag"], k=k, preimage=pre,
-                            witness=res.witness.as_dict(),
-                        )
+                for i2 in fix["target_lattice"].proper():
+                    yield fix, k, "preimage", i2.members
             if h.surjective:
                 ker = kernel(h)
-                for i1 in ctx.proper_ideals():
-                    if not ker <= i1.members:
-                        continue
-                    if is_absorbing_delta_j(h.source, i1.members, delta, k, ctx.lattice).verdict is not Verdict.TRUE:
-                        continue
-                    img = h.image(i1.members)
-                    checked += 1
-                    if img == frozenset(h.target.carrier) or img not in tl:
-                        return FAIL, checked, _wit(ctx, fixture=fix["tag"], ideal=i1.members, k=k)
-                    res = is_absorbing_delta_j(h.target, img, gamma, k, tl)
-                    if res.verdict is Verdict.FALSE:
-                        return FAIL, checked, _wit(
-                            ctx, fixture=fix["tag"], ideal=i1.members, k=k,
-                            image=sorted(h.target.labels_of(img)),
-                            witness=res.witness.as_dict(),
-                        )
-    return PASS, checked, None
+                for i1 in ctx.proper:
+                    if ker <= i1:
+                        yield fix, k, "image", i1
 
+
+def _transfer_verdict(ctx, k, Q, delta, lattice):
+    """delta-J for k None, (k,n)-absorbing delta-J otherwise."""
+    if k is None:
+        return ctx.delta_j(Q, delta, lattice)
+    return ctx.absorbing(Q, delta, k, lattice)
+
+
+def _transfer_hypothesis(ctx, fix, k, side, Q):
+    if side == "preimage":
+        return _transfer_verdict(ctx, k, Q, fix["gamma"], fix["target_lattice"])
+    return _transfer_verdict(ctx, k, Q, fix["delta"], ctx.lattice)
+
+
+def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
+    h = fix["hom"]
+    wit = dict(fixture=fix["tag"]) if k is None else dict(fixture=fix["tag"], k=k)
+    if side == "preimage":
+        if k is None:
+            wit["target_ideal"] = sorted(h.target.labels_of(Q))
+        mapped, top, lattice, delta = h.preimage(Q), ctx.top, ctx.lattice, fix["delta"]
+    else:
+        wit["ideal"] = Q
+        mapped, top = h.image(Q), frozenset(h.target.carrier)
+        lattice, delta = fix["target_lattice"], fix["gamma"]
+    if mapped == top or mapped not in lattice:
+        return wit
+    res = _transfer_verdict(ctx, k, mapped, delta, lattice)
+    # delta-J must hold; an absorbing verdict fails only when it is FALSE
+    holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
+    if holds:
+        return None
+    if side == "preimage":
+        wit["preimage"] = mapped
+    else:
+        wit["image"] = sorted(h.target.labels_of(mapped))
+    return wit if k is None else dict(wit, witness=res.witness.as_dict())
+
+
+def _quotient_ideals(ctx) -> Iterable[tuple]:
+    for quot in ctx.quotients():
+        for name, delta in ctx.registry.items() if quot.q.structure.one is not None else ():
+            for big in ctx.proper:
+                if quot.modulus <= big:
+                    yield quot, name, delta, big
+
+
+def _quotient_is_delta_j(ctx, quot, name, delta, big) -> Optional[dict]:
+    Qs = quot.q.structure
+    img = quot.q.project(big)
+    wit = dict(modulus=quot.modulus, ideal=big, delta=name)
+    if img == frozenset(Qs.carrier) or img not in quot.lattice:
+        return wit
+    if ctx.delta_j(img, quot.induced[name], quot.lattice):
+        return None
+    return dict(wit, quotient_ideal=sorted(Qs.labels_of(img)))
+
+
+def _radical_absorbing(ctx, q, name, delta, k) -> Optional[dict]:
+    rad = ctx.radical(q)
+    wit = dict(ideal=q, radical=rad, delta=name, k=k)
+    return wit if rad == ctx.top else _absorbing_fails(ctx, rad, delta, k, **wit)
+
+
+_IMPLICATIONS: list[Implication] = [
+    Implication(
+        "T01", "J-hyperideals sit inside the Jacobson radical", True, _proper,
+        lambda ctx, q: ctx.j(q),
+        lambda ctx, q: None if q <= ctx.jac else dict(ideal=q, jacobson=ctx.jac),
+    ),
+    Implication(
+        "T02", "local iff every proper hyperideal is J", True,
+        lambda ctx: [()], _always, _local_iff_all_j, _no_proper,
+    ),
+    Implication(
+        "T03", "J-hyperideals are intersection-closed", True,
+        lambda ctx: product(ctx.proper, repeat=2),
+        lambda ctx, a, b: ctx.j(a) and ctx.j(b),
+        _meet_is_j,
+    ),
+    Implication(
+        "T04", "J iff residual-fixed outside J(R) iff ideal-tuple form", True, _proper, _always,
+        lambda ctx, q: _agree(
+            dict(ideal=q),
+            j=bool(ctx.j(q)),
+            residual_fixed=all(
+                residual(ctx.S, q, {x}) == q for x in ctx.S.carrier if x not in ctx.jac
+            ),
+            tuple_form=delta_j_ideal_form(ctx.S, q, ctx.registry["delta0"], ctx.lattice),
+        ),
+    ),
+    Implication(
+        "T05", "J iff residuals outside Q land in J(R)", True, _proper, _always,
+        lambda ctx, q: _agree(
+            dict(ideal=q),
+            j=bool(ctx.j(q)),
+            residuals_in_jacobson=all(
+                residual(ctx.S, q, {x}) <= ctx.jac for x in ctx.S.carrier if x not in q
+            ),
+        ),
+    ),
+    Implication(
+        "T06", "residuals of J-hyperideals are J-hyperideals", True,
+        lambda ctx: (
+            (q, frozenset(subset))
+            for q in ctx.proper
+            for r in range(1, ctx.S.size + 1)
+            for subset in combinations(ctx.S.carrier, r)
+        ),
+        lambda ctx, q, T: ctx.j(q) and not T <= q,
+        _residual_is_j,
+    ),
+    Implication(
+        "T07", "maximal J-hyperideals are prime", True, _proper,
+        lambda ctx, q: ctx.j(q) and not any(q < o for o in ctx.proper if ctx.j(o)),
+        _is_prime,
+    ),
+    Implication(
+        "T08", "a prime Jacobson radical is a top J-hyperideal", True,
+        lambda ctx: [(ctx.jac,)] + [(q,) for q in ctx.proper if ctx.jac < q],
+        lambda ctx, q: q == ctx.jac or ctx.j(q),
+        _top_j,
+        _jacobson_prime,
+    ),
+    Implication(
+        "T09", "delta(Q) J forces Q delta-J", True, _cases,
+        lambda ctx, q, name, delta: delta(q) != ctx.top and ctx.j(delta(q)),
+        lambda ctx, q, name, delta: None if ctx.delta_j(q, delta) else dict(ideal=q, delta=name),
+    ),
+    Implication(
+        "T10", "delta1-J forces a J radical", True, _proper,
+        lambda ctx, q: ctx.delta_j(q, ctx.registry["delta1"]),
+        lambda ctx, q: (
+            dict(ideal=q, radical=ctx.radical(q))
+            if ctx.radical(q) == ctx.top or not ctx.j(ctx.radical(q))
+            else None
+        ),
+    ),
+    Implication(
+        "T11", "delta(Q) gamma-J forces Q (gamma o delta)-J", True,
+        lambda ctx: (c + g for c in _cases(ctx) for g in ctx.registry.items()),
+        lambda ctx, q, dname, delta, gname, gamma: (
+            delta(q) != ctx.top and ctx.delta_j(delta(q), gamma)
+        ),
+        lambda ctx, q, dname, delta, gname, gamma: (
+            None
+            if ctx.delta_j(q, compose_expansions(gamma, delta))
+            else dict(ideal=q, delta=dname, gamma=gname)
+        ),
+    ),
+    Implication(
+        "T12", "sandwich between delta-equal delta-J ideals", True, _sandwiches,
+        lambda ctx, q1, q2, q3, name, delta: delta(q1) == delta(q3) and ctx.delta_j(q3, delta),
+        lambda ctx, q1, q2, q3, name, delta: (
+            None if ctx.delta_j(q2, delta) else dict(q1=q1, q2=q2, q3=q3, delta=name)
+        ),
+    ),
+    Implication(
+        "T13", "radical of delta-J is delta-J (gated)", True, _cases,
+        lambda ctx, q, name, delta: (
+            ctx.delta_j(q, delta) and ctx.radical(delta(q)) <= delta(ctx.radical(q))
+        ),
+        # an improper radical cannot be a delta-J hyperideal
+        lambda ctx, q, name, delta: (
+            dict(ideal=q, delta=name, radical=ctx.radical(q))
+            if ctx.radical(q) == ctx.top or not ctx.delta_j(ctx.radical(q), delta)
+            else None
+        ),
+    ),
+    Implication(
+        "T14", "intersection preservation and delta-J meets", True, _meets,
+        lambda ctx, name, delta, a, b: (
+            a is None or (ctx.delta_j(a, delta) and ctx.delta_j(b, delta))
+        ),
+        _meet_is_delta_j,
+    ),
+    Implication(
+        "T15", "three delta-J forms agree", True, _cases, _always,
+        lambda ctx, q, name, delta: _agree(
+            dict(ideal=q, delta=name),
+            elementwise=bool(ctx.delta_j(q, delta)),
+            mixed_form=delta_j_mixed_form(ctx.S, q, delta, ctx.lattice),
+            tuple_form=delta_j_ideal_form(ctx.S, q, delta, ctx.lattice),
+        ),
+    ),
+    Implication(
+        "T16", "delta-J iff inside J(R) with maximal-relative drops", True, _cases, _always,
+        lambda ctx, q, name, delta: _agree(
+            dict(ideal=q, delta=name),
+            lhs=bool(ctx.delta_j(q, delta)),
+            rhs=_maximal_relative_drops(ctx, q, name, delta),
+        ),
+    ),
+    Implication(
+        "T17", "local iff principal delta-J iff all delta-J", True,
+        lambda ctx: ctx.registry.items(), _always, _local_iff_delta_j, _no_proper,
+    ),
+    Implication(
+        "T18", "for delta-primary: delta-J iff inside J(R)", True, _cases,
+        lambda ctx, q, name, delta: ctx.delta_primary(q, delta),
+        lambda ctx, q, name, delta: _agree(
+            dict(ideal=q, delta=name), lhs=bool(ctx.delta_j(q, delta)), rhs=q <= ctx.jac
+        ),
+    ),
+    Implication(
+        "T19", "for maximal: delta-J iff equal to J(R)", True, _cases,
+        lambda ctx, q, name, delta: q in ctx.maximal,
+        lambda ctx, q, name, delta: _agree(
+            dict(ideal=q, delta=name), lhs=bool(ctx.delta_j(q, delta)), rhs=q == ctx.jac
+        ),
+    ),
+    # transfers along expansion-compatible homomorphisms: preimages along
+    # monomorphisms, images along epimorphisms whose kernel lies in Q
+    Implication(
+        "T20", "delta-J transfers along hom fixtures", True,
+        lambda ctx: _transfers(ctx, [None]), _transfer_hypothesis, _transfer_holds, _no_proper,
+    ),
+    Implication(
+        "T21", "delta-J passes to quotients as induced-expansion J", True, _quotient_ideals,
+        lambda ctx, quot, name, delta, big: ctx.delta_j(big, delta),
+        _quotient_is_delta_j,
+    ),
+    Implication(
+        "T22", "delta-J forces (2,n)-absorbing delta-J", True, _cases,
+        lambda ctx, q, name, delta: ctx.delta_j(q, delta),
+        lambda ctx, q, name, delta: _absorbing_fails(ctx, q, delta, 2, ideal=q, delta=name),
+    ),
+    # the successor step of the absorbing chain, audited in place of the
+    # s>n phrasing
+    Implication(
+        "T23", "(k,n)-absorbing forces (k+1,n)-absorbing", False,
+        lambda ctx: (c + (k,) for c in _cases(ctx) for k in range(2, ctx.k_max)),
+        lambda ctx, q, name, delta, k: ctx.absorbing(q, delta, k),
+        lambda ctx, q, name, delta, k: _absorbing_fails(
+            ctx, q, delta, k + 1, ideal=q, delta=name, k=k
+        ),
+    ),
+    # the radical's defining framework assumes a scalar identity
+    Implication(
+        "T24", "absorbing passes to radicals", True,
+        lambda ctx: (
+            (q, name, delta, k)
+            for q in ctx.proper
+            for k in range(2, ctx.k_max + 1)
+            for name, delta in ctx.registry.items()
+        ),
+        lambda ctx, q, name, delta, k: ctx.absorbing(q, ctx.registry["delta0"], k),
+        _radical_absorbing,
+    ),
+    Implication(
+        "T25", "delta(Q) (2,n)-absorbing forces Q (3,n)-absorbing delta-J", False, _cases,
+        lambda ctx, q, name, delta: (
+            delta(q) != ctx.top and ctx.absorbing(delta(q), ctx.registry["delta0"], 2)
+        ),
+        lambda ctx, q, name, delta: _absorbing_fails(ctx, q, delta, 3, ideal=q, delta=name),
+    ),
+    Implication(
+        "T26", "delta(Q) (k+1,n)-absorbing delta-J forces the same for Q", False,
+        lambda ctx: (c + (k,) for c in _cases(ctx) for k in range(2, ctx.k_max + 1)),
+        lambda ctx, q, name, delta, k: delta(q) != ctx.top and ctx.absorbing(delta(q), delta, k),
+        lambda ctx, q, name, delta, k: _absorbing_fails(
+            ctx, q, delta, k, ideal=q, delta=name, k=k
+        ),
+    ),
+    Implication(
+        "T27", "absorbing transfers along hom fixtures", True,
+        lambda ctx: _transfers(ctx, range(2, ctx.k_max + 1)),
+        _transfer_hypothesis, _transfer_holds, _no_proper,
+    ),
+]
 
 THEOREMS: dict[str, TheoremCheck] = {
-    t.tid: t
-    for t in [
-        TheoremCheck("T01", "J-hyperideals sit inside the Jacobson radical", True, _t01),
-        TheoremCheck("T02", "local iff every proper hyperideal is J", True, _t02),
-        TheoremCheck("T03", "J-hyperideals are intersection-closed", True, _t03),
-        TheoremCheck("T04", "J iff residual-fixed outside J(R) iff ideal-tuple form", True, _t04),
-        TheoremCheck("T05", "J iff residuals outside Q land in J(R)", True, _t05),
-        TheoremCheck("T06", "residuals of J-hyperideals are J-hyperideals", True, _t06),
-        TheoremCheck("T07", "maximal J-hyperideals are prime", True, _t07),
-        TheoremCheck("T08", "a prime Jacobson radical is a top J-hyperideal", True, _t08),
-        TheoremCheck("T09", "delta(Q) J forces Q delta-J", True, _t09),
-        TheoremCheck("T10", "delta1-J forces a J radical", True, _t10),
-        TheoremCheck("T11", "delta(Q) gamma-J forces Q (gamma o delta)-J", True, _t11),
-        TheoremCheck("T12", "sandwich between delta-equal delta-J ideals", True, _t12),
-        TheoremCheck("T13", "radical of delta-J is delta-J (gated)", True, _t13),
-        TheoremCheck("T14", "intersection preservation and delta-J meets", True, _t14),
-        TheoremCheck("T15", "three delta-J forms agree", True, _t15),
-        TheoremCheck("T16", "delta-J iff inside J(R) with maximal-relative drops", True, _t16),
-        TheoremCheck("T17", "local iff principal delta-J iff all delta-J", True, _t17),
-        TheoremCheck("T18", "for delta-primary: delta-J iff inside J(R)", True, _t18),
-        TheoremCheck("T19", "for maximal: delta-J iff equal to J(R)", True, _t19),
-        TheoremCheck("T20", "delta-J transfers along hom fixtures", True, _t20),
-        TheoremCheck("T21", "delta-J passes to quotients as induced-expansion J", True, _t21),
-        TheoremCheck("T22", "delta-J forces (2,n)-absorbing delta-J", True, _t22),
-        TheoremCheck("T23", "(k,n)-absorbing forces (k+1,n)-absorbing", False, _t23),
-        # the radical's defining framework assumes a scalar identity
-        TheoremCheck("T24", "absorbing passes to radicals", True, _t24),
-        TheoremCheck("T25", "delta(Q) (2,n)-absorbing forces Q (3,n)-absorbing delta-J", False, _t25),
-        TheoremCheck("T26", "delta(Q) (k+1,n)-absorbing delta-J forces the same for Q", False, _t26),
-        TheoremCheck("T27", "absorbing transfers along hom fixtures", True, _t27),
-    ]
+    i.tid: TheoremCheck(i.tid, i.statement, i.needs_identity, i.run) for i in _IMPLICATIONS
 }
 
 
-def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
-    from .classifiers import classify
-
-    out = []
+def _claim_finding(entry: CatalogEntry, claim: Claim, k_max: int) -> Optional[tuple]:
+    """(expected, computed, witness) where the computed verdicts contradict
+    a shipped claim, else None."""
     S = entry.structure
-    for claim in entry.claims:
+    if claim.kind in ("krasner-axioms", "canonical-hypergroup"):
         if claim.kind == "krasner-axioms":
-            if not entry.report.ok:
-                failed = entry.report.failed()[0]
-                out.append(
-                    Discrepancy(
-                        S.name, claim.as_dict(), "all axioms pass",
-                        f"{failed.axiom} fails", failed.as_dict(),
-                    )
-                )
-        elif claim.kind == "canonical-hypergroup":
-            rep = verify_canonical_hypergroup(S)
-            if not rep.ok:
-                failed = rep.failed()[0]
-                out.append(
-                    Discrepancy(
-                        S.name, claim.as_dict(), "hypergroup axioms pass",
-                        f"{failed.axiom} fails", failed.as_dict(),
-                    )
-                )
-        elif claim.kind in ("hyperideal", "j-hyperideal"):
-            members = frozenset(S.index_of(l) for l in claim.subset)
-            check = is_hyperideal(S, members)
-            if claim.kind == "hyperideal":
-                if not check.ok:
-                    out.append(
-                        Discrepancy(
-                            S.name, claim.as_dict(), "subset is a hyperideal",
-                            f"clause {check.clause} fails",
-                            {"clause": check.clause, "witness": _jsonable(check.witness)},
-                        )
-                    )
-            else:
-                report = classify(S, members, entry.registry(), k_max, entry.lattice())
-                verdict = report.verdicts.get("J")
-                if verdict is not Verdict.TRUE:
-                    wit = report.witnesses.get("J")
-                    out.append(
-                        Discrepancy(
-                            S.name, claim.as_dict(), "J-hyperideal",
-                            verdict.value,
-                            wit.as_dict() if wit else (
-                                {"clause": check.clause, "witness": _jsonable(check.witness)}
-                                if not check.ok else None
-                            ),
-                        )
-                    )
+            report, expected = entry.report, "all axioms pass"
         else:
-            out.append(
-                Discrepancy(S.name, claim.as_dict(), "known claim kind", "unknown", None)
-            )
-    return out
+            report, expected = verify_canonical_hypergroup(S), "hypergroup axioms pass"
+        failed = report.failed()
+        return (expected, f"{failed[0].axiom} fails", failed[0].as_dict()) if failed else None
+    if claim.kind not in ("hyperideal", "j-hyperideal"):
+        return "known claim kind", "unknown", None
+    members = frozenset(S.index_of(l) for l in claim.subset)
+    check = is_hyperideal(S, members)
+    clause = None if check.ok else {"clause": check.clause, "witness": _jsonable(check.witness)}
+    if claim.kind == "hyperideal":
+        if check.ok:
+            return None
+        return "subset is a hyperideal", f"clause {check.clause} fails", clause
+    report = classify(S, members, entry.registry(), k_max, entry.lattice())
+    verdict, wit = report.verdicts.get("J"), report.witnesses.get("J")
+    if verdict is Verdict.TRUE:
+        return None
+    return "J-hyperideal", verdict.value, wit.as_dict() if wit else clause
+
+
+def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
+    found = [(c, _claim_finding(entry, c, k_max)) for c in entry.claims]
+    return [Discrepancy(entry.structure.name, c.as_dict(), *f) for c, f in found if f]
+
+
+def _cell(ctx: StructureContext, tid: str) -> AuditCell:
+    """One theorem on one entry, behind the verification and identity gates."""
+    entry, name = ctx.entry, ctx.S.name
+    if not entry.verified:
+        failed = entry.report.failed()[0].axiom
+        return AuditCell(name, tid, SKIP, reason=f"structure fails verification ({failed})")
+    check = THEOREMS[tid]
+    if check.needs_identity and ctx.S.one is None:
+        return AuditCell(name, tid, SKIP, reason="no scalar identity")
+    status, checked, extra = check.run(ctx)
+    if status == SKIP:
+        return AuditCell(name, tid, SKIP, reason=extra)
+    return AuditCell(name, tid, status, checked=checked, witness=extra)
 
 
 def replay_cell(entries: list[CatalogEntry], cell: AuditCell, k_max: int = 3) -> bool:
@@ -1063,15 +796,10 @@ def replay_cell(entries: list[CatalogEntry], cell: AuditCell, k_max: int = 3) ->
     (status and, for failures, the exact witness) reproduces."""
     ordered = sorted(entries, key=lambda e: e.structure.name)
     entry = next(e for e in ordered if e.structure.name == cell.structure)
-    check = THEOREMS[cell.theorem]
-    if not entry.verified:
-        return cell.status == SKIP
-    if check.needs_identity and entry.structure.one is None:
-        return cell.status == SKIP
-    status, _, extra = check.run(StructureContext(entry, ordered, k_max))
+    again = _cell(StructureContext(entry, ordered, k_max), cell.theorem)
     if cell.status == FAIL:
-        return status == FAIL and extra == cell.witness
-    return status == cell.status
+        return again.status == FAIL and again.witness == cell.witness
+    return again.status == cell.status
 
 
 def run_audit(
@@ -1090,36 +818,5 @@ def run_audit(
         report.discrepancies.extend(_claim_discrepancies(entry, k_max))
     for entry in ordered:
         ctx = StructureContext(entry, ordered, k_max)
-        for tid in ids:
-            check = THEOREMS[tid]
-            if not entry.verified:
-                failed = entry.report.failed()[0].axiom
-                report.cells.append(
-                    AuditCell(
-                        entry.structure.name, tid, SKIP,
-                        reason=f"structure fails verification ({failed})",
-                    )
-                )
-                continue
-            if check.needs_identity and entry.structure.one is None:
-                report.cells.append(
-                    AuditCell(entry.structure.name, tid, SKIP, reason="no scalar identity")
-                )
-                continue
-            outcome = check.run(ctx)
-            status, checked, extra = outcome
-            if status == SKIP:
-                report.cells.append(
-                    AuditCell(entry.structure.name, tid, SKIP, reason=extra)
-                )
-            elif status == PASS:
-                report.cells.append(
-                    AuditCell(entry.structure.name, tid, PASS, checked=checked)
-                )
-            else:
-                report.cells.append(
-                    AuditCell(
-                        entry.structure.name, tid, FAIL, checked=checked, witness=extra
-                    )
-                )
+        report.cells.extend(_cell(ctx, tid) for tid in ids)
     return report

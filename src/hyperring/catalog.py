@@ -28,9 +28,9 @@ from .core import (
     FiniteStructure,
     AxiomReport,
     msort,
+    mul_associativity_violation,
     multiset_minus,
     multisets,
-    split_plan,
     verify_canonical_hypergroup,
     verify_krasner,
 )
@@ -320,20 +320,8 @@ def _mul_candidates(order: int, n: int) -> Iterator[dict]:
     for values in product(range(order), repeat=len(free_keys)):
         mul = dict(forced)
         mul.update(zip(free_keys, values))
-        if _mul_associative(order, n, mul):
+        if mul_associativity_violation(order, n, mul) is None:
             yield mul
-
-
-def _mul_associative(order: int, n: int, mul: dict) -> bool:
-    for _, splits in split_plan(order, 2 * n - 1, n):
-        first = None
-        for A, rest in splits:
-            v = mul[msort((mul[A],) + rest)]
-            if first is None:
-                first = v
-            elif v != first:
-                return False
-    return True
 
 
 def _translation_maps(order: int, n: int, mul: dict) -> tuple[tuple[int, ...], ...]:

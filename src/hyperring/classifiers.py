@@ -28,11 +28,17 @@ from .core import (
     AxiomReport,
     FiniteStructure,
     msort,
-    multiset_minus,
     multisets,
     split_plan,
 )
-from .ideals import IdealLattice, enumerate_hyperideals, radical_by_primes
+from .ideals import (
+    IdealLattice,
+    _set_product,
+    drop_violated,
+    enumerate_hyperideals,
+    first_drop_violation,
+    radical_by_primes,
+)
 
 ABSORBING_TUPLE_CAP = 10_000_000
 
@@ -226,26 +232,12 @@ def _drop_scan(
     """Common shape of the J-family scans: for every n-multiset with product
     in Q and every distinct factor v outside ``trigger``, the product with v
     replaced by the identity must land in ``target``."""
-    one = S.one
-    for key in multisets(S.size, S.n):
-        if S.mul[key] not in Q:
-            continue
-        for v in sorted(set(key)):
-            if v in trigger:
-                continue
-            dropped = S.mul[msort(multiset_minus(key, (v,)) + (one,))]
-            if dropped not in target:
-                return PredicateResult(
-                    Verdict.FALSE,
-                    Witness(
-                        predicate,
-                        tuple(sorted(Q)),
-                        key,
-                        index=key.index(v),
-                        delta=delta_name,
-                    ),
-                )
-    return PredicateResult(Verdict.TRUE)
+    hit = first_drop_violation(S, Q, trigger, target)
+    if hit is None:
+        return PredicateResult(Verdict.TRUE)
+    key, v = hit
+    witness = Witness(predicate, tuple(sorted(Q)), key, index=key.index(v), delta=delta_name)
+    return PredicateResult(Verdict.FALSE, witness)
 
 
 def is_j_hyperideal(
@@ -284,6 +276,47 @@ def is_delta_primary(
     if gate is not None:
         return gate
     return _drop_scan(S, members, members, delta(members), "delta-primary", delta.name)
+
+
+def delta_j_ideal_form(
+    S: FiniteStructure, Q: frozenset, delta: ExpansionFunction, lattice: IdealLattice
+) -> bool:
+    """The delta-J property over hyperideals: for every n-multiset of lattice
+    members with product inside Q, each member not inside the Jacobson
+    radical leaves the identity-substituted product inside delta(Q)."""
+    jac, target = lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in lattice]
+    for combo in multisets(len(pool), S.n):
+        sets = [pool[i] for i in combo]
+        if not _set_product(S, sets) <= Q:
+            continue
+        for slot in range(len(sets)):
+            if sets[slot] <= jac:
+                continue
+            rest = sets[:slot] + [frozenset({S.one})] + sets[slot + 1 :]
+            if not _set_product(S, rest) <= target:
+                return False
+    return True
+
+
+def delta_j_mixed_form(
+    S: FiniteStructure, Q: frozenset, delta: ExpansionFunction, lattice: IdealLattice
+) -> bool:
+    """The delta-J property over n-1 hyperideals and one element x: a
+    product inside Q with x outside the Jacobson radical leaves the product
+    with x replaced by the identity inside delta(Q)."""
+    jac, target = lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in lattice]
+    for combo in multisets(len(pool), S.n - 1):
+        sets = [pool[i] for i in combo]
+        for x in S.carrier:
+            if not _set_product(S, sets + [frozenset({x})]) <= Q:
+                continue
+            if x in jac:
+                continue
+            if not _set_product(S, sets + [frozenset({S.one})]) <= target:
+                return False
+    return True
 
 
 def absorbing_arity(n: int, k: int) -> tuple[int, int]:
@@ -362,19 +395,8 @@ def replay_witness(
     Q = frozenset(w.ideal)
     jac = lattice.jacobson.members
     args = tuple(w.args)
-    if w.predicate == "j-hyperideal":
-        return _replay_drop(S, Q, jac, Q, args, w.index)
-    if w.predicate == "delta-j":
-        return _replay_drop(S, Q, jac, registry[w.delta](Q), args, w.index)
-    if w.predicate == "delta-primary":
-        return _replay_drop(S, Q, Q, registry[w.delta](Q), args, w.index)
     if w.predicate == "prime":
         return S.mul[msort(args)] in Q and not any(a in Q for a in args)
-    if w.predicate == "primary":
-        rad = radical_by_primes(S, Q, lattice).members
-        v = args[w.index]
-        dropped = S.mul[msort(multiset_minus(msort(args), (v,)) + (S.one,))]
-        return S.mul[msort(args)] in Q and v not in Q and dropped not in rad
     if w.predicate == "absorbing-delta-j":
         dQ = registry[w.delta](Q)
         part = w.prefix_len
@@ -390,17 +412,17 @@ def replay_witness(
             if S.multiply_iterated(tuple(args[i] for i in ids)) in dQ:
                 return False
         return True
-    raise ValueError(f"no replay rule for predicate {w.predicate!r}")
-
-
-def _replay_drop(S, Q, trigger, target, args, index) -> bool:
-    if S.mul[msort(args)] not in Q:
-        return False
-    v = args[index]
-    if v in trigger:
-        return False
-    dropped = S.mul[msort(multiset_minus(msort(args), (v,)) + (S.one,))]
-    return dropped not in target
+    if w.predicate == "j-hyperideal":
+        trigger, target = jac, Q
+    elif w.predicate == "delta-j":
+        trigger, target = jac, registry[w.delta](Q)
+    elif w.predicate == "delta-primary":
+        trigger, target = Q, registry[w.delta](Q)
+    elif w.predicate == "primary":
+        trigger, target = Q, radical_by_primes(S, Q, lattice).members
+    else:
+        raise ValueError(f"no replay rule for predicate {w.predicate!r}")
+    return drop_violated(S, Q, trigger, target, msort(args), args[w.index])
 
 
 # -- classification reports --------------------------------------------------

@@ -183,15 +183,18 @@ class FiniteStructure:
         A declared identity that contradicts detection is an error; the
         detected value always wins so downstream predicates stay honest.
         """
-        probe = cls(name, m, n, tuple(labels), dict(add), dict(mul), zero, None)
-        ones = probe.detect_identities()
+        S = cls(name, m, n, tuple(labels), dict(add), dict(mul), zero, None)
+        ones = S.detect_identities()
         one = ones[0] if len(ones) == 1 else None
         if declared_one is not None and declared_one != one:
             raise StructureError(
                 f"declared identity {labels[declared_one]!r} does not act as one"
                 f" (detected: {'none' if one is None else labels[one]!r})"
             )
-        return cls(name, m, n, tuple(labels), dict(add), dict(mul), zero, one)
+        # the detected identity is within the carrier, which __post_init__
+        # has already checked, so it is set without a second construction
+        object.__setattr__(S, "one", one)
+        return S
 
     # -- basics ------------------------------------------------------------
 
@@ -310,11 +313,13 @@ class FiniteStructure:
         """The unique y with zero in x+y+0+..+0, or None if not unique."""
         if not (0 <= x < self.size):
             raise ForeignElementError(f"element {x} outside carrier")
-        pad = (self.zero,) * (self.m - 2)
-        cands = [
-            y for y in self.carrier if self.zero in self.add[msort((x, y) + pad)]
-        ]
+        cands = self._inverse_candidates(x)
         return cands[0] if len(cands) == 1 else None
+
+    def _inverse_candidates(self, x: int) -> list[int]:
+        """Every y with zero in x+y+0+..+0, ascending."""
+        pad = (self.zero,) * (self.m - 2)
+        return [y for y in self.carrier if self.zero in self.add[msort((x, y) + pad)]]
 
 
 def is_invertible(S: FiniteStructure, x: int) -> bool:
@@ -395,6 +400,7 @@ def _guard_size(S: FiniteStructure, size_guard: bool) -> None:
             f"{S.name}: size {S.size} arities ({S.m},{S.n}) exceed the exhaustive"
             f" verification guard (size<={MAX_VERIFY_SIZE},"
             f" arity<={MAX_VERIFY_ARITY}); pass size_guard=False to override"
+            " (on the command line: verify --allow-large)"
         )
 
 
@@ -419,18 +425,16 @@ def _check_neutral(S: FiniteStructure) -> AxiomCheck:
 
 def _inverse_map(S: FiniteStructure) -> dict[int, int]:
     inv = {}
-    pad = (S.zero,) * (S.m - 2)
     for x in S.carrier:
-        cands = [y for y in S.carrier if S.zero in S.add[msort((x, y) + pad)]]
+        cands = S._inverse_candidates(x)
         if len(cands) == 1:
             inv[x] = cands[0]
     return inv
 
 
 def _check_inverses(S: FiniteStructure) -> AxiomCheck:
-    pad = (S.zero,) * (S.m - 2)
     for x in S.carrier:
-        cands = [y for y in S.carrier if S.zero in S.add[msort((x, y) + pad)]]
+        cands = S._inverse_candidates(x)
         if not cands:
             return AxiomCheck("add-inverses", False, ("none", x))
         if len(cands) > 1:
@@ -463,6 +467,11 @@ def _check_solvability(S: FiniteStructure) -> AxiomCheck:
     return AxiomCheck("add-solvability", True)
 
 
+def _add_bracket(S: FiniteStructure, A: Multiset, rest: Multiset) -> frozenset:
+    """f(f(A), rest): the union of f(s, rest) over s in f(A)."""
+    return frozenset().union(*(S.add[msort((s,) + rest)] for s in S.add[A]))
+
+
 def _check_add_associativity(S: FiniteStructure) -> AxiomCheck:
     # With multiset-keyed (commutative) tables, m-ary associativity over all
     # (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
@@ -471,8 +480,7 @@ def _check_add_associativity(S: FiniteStructure) -> AxiomCheck:
         first = None
         first_sub = None
         for A, rest in splits:
-            inner = S.add[A]
-            value = S.hyperadd_subsets([inner] + [{r} for r in rest])
+            value = _add_bracket(S, A, rest)
             if first is None:
                 first, first_sub = value, A
             elif value != first:
@@ -480,18 +488,25 @@ def _check_add_associativity(S: FiniteStructure) -> AxiomCheck:
     return AxiomCheck("add-associativity", True)
 
 
-def _check_mul_associativity(S: FiniteStructure) -> AxiomCheck:
-    for whole, splits in split_plan(S.size, 2 * S.n - 1, S.n):
+def mul_associativity_violation(size: int, n: int, mul: Mapping) -> Optional[tuple]:
+    """The first (whole, A, B) where g(g(A), rest) differs between two
+    n-sub-multisets A and B of a (2n-1)-multiset, for a bare table ``mul``
+    on {0..size-1}; None when the table is associative."""
+    for whole, splits in split_plan(size, 2 * n - 1, n):
         first = None
         first_sub = None
         for A, rest in splits:
-            inner = S.mul[A]
-            value = S.mul[msort((inner,) + rest)]
+            value = mul[msort((mul[A],) + rest)]
             if first is None:
                 first, first_sub = value, A
             elif value != first:
-                return AxiomCheck("mul-associativity", False, (whole, first_sub, A))
-    return AxiomCheck("mul-associativity", True)
+                return whole, first_sub, A
+    return None
+
+
+def _check_mul_associativity(S: FiniteStructure) -> AxiomCheck:
+    witness = mul_associativity_violation(S.size, S.n, S.mul)
+    return AxiomCheck("mul-associativity", witness is None, witness)
 
 
 def _check_distributivity(S: FiniteStructure) -> AxiomCheck:
@@ -586,10 +601,7 @@ def replay_axiom_check(S: FiniteStructure, check: AxiomCheck) -> bool:
             S.add[msort((e,) * (S.m - 1) + (x,))] == frozenset({x}) for x in S.carrier
         )
     if check.axiom == "add-inverses":
-        pad = (S.zero,) * (S.m - 2)
-        x = w[1]
-        cands = [y for y in S.carrier if S.zero in S.add[msort((x, y) + pad)]]
-        return len(cands) != 1
+        return len(S._inverse_candidates(w[1])) != 1
     if check.axiom == "add-reversibility":
         key, x, a = w
         inv = _inverse_map(S)
@@ -601,9 +613,9 @@ def replay_axiom_check(S: FiniteStructure, check: AxiomCheck) -> bool:
         return not any(b in S.add[msort(tuple(rest) + (t,))] for t in S.carrier)
     if check.axiom == "add-associativity":
         whole, A, B = (tuple(x) for x in w)
-        va = S.hyperadd_subsets([S.add[A]] + [{r} for r in multiset_minus(whole, A)])
-        vb = S.hyperadd_subsets([S.add[B]] + [{r} for r in multiset_minus(whole, B)])
-        return va != vb
+        return _add_bracket(S, A, multiset_minus(whole, A)) != _add_bracket(
+            S, B, multiset_minus(whole, B)
+        )
     if check.axiom == "mul-associativity":
         whole, A, B = (tuple(x) for x in w)
         va = S.mul[msort((S.mul[A],) + multiset_minus(whole, A))]

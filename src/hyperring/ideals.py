@@ -18,7 +18,6 @@ from .core import (
     FiniteStructure,
     MissingIdentityError,
     msort,
-    multiset_minus,
     multisets,
 )
 
@@ -401,6 +400,27 @@ def radical_by_powers(
     return frozenset(out)
 
 
+def drop_violated(S: FiniteStructure, Q, trigger, target, key, v) -> bool:
+    """The J-family drop clause, violated at the n-multiset ``key`` and its
+    factor v: the product of key lies in Q, v avoids ``trigger``, and the
+    product with one copy of v replaced by the identity leaves ``target``."""
+    if S.mul[key] not in Q or v in trigger:
+        return False
+    i = key.index(v)
+    return S.mul[msort(key[:i] + key[i + 1 :] + (S.one,))] not in target
+
+
+def first_drop_violation(S: FiniteStructure, Q, trigger, target) -> Optional[tuple]:
+    """The first (key, v) violating the drop clause, over n-multisets in
+    order and their distinct factors ascending, or None."""
+    for key in multisets(S.size, S.n):
+        if S.mul[key] in Q:
+            for v in sorted(set(key)):
+                if drop_violated(S, Q, trigger, target, key, v):
+                    return key, v
+    return None
+
+
 def is_primary(
     S: FiniteStructure, Q: Iterable[int], lattice: Optional[IdealLattice] = None
 ):
@@ -414,16 +434,11 @@ def is_primary(
         return None, None
     lattice = lattice or enumerate_hyperideals(S)
     rad = radical_by_primes(S, members, lattice).members
-    for key in multisets(S.size, S.n):
-        if S.mul[key] not in members:
-            continue
-        for v in sorted(set(key)):
-            if v in members:
-                continue
-            rest = multiset_minus(key, (v,))
-            if S.mul[msort(rest + (S.one,))] not in rad:
-                return False, (key, key.index(v))
-    return True, None
+    hit = first_drop_violation(S, members, members, rad)
+    if hit is None:
+        return True, None
+    key, v = hit
+    return False, (key, key.index(v))
 
 
 def residual(S: FiniteStructure, Q: Iterable[int], T: Iterable[int]) -> frozenset:

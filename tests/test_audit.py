@@ -1,5 +1,6 @@
 """Theorem registry execution, discrepancy records, report determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,44 @@ def test_skip_reasons_for_builtins(audit_report):
 def test_audit_determinism(full_catalog, audit_report):
     again = run_audit(full_catalog)
     assert again.to_jsonl() == audit_report.to_jsonl()
+
+
+def test_default_catalog_audit_jsonl_is_pinned(audit_report):
+    # any change to a verdict, a witness, a checked count or the record
+    # layout of the default audit shows here
+    text = audit_report.to_jsonl().encode()
+    assert len(text) == 392_619
+    assert hashlib.sha256(text).hexdigest().startswith("5d7e809b909c59bb")
+    assert audit_report.counts() == {PASS: 944, FAIL: 4, SKIP: 1752}
+
+
+def test_replay_reproduces_every_cell(small_catalog):
+    for cell in run_audit(small_catalog).cells:
+        assert replay_cell(small_catalog, cell), (cell.structure, cell.theorem)
+
+
+def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch):
+    import hyperring.audit as audit_module
+
+    seen = []
+    scan = audit_module.is_absorbing_delta_j
+
+    def counting(S, Q, delta, k, lattice):
+        seen.append((lattice.parent.name, frozenset(Q), delta.name, k))
+        return scan(S, Q, delta, k, lattice)
+
+    monkeypatch.setattr(audit_module, "is_absorbing_delta_j", counting)
+    entries = [
+        e for e in small_catalog
+        if e.verified and e.structure.one is not None and e.structure.size == 3
+    ]
+    assert entries
+    for entry in entries:
+        seen.clear()
+        ctx = StructureContext(entry, small_catalog, k_max=3)
+        for check in THEOREMS.values():
+            check.run(ctx)
+        assert seen and len(seen) == len(set(seen)), entry.structure.name
 
 
 def test_catalog_hash_stability(full_catalog):

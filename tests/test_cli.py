@@ -67,6 +67,7 @@ def test_oversize_structure_is_exit_two(runner, nine_element_file, command):
     assert "Traceback" not in res.output
     assert res.output.strip().count("\n") == 0
     assert "exceed the exhaustive verification guard" in res.output
+    assert "verify --allow-large" in res.output
 
 
 def test_verify_allow_large_runs_past_the_guard(runner, nine_element_file):

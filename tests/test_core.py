@@ -195,6 +195,21 @@ def test_build_rejects_malformed(b33):
         FiniteStructure.build("bad", 3, 3, S.labels, S.add, S.mul, 0, declared_one=2)
 
 
+def test_build_constructs_the_structure_once(b33, monkeypatch):
+    S = b33.structure
+    calls = []
+    post_init = FiniteStructure.__post_init__
+
+    def counting(self):
+        calls.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(FiniteStructure, "__post_init__", counting)
+    T = FiniteStructure.build("again", 3, 3, S.labels, S.add, S.mul, 0, declared_one=S.one)
+    assert calls == ["again"]
+    assert T.one == S.one is not None
+
+
 # -- verification ------------------------------------------------------------
 
 
