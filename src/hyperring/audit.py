@@ -45,7 +45,6 @@ from .classifiers import (
     ExpansionFunction,
     Verdict,
     _drop_scan,
-    classify,
     compose_expansions,
     delta_j_ideal_form,
     delta_j_mixed_form,
@@ -744,7 +743,7 @@ THEOREMS: dict[str, TheoremCheck] = {
 }
 
 
-def _claim_finding(entry: CatalogEntry, claim: Claim, k_max: int) -> Optional[tuple]:
+def _claim_finding(entry: CatalogEntry, claim: Claim) -> Optional[tuple]:
     """(expected, computed, witness) where the computed verdicts contradict
     a shipped claim, else None."""
     S = entry.structure
@@ -764,15 +763,17 @@ def _claim_finding(entry: CatalogEntry, claim: Claim, k_max: int) -> Optional[tu
         if check.ok:
             return None
         return "subset is a hyperideal", f"clause {check.clause} fails", clause
-    report = classify(S, members, entry.registry(), k_max, entry.lattice())
-    verdict, wit = report.verdicts.get("J"), report.witnesses.get("J")
-    if verdict is Verdict.TRUE:
+    if not check.ok or members == frozenset(S.carrier):
+        return "J-hyperideal", Verdict.IMPROPER.value, clause
+    result = is_j_hyperideal(S, members, entry.lattice())
+    if result.verdict is Verdict.TRUE:
         return None
-    return "J-hyperideal", verdict.value, wit.as_dict() if wit else clause
+    witness = result.witness.as_dict() if result.witness else None
+    return "J-hyperideal", result.verdict.value, witness
 
 
-def _claim_discrepancies(entry: CatalogEntry, k_max: int) -> list[Discrepancy]:
-    found = [(c, _claim_finding(entry, c, k_max)) for c in entry.claims]
+def _claim_discrepancies(entry: CatalogEntry) -> list[Discrepancy]:
+    found = [(c, _claim_finding(entry, c)) for c in entry.claims]
     return [Discrepancy(entry.structure.name, c.as_dict(), *f) for c, f in found if f]
 
 
@@ -815,7 +816,7 @@ def run_audit(
     report = AuditReport(__version__, catalog_hash(entries), k_max)
     ordered = sorted(entries, key=lambda e: e.structure.name)
     for entry in ordered:
-        report.discrepancies.extend(_claim_discrepancies(entry, k_max))
+        report.discrepancies.extend(_claim_discrepancies(entry))
     for entry in ordered:
         ctx = StructureContext(entry, ordered, k_max)
         report.cells.extend(_cell(ctx, tid) for tid in ids)

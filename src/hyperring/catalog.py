@@ -27,10 +27,13 @@ from .core import (
     CapExceeded,
     FiniteStructure,
     AxiomReport,
+    inverse_candidates,
     msort,
     mul_associativity_violation,
     multiset_minus,
     multisets,
+    split_plan,
+    translation_violation,
     verify_canonical_hypergroup,
     verify_krasner,
 )
@@ -317,10 +320,11 @@ def _mul_candidates(order: int, n: int) -> Iterator[dict]:
     """Zero-absorbing associative multiplication tables."""
     free_keys = [k for k in multisets(order, n) if 0 not in k]
     forced = {k: 0 for k in multisets(order, n) if 0 in k}
+    plan = split_plan(order, 2 * n - 1, n)
     for values in product(range(order), repeat=len(free_keys)):
         mul = dict(forced)
         mul.update(zip(free_keys, values))
-        if mul_associativity_violation(order, n, mul) is None:
+        if not any(mul_associativity_violation(mul, row) for row in plan):
             yield mul
 
 
@@ -332,15 +336,6 @@ def _translation_maps(order: int, n: int, mul: dict) -> tuple[tuple[int, ...], .
         for a in multisets(order, n - 1)
     )
     return tuple(dict.fromkeys(maps))
-
-
-def _is_endomorphism(order: int, m: int, add: dict, phi: tuple[int, ...]) -> bool:
-    """phi(f(xs)) = f(phi(xs)) elementwise, for every m-multiset xs."""
-    for xs in multisets(order, m):
-        lhs = frozenset(phi[s] for s in add[xs])
-        if lhs != add[msort(tuple(phi[x] for x in xs))]:
-            return False
-    return True
 
 
 def _distributive_muls(
@@ -357,7 +352,7 @@ def _distributive_muls(
     for mul, maps in muls:
         for phi in maps:
             if phi not in endo:
-                endo[phi] = _is_endomorphism(order, m, add, phi)
+                endo[phi] = translation_violation(order, m, add, phi) is None
             if not endo[phi]:
                 break
         else:
@@ -390,25 +385,13 @@ def _raw_add_candidates(order: int, m: int) -> Iterator[dict]:
     for inv_vals in product(values, repeat=len(inv_keys)):
         table0 = dict(forced)
         table0.update(zip(inv_keys, inv_vals))
-        if not _inverses_unique(order, m, table0):
+        # table0 holds every key of the form (0, .., 0, x, y)
+        if any(len(c) != 1 for c in inverse_candidates(order, m, 0, table0)):
             continue
         for other_vals in product(values, repeat=len(other_keys)):
             table = dict(table0)
             table.update(zip(other_keys, other_vals))
             yield table
-
-
-def _inverses_unique(order: int, m: int, partial_add: dict) -> bool:
-    for x in range(order):
-        count = 0
-        for y in range(order):
-            key = msort((0,) * (m - 2) + (x, y))
-            value = partial_add.get(key)
-            if value is not None and 0 in value:
-                count += 1
-        if count != 1:
-            return False
-    return True
 
 
 def enumerate_structures(

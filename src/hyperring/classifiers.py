@@ -11,9 +11,10 @@ monotonically.  The classifiers decide, for a proper hyperideal Q:
   leading (k-1)(n-1)+1 sub-product lies in the Jacobson radical or some other
   sub-product of that length lies in delta(Q).
 
-Scans run over multisets (commutativity is structural), witnesses are
-reported as concrete tuples and replay against the literal tuple-level
-definition.
+Scans run over multisets (commutativity is structural) and report concrete
+tuples as witnesses.  ``replay_witness`` re-checks the prime and drop clauses
+with the functions their scans use, and the absorbing scan against the
+literal tuple-level definition.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from .core import (
     split_plan,
 )
 from .ideals import (
+    DROP,
+    PRIME,
     IdealLattice,
     _set_product,
-    drop_violated,
     enumerate_hyperideals,
-    first_drop_violation,
     radical_by_primes,
 )
 
@@ -232,7 +233,7 @@ def _drop_scan(
     """Common shape of the J-family scans: for every n-multiset with product
     in Q and every distinct factor v outside ``trigger``, the product with v
     replaced by the identity must land in ``target``."""
-    hit = first_drop_violation(S, Q, trigger, target)
+    hit = DROP.scan(S, Q, trigger, target)
     if hit is None:
         return PredicateResult(Verdict.TRUE)
     key, v = hit
@@ -386,17 +387,20 @@ def replay_witness(
     registry: Mapping[str, ExpansionFunction],
     w: Witness,
 ) -> bool:
-    """Re-run the violated clause on the witness tuple, literally.
+    """Re-run the violated clause on the witness tuple; True means the
+    violation reproduces.
 
-    True means the violation reproduces.  The absorbing replay enumerates
-    index subsets of the witness tuple, i.e. the definitional form rather
-    than the multiset shortcut used by the scan.
+    The prime and drop replays call the clause their scans use.  The
+    absorbing replay is deliberately separate: it enumerates index subsets
+    of the witness tuple, the tuple-level definition, and so is the
+    reference that the multiset scan of ``is_absorbing_delta_j`` is checked
+    against.
     """
     Q = frozenset(w.ideal)
     jac = lattice.jacobson.members
     args = tuple(w.args)
     if w.predicate == "prime":
-        return S.mul[msort(args)] in Q and not any(a in Q for a in args)
+        return PRIME.replays(msort(args), S, Q)
     if w.predicate == "absorbing-delta-j":
         dQ = registry[w.delta](Q)
         part = w.prefix_len
@@ -422,7 +426,7 @@ def replay_witness(
         trigger, target = Q, radical_by_primes(S, Q, lattice).members
     else:
         raise ValueError(f"no replay rule for predicate {w.predicate!r}")
-    return drop_violated(S, Q, trigger, target, msort(args), args[w.index])
+    return DROP.replays((msort(args), args[w.index]), S, Q, trigger, target)
 
 
 # -- classification reports --------------------------------------------------

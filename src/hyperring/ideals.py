@@ -5,6 +5,9 @@ recognition with witnesses, lattice enumeration (two cross-checkable
 strategies), generated ideals, maximal ideals and the Jacobson radical,
 primality in both element and subset form, the two radical definitions,
 primariness, residuals and locality.
+
+Each hyperideal clause, the prime clause and the J-family drop clause is
+one ``core.Clause``, shared by its scan and its replay.
 """
 
 from __future__ import annotations
@@ -15,10 +18,12 @@ from typing import Iterable, Optional
 
 from .core import (
     CapExceeded,
+    Clause,
     FiniteStructure,
     MissingIdentityError,
     msort,
     multisets,
+    solvability_violation,
 )
 
 # Raw subset scans are 2^(size-1); beyond this the closure strategy takes over.
@@ -65,6 +70,37 @@ class IdealCheck:
     witness: Optional[tuple] = None
 
 
+def _add_closed(S: FiniteStructure, members: frozenset, key) -> Optional[tuple]:
+    outside = sorted(S.add[key] - members)
+    return (key, outside[0]) if outside else None
+
+
+def _absorbing(S: FiniteStructure, members: frozenset, rest) -> Optional[tuple]:
+    # a product with any factor inside the subset stays inside it
+    for i in sorted(members):
+        prod = S.mul[msort(rest + (i,))]
+        if prod not in members:
+            return rest, i, prod
+    return None
+
+
+IDEAL_CLAUSES = {
+    c.name: c
+    for c in (
+        Clause("zero", lambda S, M: (S.zero,), lambda S, M, z: None if z in M else (z,)),
+        Clause(
+            "add-closed", lambda S, M: combinations_with_replacement(sorted(M), S.m), _add_closed
+        ),
+        Clause("absorbing", lambda S, M: multisets(S.size, S.n - 1), _absorbing),
+        Clause(
+            "solvability",
+            lambda S, M: combinations_with_replacement(sorted(M), S.m - 1),
+            solvability_violation,
+        ),
+    )
+}
+
+
 def is_hyperideal(S: FiniteStructure, subset: Iterable[int]) -> IdealCheck:
     """Test the hyperideal clauses, reporting the first violation.
 
@@ -74,48 +110,19 @@ def is_hyperideal(S: FiniteStructure, subset: Iterable[int]) -> IdealCheck:
     members = frozenset(subset)
     if not members <= set(S.carrier):
         raise ValueError("subset outside carrier")
-    if S.zero not in members:
-        return IdealCheck(False, "zero", (S.zero,))
-    sorted_members = sorted(members)
-    for key in multisets(S.size, S.m):
-        if all(k in members for k in key):
-            for v in sorted(S.add[key]):
-                if v not in members:
-                    return IdealCheck(False, "add-closed", (key, v))
-    for rest in multisets(S.size, S.n - 1):
-        for i in sorted_members:
-            prod = S.mul[msort(rest + (i,))]
-            if prod not in members:
-                return IdealCheck(False, "absorbing", (rest, i, prod))
-    for rest in combinations_with_replacement(sorted_members, S.m - 1):
-        for b in sorted_members:
-            if not any(b in S.add[msort(rest + (t,))] for t in sorted_members):
-                return IdealCheck(False, "solvability", (rest, b))
+    for clause in IDEAL_CLAUSES.values():
+        witness = clause.scan(S, members)
+        if witness is not None:
+            return IdealCheck(False, clause.name, witness)
     return IdealCheck(True)
 
 
 def replay_ideal_check(S: FiniteStructure, subset: Iterable[int], check: IdealCheck) -> bool:
-    """Re-evaluate a failed clause's witness; True means it still violates."""
+    """Re-evaluate a failed clause's witness with the clause itself (KeyError
+    for an unknown clause name); True means it still violates."""
     if check.ok:
         return False
-    members = frozenset(subset)
-    w = check.witness
-    if check.clause == "zero":
-        return S.zero not in members
-    if check.clause == "add-closed":
-        key, v = tuple(w[0]), w[1]
-        return all(k in members for k in key) and v in S.add[key] and v not in members
-    if check.clause == "absorbing":
-        rest, i, _ = w
-        return i in members and S.mul[msort(tuple(rest) + (i,))] not in members
-    if check.clause == "solvability":
-        rest, b = tuple(w[0]), w[1]
-        return (
-            all(r in members for r in rest)
-            and b in members
-            and not any(b in S.add[msort(rest + (t,))] for t in sorted(members))
-        )
-    raise ValueError(f"no replay rule for clause {check.clause!r}")
+    return IDEAL_CLAUSES[check.clause].replays(check.witness, S, frozenset(subset))
 
 
 @dataclass
@@ -167,7 +174,7 @@ class IdealLattice:
     def primes(self) -> tuple[Hyperideal, ...]:
         if self._primes is None:
             self._primes = tuple(
-                p for p in self.proper() if is_prime(self.parent, p.members, self)
+                p for p in self.proper() if is_prime(self.parent, p.members)
             )
         return self._primes
 
@@ -306,22 +313,33 @@ def is_local(S: FiniteStructure, lattice: Optional[IdealLattice] = None) -> bool
     return len(lattice.maximal) == 1
 
 
-def is_prime(
-    S: FiniteStructure, P: Iterable[int], lattice: Optional[IdealLattice] = None
-) -> bool:
+def is_prime(S: FiniteStructure, P: Iterable[int]) -> bool:
     """Element form: a zero-divisor-free condition on n-fold products."""
     verdict, _ = prime_witness(S, P)
     return verdict
 
 
+def _prime(S: FiniteStructure, members: frozenset, prefix) -> Optional[tuple]:
+    # the n-multisets extending an (n-1)-prefix: none with every factor
+    # outside P may have its product inside P
+    if any(k in members for k in prefix):
+        return None
+    for last in range(prefix[-1], S.size):
+        if last not in members and S.mul[prefix + (last,)] in members:
+            return prefix + (last,)
+    return None
+
+
+PRIME = Clause("prime", lambda S, P: multisets(S.size, S.n - 1), _prime)
+
+
 def prime_witness(S: FiniteStructure, P: Iterable[int]):
+    """(verdict, first n-multiset violating the prime clause or None)."""
     members = frozenset(P)
     if members == frozenset(S.carrier):
         raise ValueError("prime test requires a proper hyperideal")
-    for key in multisets(S.size, S.n):
-        if S.mul[key] in members and not any(k in members for k in key):
-            return False, key
-    return True, None
+    witness = PRIME.scan(S, members)
+    return witness is None, witness
 
 
 def is_prime_by_subsets(
@@ -400,25 +418,20 @@ def radical_by_powers(
     return frozenset(out)
 
 
-def drop_violated(S: FiniteStructure, Q, trigger, target, key, v) -> bool:
-    """The J-family drop clause, violated at the n-multiset ``key`` and its
-    factor v: the product of key lies in Q, v avoids ``trigger``, and the
-    product with one copy of v replaced by the identity leaves ``target``."""
-    if S.mul[key] not in Q or v in trigger:
-        return False
-    i = key.index(v)
-    return S.mul[msort(key[:i] + key[i + 1 :] + (S.one,))] not in target
-
-
-def first_drop_violation(S: FiniteStructure, Q, trigger, target) -> Optional[tuple]:
-    """The first (key, v) violating the drop clause, over n-multisets in
-    order and their distinct factors ascending, or None."""
-    for key in multisets(S.size, S.n):
-        if S.mul[key] in Q:
-            for v in sorted(set(key)):
-                if drop_violated(S, Q, trigger, target, key, v):
-                    return key, v
+def _drop(S: FiniteStructure, Q, trigger, target, key) -> Optional[tuple]:
+    # the J-family drop clause at an n-multiset whose product lies in Q: for
+    # each distinct factor v outside ``trigger``, the product with one copy
+    # of v replaced by the identity lands in ``target``; witness (key, v)
+    if S.mul[key] not in Q:
+        return None
+    for v in sorted(set(key) - trigger):
+        i = key.index(v)
+        if S.mul[msort(key[:i] + key[i + 1 :] + (S.one,))] not in target:
+            return key, v
     return None
+
+
+DROP = Clause("drop", lambda S, Q, trigger, target: multisets(S.size, S.n), _drop)
 
 
 def is_primary(
@@ -434,7 +447,7 @@ def is_primary(
         return None, None
     lattice = lattice or enumerate_hyperideals(S)
     rad = radical_by_primes(S, members, lattice).members
-    hit = first_drop_violation(S, members, members, rad)
+    hit = DROP.scan(S, members, members, rad)
     if hit is None:
         return True, None
     key, v = hit

@@ -1,19 +1,23 @@
 """Operation tables, iterated operations and the axiom verifier."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperring import (
     ArityError,
+    AxiomCheck,
     FiniteStructure,
     ForeignElementError,
     MissingIdentityError,
     StructureError,
+    is_hyperideal,
     is_invertible,
     mul_inverse,
     replay_axiom_check,
+    replay_ideal_check,
     verify_canonical_hypergroup,
     verify_krasner,
 )
@@ -319,6 +323,39 @@ def test_size_guard():
     with pytest.raises(CapExceeded):
         verify_krasner(big)
     verify_krasner(big, size_guard=False)
+
+
+# -- every witness replays, on random well-formed tables ----------------------
+
+
+@st.composite
+def well_formed_tables(draw):
+    """Total tables of size <= 3 and arities <= 3, with no axiom imposed."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=3))
+    element = st.integers(min_value=0, max_value=size - 1)
+    add = {k: frozenset(draw(st.sets(element, min_size=1))) for k in multisets(size, m)}
+    mul = {k: draw(element) for k in multisets(size, n)}
+    labels = tuple(str(x) for x in range(size))
+    return FiniteStructure.build("random", m, n, labels, add, mul, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(S=well_formed_tables())
+def test_every_failed_check_replays_and_no_passing_one_does(S):
+    for check in verify_krasner(S).checks:
+        assert replay_axiom_check(S, check) == (not check.passed)
+        if not check.passed:
+            # a witness read back from the JSON report replays as well
+            back = json.loads(json.dumps(check.as_dict()))["witness"]
+            assert replay_axiom_check(S, AxiomCheck(check.axiom, False, back))
+    others = [x for x in S.carrier if x != S.zero]
+    for r in range(len(others) + 1):
+        for combo in combinations(others, r):
+            members = frozenset(combo) | {S.zero}
+            check = is_hyperideal(S, members)
+            assert replay_ideal_check(S, members, check) == (not check.ok)
 
 
 # -- iterated folds are bracket-independent on verified structures -----------

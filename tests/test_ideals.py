@@ -224,7 +224,7 @@ def test_prime_matches_oracle_and_subset_variant(full_catalog):
         S = entry.structure
         lat = entry.lattice()
         for ideal in lat.proper():
-            element = is_prime(S, ideal.members, lat)
+            element = is_prime(S, ideal.members)
             assert element == oracle_is_prime(S, ideal.members)
             assert element == is_prime_by_subsets(S, ideal.members, lat)
 
@@ -305,7 +305,7 @@ def test_primary_radical_is_prime(full_catalog):
             if verdict:
                 rad = radical_by_primes(S, q.members, lat)
                 if rad.proper:
-                    assert is_prime(S, rad.members, lat)
+                    assert is_prime(S, rad.members)
 
 
 def test_primary_not_applicable_without_identity(b24):
