@@ -44,7 +44,6 @@ from .catalog import CatalogEntry, Claim
 from .classifiers import (
     ExpansionFunction,
     Verdict,
-    _drop_scan,
     compose_expansions,
     delta_j_ideal_form,
     delta_j_mixed_form,
@@ -58,6 +57,7 @@ from .classifiers import (
 from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
+    DROP,
     IdealLattice,
     enumerate_hyperideals,
     is_hyperideal,
@@ -438,7 +438,7 @@ def _maximal_relative_drops(ctx, q, name, delta) -> bool:
     for m in ctx.lattice.maximal:
         if q <= m.members:
             m_q &= m.members
-    return q <= ctx.jac and bool(_drop_scan(ctx.S, q, m_q, delta(q), "delta-j", name))
+    return q <= ctx.jac and DROP.scan(ctx.S, q, m_q, delta(q)) is None
 
 
 def _local_iff_delta_j(ctx, name, delta) -> Optional[dict]:

@@ -19,7 +19,7 @@ cross-check oracle for the hyperaddition candidates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations, product
 from typing import Iterator, Optional
 
@@ -37,7 +37,14 @@ from .core import (
     verify_canonical_hypergroup,
     verify_krasner,
 )
-from .classifiers import Verdict, standard_registry
+from .classifiers import (
+    PREDICATES,
+    STANDARD_EXPANSIONS,
+    Predicate,
+    PredicateResult,
+    Verdict,
+    standard_registry,
+)
 from .ideals import IdealLattice, enumerate_hyperideals
 
 DEFAULT_ARITIES = ((2, 2), (3, 2), (2, 3), (3, 3))
@@ -199,20 +206,17 @@ def canonicalize(S: FiniteStructure) -> FiniteStructure:
     best = min(
         _zero_fixing_perms(S.size, S.zero), key=lambda p: _permuted_key(S, p)
     )
-    add = {
-        msort(tuple(best[i] for i in key)): frozenset(best[v] for v in value)
-        for key, value in S.add.items()
-    }
-    mul = {
-        msort(tuple(best[i] for i in key)): best[value]
-        for key, value in S.mul.items()
-    }
     labels = [""] * S.size
     for old, new in enumerate(best):
         labels[new] = S.labels[old]
-    return FiniteStructure.build(
-        S.name, S.m, S.n, tuple(labels), add, mul, best[S.zero]
-    )
+    return _from_key(S.name, S.m, S.n, labels, _permuted_key(S, best), best[S.zero])
+
+
+def _from_key(name, m, n, labels, key, zero) -> FiniteStructure:
+    """The structure whose tables are a table key's two item lists."""
+    add_items, mul_items = key
+    add = {k: frozenset(v) for k, v in add_items}
+    return FiniteStructure.build(name, m, n, labels, add, dict(mul_items), zero)
 
 
 # -- hyperaddition candidates (orbit strategy) -------------------------------
@@ -412,18 +416,6 @@ def enumerate_structures(
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
         raise ValueError("order must be positive")
-    if order == 1:
-        S = FiniteStructure.build(
-            f"enum-m{m}n{n}-o1-000",
-            m,
-            n,
-            ("0",),
-            {(0,) * m: frozenset({0})},
-            {(0,) * n: 0},
-            0,
-        )
-        return [S]
-
     if strategy == "orbit":
         add_source = _add_candidates(order, m)
     elif strategy == "raw":
@@ -445,49 +437,32 @@ def enumerate_structures(
     muls = [
         (mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)
     ]
-    labels = tuple(_default_labels(order))
-    survivors = []
+    labels = tuple(str(i) for i in range(order))
+    # probes and candidates use the plain constructor: their identity is
+    # never read, and verify_krasner detects it for itself
+    zero_mul = {k: 0 for k in multisets(order, n)}
     seen_keys = set()
     candidates = 0
     for add in add_source:
         candidates += 1
         if candidates > cap:
             raise CapExceeded(f"enumeration candidate cap {cap} exceeded")
-        probe = FiniteStructure.build(
-            "probe", m, n, labels, add, {k: 0 for k in multisets(order, n)}, 0
-        )
+        probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
         for mul in _distributive_muls(order, m, add, muls):
-            S = FiniteStructure.build("candidate", m, n, labels, add, mul, 0)
+            S = FiniteStructure("candidate", m, n, labels, add, mul, 0)
             if not verify_krasner(S).ok:
                 continue
-            key = canonical_key(S) if symmetry else _permuted_key(S, tuple(range(order)))
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            survivors.append((key, S))
-    survivors.sort(key=lambda pair: pair[0])
-    out = []
-    for i, (key, S) in enumerate(survivors):
-        canon = canonicalize(S) if symmetry else S
-        # enumerated labels are positional, so relabel after canonicalizing
-        out.append(
-            FiniteStructure.build(
-                f"enum-m{m}n{n}-o{order}-{i:03d}",
-                m,
-                n,
-                labels,
-                canon.add,
-                canon.mul,
-                0,
+            seen_keys.add(
+                canonical_key(S) if symmetry else _permuted_key(S, tuple(range(order)))
             )
-        )
-    return out
-
-
-def _default_labels(order: int) -> list[str]:
-    return [str(i) for i in range(order)]
+    # a key's two item lists are the output's tables: the canonical ones
+    # with symmetry, the candidate's own without
+    return [
+        _from_key(f"enum-m{m}n{n}-o{order}-{i:03d}", m, n, labels, key, 0)
+        for i, key in enumerate(sorted(seen_keys))
+    ]
 
 
 def _representative_slice(structures: list[FiniteStructure], k: int):
@@ -544,28 +519,22 @@ class SearchHit:
     consequent: str
 
     def as_dict(self) -> dict:
-        return {
-            "structure": self.structure,
-            "ideal": list(self.ideal),
-            "antecedent": self.antecedent,
-            "consequent": self.consequent,
-        }
+        return {**asdict(self), "ideal": list(self.ideal)}
+
+
+def _in_jacobson(S, Q, lattice, delta, k) -> PredicateResult:
+    ok = Q <= lattice.jacobson.members
+    return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE)
 
 
 def _parse_predicate(spec: str):
-    """Predicate mini-grammar: name or name[args].
+    """Predicate mini-grammar: name or name[args], resolved before any
+    structure is scanned.
 
-    Names: prime, primary, maximal, J, in-jacobson, delta-J[d],
-    delta-primary[d], absorbing[d,k].
+    Names are the rows of ``classifiers.PREDICATES`` plus ``in-jacobson``:
+    prime, primary, maximal, J, in-jacobson, delta-J[d], delta-primary[d],
+    absorbing[d,k], with d a standard expansion and k an integer >= 2.
     """
-    from .classifiers import (
-        is_absorbing_delta_j,
-        is_delta_j,
-        is_delta_primary,
-        is_j_hyperideal,
-    )
-    from .ideals import is_primary, prime_witness
-
     spec = spec.strip()
     name, args = spec, []
     if "[" in spec:
@@ -573,44 +542,20 @@ def _parse_predicate(spec: str):
             raise ValueError(f"malformed predicate {spec!r}")
         name, inner = spec[:-1].split("[", 1)
         args = [a.strip() for a in inner.split(",")]
-
-    def need_delta(ctx_registry):
-        if not args or args[0] not in ctx_registry:
-            raise ValueError(f"predicate {spec!r} needs a registered expansion")
-        return ctx_registry[args[0]]
+    row = {**PREDICATES, "in-jacobson": Predicate("in-jacobson", 0, _in_jacobson)}.get(name)
+    if row is None:
+        raise ValueError(f"unknown predicate {name!r}")
+    if len(args) != row.params:
+        raise ValueError(f"{name} takes {row.params} argument(s), got {spec!r}")
+    delta = args[0] if args else None
+    if delta is not None and delta not in STANDARD_EXPANSIONS:
+        raise ValueError(f"predicate {spec!r} needs a registered expansion")
+    k = int(args[1]) if row.params == 2 and args[1].isdigit() else None
+    if row.params == 2 and (k is None or k < 2):
+        raise ValueError(f"absorbing degree in {spec!r} must be an integer >= 2")
 
     def run(S, lattice, registry, Q) -> Verdict:
-        if name == "prime":
-            ok, _ = prime_witness(S, Q)
-            return Verdict.TRUE if ok else Verdict.FALSE
-        if name == "primary":
-            v, _ = is_primary(S, Q, lattice)
-            if v is None:
-                return Verdict.NOT_APPLICABLE
-            return Verdict.TRUE if v else Verdict.FALSE
-        if name == "maximal":
-            return (
-                Verdict.TRUE
-                if any(m.members == Q for m in lattice.maximal)
-                else Verdict.FALSE
-            )
-        if name == "J":
-            return is_j_hyperideal(S, Q, lattice).verdict
-        if name == "in-jacobson":
-            return (
-                Verdict.TRUE if Q <= lattice.jacobson.members else Verdict.FALSE
-            )
-        if name == "delta-J":
-            return is_delta_j(S, Q, need_delta(registry), lattice).verdict
-        if name == "delta-primary":
-            return is_delta_primary(S, Q, need_delta(registry), lattice).verdict
-        if name == "absorbing":
-            if len(args) != 2:
-                raise ValueError(f"absorbing needs [delta,k], got {spec!r}")
-            return is_absorbing_delta_j(
-                S, Q, need_delta(registry), int(args[1]), lattice
-            ).verdict
-        raise ValueError(f"unknown predicate {name!r}")
+        return row.evaluate(S, Q, lattice, registry[delta] if delta else None, k).verdict
 
     return run
 

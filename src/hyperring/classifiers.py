@@ -1,4 +1,5 @@
-"""Expansion functions and the J-family hyperideal predicates.
+"""Expansion functions, the J-family hyperideal predicates and the predicate
+table.
 
 An expansion function assigns to every hyperideal a larger hyperideal,
 monotonically.  The classifiers decide, for a proper hyperideal Q:
@@ -11,6 +12,14 @@ monotonically.  The classifiers decide, for a proper hyperideal Q:
   leading (k-1)(n-1)+1 sub-product lies in the Jacobson radical or some other
   sub-product of that length lies in delta(Q).
 
+``PREDICATES`` is the one ordered table of every predicate the workbench
+names: prime, primary, maximal, J, delta-J, delta-primary and absorbing.  A
+row holds the name, its parameters (none, an expansion, or an expansion and
+k) and one evaluator; a drop-clause row (J, delta-J, delta-primary, primary)
+also holds its witness name and the ``(trigger, target)`` function that its
+scan and ``replay_witness`` both read.  ``classify`` and
+``catalog.search_counterexample`` call the same evaluators.
+
 Scans run over multisets (commutativity is structural) and report concrete
 tuples as witnesses.  ``replay_witness`` re-checks the prime and drop clauses
 with the functions their scans use, and the absorbing scan against the
@@ -19,10 +28,10 @@ literal tuple-level definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .core import (
     AxiomCheck,
@@ -36,8 +45,12 @@ from .ideals import (
     DROP,
     PRIME,
     IdealLattice,
+    _primary_pair,
     _set_product,
     enumerate_hyperideals,
+    is_hyperideal,
+    is_primary,
+    prime_witness,
     radical_by_primes,
 )
 
@@ -67,15 +80,7 @@ class Witness:
     k: Optional[int] = None
 
     def as_dict(self) -> dict:
-        return {
-            "predicate": self.predicate,
-            "ideal": list(self.ideal),
-            "args": list(self.args),
-            "index": self.index,
-            "prefix_len": self.prefix_len,
-            "delta": self.delta,
-            "k": self.k,
-        }
+        return {**asdict(self), "ideal": list(self.ideal), "args": list(self.args)}
 
 
 @dataclass(frozen=True)
@@ -130,13 +135,17 @@ def table_expansion(name: str, table: Mapping) -> ExpansionFunction:
     )
 
 
+# the always-shipped expansions by name, each built per structure and lattice
+STANDARD_EXPANSIONS = {
+    "delta0": lambda S, lattice: identity_expansion(lattice),
+    "delta1": lambda S, lattice: radical_expansion(S, lattice),
+    "deltaR": lambda S, lattice: constant_expansion(lattice),
+}
+
+
 def standard_registry(S: FiniteStructure, lattice: IdealLattice) -> dict:
     """The always-shipped expansions, in deterministic order."""
-    return {
-        "delta0": identity_expansion(lattice),
-        "delta1": radical_expansion(S, lattice),
-        "deltaR": constant_expansion(lattice),
-    }
+    return {name: make(S, lattice) for name, make in STANDARD_EXPANSIONS.items()}
 
 
 def compose_expansions(
@@ -212,44 +221,45 @@ def preserves_intersections(
 # -- predicate scans ---------------------------------------------------------
 
 
+NO_IDENTITY = "no scalar identity detected"
+
+
 def _gate(S: FiniteStructure, Q: frozenset) -> Optional[PredicateResult]:
     if Q == frozenset(S.carrier):
         raise ValueError("predicate requires a proper hyperideal")
     if S.one is None:
-        return PredicateResult(
-            Verdict.NOT_APPLICABLE, note="no scalar identity detected"
-        )
+        return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
     return None
 
 
-def _drop_scan(
+def _drop_row(
+    name: str,
     S: FiniteStructure,
-    Q: frozenset,
-    trigger: frozenset,
-    target: frozenset,
-    predicate: str,
-    delta_name: Optional[str],
+    Q: Iterable[int],
+    lattice: IdealLattice,
+    delta: Optional[ExpansionFunction] = None,
 ) -> PredicateResult:
-    """Common shape of the J-family scans: for every n-multiset with product
-    in Q and every distinct factor v outside ``trigger``, the product with v
-    replaced by the identity must land in ``target``."""
-    hit = DROP.scan(S, Q, trigger, target)
+    """The scan of a drop-clause row: for every n-multiset with product in Q
+    and every distinct factor v outside the row's trigger, the product with
+    v replaced by the identity must land in the row's target."""
+    row = PREDICATES[name]
+    members = frozenset(Q)
+    gate = _gate(S, members)
+    if gate is not None:
+        return gate
+    hit = DROP.scan(S, members, *row.pair(S, members, lattice, delta))
     if hit is None:
         return PredicateResult(Verdict.TRUE)
     key, v = hit
-    witness = Witness(predicate, tuple(sorted(Q)), key, index=key.index(v), delta=delta_name)
+    delta_name = None if delta is None else delta.name
+    witness = Witness(row.witness, tuple(sorted(members)), key, index=key.index(v), delta=delta_name)
     return PredicateResult(Verdict.FALSE, witness)
 
 
 def is_j_hyperideal(
     S: FiniteStructure, Q: Iterable[int], lattice: IdealLattice
 ) -> PredicateResult:
-    members = frozenset(Q)
-    gate = _gate(S, members)
-    if gate is not None:
-        return gate
-    jac = lattice.jacobson.members
-    return _drop_scan(S, members, jac, members, "j-hyperideal", None)
+    return _drop_row("J", S, Q, lattice)
 
 
 def is_delta_j(
@@ -258,12 +268,7 @@ def is_delta_j(
     delta: ExpansionFunction,
     lattice: IdealLattice,
 ) -> PredicateResult:
-    members = frozenset(Q)
-    gate = _gate(S, members)
-    if gate is not None:
-        return gate
-    jac = lattice.jacobson.members
-    return _drop_scan(S, members, jac, delta(members), "delta-j", delta.name)
+    return _drop_row("delta-J", S, Q, lattice, delta)
 
 
 def is_delta_primary(
@@ -272,11 +277,7 @@ def is_delta_primary(
     delta: ExpansionFunction,
     lattice: IdealLattice,
 ) -> PredicateResult:
-    members = frozenset(Q)
-    gate = _gate(S, members)
-    if gate is not None:
-        return gate
-    return _drop_scan(S, members, members, delta(members), "delta-primary", delta.name)
+    return _drop_row("delta-primary", S, Q, lattice, delta)
 
 
 def delta_j_ideal_form(
@@ -390,14 +391,14 @@ def replay_witness(
     """Re-run the violated clause on the witness tuple; True means the
     violation reproduces.
 
-    The prime and drop replays call the clause their scans use.  The
-    absorbing replay is deliberately separate: it enumerates index subsets
-    of the witness tuple, the tuple-level definition, and so is the
-    reference that the multiset scan of ``is_absorbing_delta_j`` is checked
-    against.
+    The prime and drop replays call the clause their scans use; a drop
+    replay takes its (trigger, target) pair from the table row whose
+    witness name it carries.  The absorbing replay is deliberately separate:
+    it enumerates index subsets of the witness tuple, the tuple-level
+    definition, and so is the reference that the multiset scan of
+    ``is_absorbing_delta_j`` is checked against.
     """
     Q = frozenset(w.ideal)
-    jac = lattice.jacobson.members
     args = tuple(w.args)
     if w.predicate == "prime":
         return PRIME.replays(msort(args), S, Q)
@@ -407,7 +408,7 @@ def replay_witness(
         if S.multiply_iterated(args) not in Q:
             return False
         prefix = args[:part]
-        if S.multiply_iterated(prefix) in jac:
+        if S.multiply_iterated(prefix) in lattice.jacobson.members:
             return False
         prefix_ids = tuple(range(part))
         for ids in combinations(range(len(args)), part):
@@ -416,17 +417,85 @@ def replay_witness(
             if S.multiply_iterated(tuple(args[i] for i in ids)) in dQ:
                 return False
         return True
-    if w.predicate == "j-hyperideal":
-        trigger, target = jac, Q
-    elif w.predicate == "delta-j":
-        trigger, target = jac, registry[w.delta](Q)
-    elif w.predicate == "delta-primary":
-        trigger, target = Q, registry[w.delta](Q)
-    elif w.predicate == "primary":
-        trigger, target = Q, radical_by_primes(S, Q, lattice).members
-    else:
+    row = next(
+        (r for r in PREDICATES.values() if r.pair and r.witness == w.predicate), None
+    )
+    if row is None:
         raise ValueError(f"no replay rule for predicate {w.predicate!r}")
+    delta = registry[w.delta] if row.params else None
+    trigger, target = row.pair(S, Q, lattice, delta)
     return DROP.replays((msort(args), args[w.index]), S, Q, trigger, target)
+
+
+# -- the predicate table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Predicate:
+    """One row of the predicate table: ``evaluate(S, Q, lattice, delta, k)``
+    gives the row's result; a drop-clause row also names its witnesses and
+    gives ``pair(S, Q, lattice, delta) -> (trigger, target)``."""
+
+    name: str
+    params: int  # 0: none, 1: an expansion, 2: an expansion and k
+    evaluate: Callable
+    witness: Optional[str] = None
+    pair: Optional[Callable] = None
+
+
+def _prime(S, Q, lattice, delta, k) -> PredicateResult:
+    ok, args = prime_witness(S, Q)
+    witness = args and Witness("prime", tuple(sorted(Q)), args)
+    return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE, witness)
+
+
+def _primary(S, Q, lattice, delta, k) -> PredicateResult:
+    ok, hit = is_primary(S, Q, lattice)
+    if ok is None:
+        return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
+    witness = hit and Witness(PREDICATES["primary"].witness, tuple(sorted(Q)), *hit)
+    return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE, witness)
+
+
+def _maximal(S, Q, lattice, delta, k) -> PredicateResult:
+    ok = any(m.members == Q for m in lattice.maximal)
+    return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE)
+
+
+PREDICATES = {
+    row.name: row
+    for row in (
+        Predicate("prime", 0, _prime),
+        Predicate("primary", 0, _primary, "primary", _primary_pair),
+        Predicate("maximal", 0, _maximal),
+        Predicate(
+            "J",
+            0,
+            lambda S, Q, lattice, delta, k: is_j_hyperideal(S, Q, lattice),
+            "j-hyperideal",
+            lambda S, Q, lattice, delta: (lattice.jacobson.members, Q),
+        ),
+        Predicate(
+            "delta-J",
+            1,
+            lambda S, Q, lattice, delta, k: is_delta_j(S, Q, delta, lattice),
+            "delta-j",
+            lambda S, Q, lattice, delta: (lattice.jacobson.members, delta(Q)),
+        ),
+        Predicate(
+            "delta-primary",
+            1,
+            lambda S, Q, lattice, delta, k: is_delta_primary(S, Q, delta, lattice),
+            "delta-primary",
+            lambda S, Q, lattice, delta: (Q, delta(Q)),
+        ),
+        Predicate(
+            "absorbing",
+            2,
+            lambda S, Q, lattice, delta, k: is_absorbing_delta_j(S, Q, delta, k, lattice),
+        ),
+    )
+}
 
 
 # -- classification reports --------------------------------------------------
@@ -458,6 +527,22 @@ class ClassificationReport:
         }
 
 
+def _instances(registry: Mapping, k_max: int):
+    """(key, row, expansion name, k) per classify verdict, in report order:
+    the rows without parameters, then the expansion rows per expansion, then
+    the absorbing row per expansion and k."""
+    groups = (
+        [("", None, None)],
+        [(f"[{d}]", d, None) for d in registry],
+        [(f"[{d},k={k}]", d, k) for d in registry for k in range(2, k_max + 1)],
+    )
+    for params, group in enumerate(groups):
+        for suffix, d, k in group:
+            for row in PREDICATES.values():
+                if row.params == params:
+                    yield row.name + suffix, row, d, k
+
+
 def classify(
     S: FiniteStructure,
     subset: Iterable[int],
@@ -465,14 +550,12 @@ def classify(
     k_max: int = 3,
     lattice: Optional[IdealLattice] = None,
 ) -> ClassificationReport:
-    """Run every predicate on one subset, deterministically.
+    """Run every row of ``PREDICATES`` on one subset, deterministically.
 
     Non-ideals and the whole carrier get IMPROPER verdicts across the board;
     identity-dependent predicates report NOT_APPLICABLE when the structure
     has no scalar identity.
     """
-    from .ideals import is_hyperideal, is_primary, prime_witness
-
     members = frozenset(subset)
     lattice = lattice or enumerate_hyperideals(S)
     registry = registry if registry is not None else standard_registry(S, lattice)
@@ -485,58 +568,17 @@ def classify(
         ideal_clause=check.clause,
         proper=proper,
     )
-    keys = ["prime", "primary", "maximal", "J"]
-    for name in registry:
-        keys.append(f"delta-J[{name}]")
-        keys.append(f"delta-primary[{name}]")
-    for name in registry:
-        for k in range(2, k_max + 1):
-            keys.append(f"absorbing[{name},k={k}]")
-    if not check.ok or not proper:
-        for key in keys:
+    improper = not check.ok or not proper
+    if improper:
+        report.notes["reason"] = "not a hyperideal" if not check.ok else "whole carrier"
+    for key, row, d, k in _instances(registry, k_max):
+        if improper:
             report.verdicts[key] = Verdict.IMPROPER
-        report.notes["reason"] = (
-            "not a hyperideal" if not check.ok else "whole carrier"
-        )
-        return report
-
-    ok, pw = prime_witness(S, members)
-    report.verdicts["prime"] = Verdict.TRUE if ok else Verdict.FALSE
-    if pw is not None:
-        report.witnesses["prime"] = Witness("prime", tuple(sorted(members)), pw)
-
-    pv, pwit = is_primary(S, members, lattice)
-    if pv is None:
-        report.verdicts["primary"] = Verdict.NOT_APPLICABLE
-        report.notes["primary"] = "no scalar identity detected"
-    else:
-        report.verdicts["primary"] = Verdict.TRUE if pv else Verdict.FALSE
-        if pwit is not None:
-            report.witnesses["primary"] = Witness(
-                "primary", tuple(sorted(members)), pwit[0], index=pwit[1]
-            )
-
-    report.verdicts["maximal"] = (
-        Verdict.TRUE
-        if any(m.members == members for m in lattice.maximal)
-        else Verdict.FALSE
-    )
-
-    def put(key: str, res: PredicateResult) -> None:
+            continue
+        res = row.evaluate(S, members, lattice, None if d is None else registry[d], k)
         report.verdicts[key] = res.verdict
         if res.witness is not None:
             report.witnesses[key] = res.witness
         if res.note:
             report.notes[key] = res.note
-
-    put("J", is_j_hyperideal(S, members, lattice))
-    for name, delta in registry.items():
-        put(f"delta-J[{name}]", is_delta_j(S, members, delta, lattice))
-        put(f"delta-primary[{name}]", is_delta_primary(S, members, delta, lattice))
-    for name, delta in registry.items():
-        for k in range(2, k_max + 1):
-            put(
-                f"absorbing[{name},k={k}]",
-                is_absorbing_delta_j(S, members, delta, k, lattice),
-            )
     return report

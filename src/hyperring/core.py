@@ -103,6 +103,12 @@ def split_plan(size: int, total: int, part: int) -> tuple[Split, ...]:
     )
 
 
+@lru_cache(maxsize=128)
+def _key_set(size: int, arity: int) -> frozenset:
+    """The keys of a total table of the given shape."""
+    return frozenset(multisets(size, arity))
+
+
 # Exhaustive verification gets expensive fast; these guards keep desk-scale
 # runs honest and are overridable where the caller knows what it is doing.
 MAX_VERIFY_SIZE = 8
@@ -160,12 +166,10 @@ class FiniteStructure:
                 raise ForeignElementError(f"multiplication value out of range at {key}")
 
     def _check_total(self, table: Mapping, arity: int, what: str) -> None:
-        size = len(self.labels)
-        expected = set(multisets(size, arity))
-        got = set(table.keys())
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        expected = _key_set(len(self.labels), arity)
+        if table.keys() != expected:
+            missing = sorted(expected - table.keys())
+            extra = sorted(table.keys() - expected)
             if missing:
                 raise StructureError(f"{what} table missing entry {missing[0]}")
             raise StructureError(f"{what} table has foreign key {extra[0]}")

@@ -434,6 +434,12 @@ def _drop(S: FiniteStructure, Q, trigger, target, key) -> Optional[tuple]:
 DROP = Clause("drop", lambda S, Q, trigger, target: multisets(S.size, S.n), _drop)
 
 
+def _primary_pair(S: FiniteStructure, Q: frozenset, lattice: IdealLattice, delta):
+    # the primary drop clause: factors outside Q trigger it, and their
+    # co-products must land in the radical of Q (``delta`` is unused)
+    return Q, radical_by_primes(S, Q, lattice).members
+
+
 def is_primary(
     S: FiniteStructure, Q: Iterable[int], lattice: Optional[IdealLattice] = None
 ):
@@ -446,8 +452,7 @@ def is_primary(
     if S.one is None:
         return None, None
     lattice = lattice or enumerate_hyperideals(S)
-    rad = radical_by_primes(S, members, lattice).members
-    hit = DROP.scan(S, members, members, rad)
+    hit = DROP.scan(S, members, *_primary_pair(S, members, lattice, None))
     if hit is None:
         return True, None
     key, v = hit

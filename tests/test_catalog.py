@@ -8,6 +8,7 @@ from hyperring import (
     builtin_examples,
     canonical_key,
     canonicalize,
+    classify,
     default_catalog,
     enumerate_structures,
     search_counterexample,
@@ -18,6 +19,7 @@ from hyperring.catalog import (
     _distributive_muls,
     _involutions,
     _mul_candidates,
+    _parse_predicate,
     _translation_maps,
 )
 from hyperring.core import (
@@ -303,3 +305,44 @@ def test_search_rejects_bad_specs(small_catalog):
         search_counterexample("bogus => prime", small_catalog)
     with pytest.raises(ValueError):
         search_counterexample("delta-J[nope] => prime", small_catalog)
+    # specs are checked before any entry is scanned, so a catalog without
+    # proper ideals rejects them too
+    one_element = [CatalogEntry(enumerate_structures(2, 2, 1)[0], "enumerated")]
+    bad = (
+        "bogus => nonsense",
+        "J => nonsense[1,2,3]",
+        "J[delta0] => prime",
+        "prime => delta-J",
+        "delta-primary[delta0,2] => prime",
+        "delta-J[nope] => prime",
+        "absorbing[delta0] => prime",
+        "absorbing[nope,2] => prime",
+        "absorbing[delta0,1] => prime",
+        "absorbing[delta0,x] => prime",
+        "absorbing[delta0,2.5] => prime",
+    )
+    for entries in ([], one_element, small_catalog):
+        for spec in bad:
+            with pytest.raises(ValueError):
+                search_counterexample(spec, entries)
+
+
+def test_search_and_classify_agree(small_catalog):
+    # small_catalog holds builtin24 and builtin33 beside the (2,2) structures
+    specs = {"prime": "prime", "primary": "primary", "maximal": "maximal", "J": "J"}
+    for d in ("delta0", "delta1", "deltaR"):
+        specs[f"delta-J[{d}]"] = f"delta-J[{d}]"
+        specs[f"delta-primary[{d}]"] = f"delta-primary[{d}]"
+        for k in (2, 3):
+            specs[f"absorbing[{d},{k}]"] = f"absorbing[{d},k={k}]"
+    runs = {spec: _parse_predicate(spec) for spec in specs}
+    compared = 0
+    for entry in small_catalog:
+        S, lattice, registry = entry.structure, entry.lattice(), entry.registry()
+        for ideal in lattice.proper():
+            report = classify(S, ideal.members, registry, 3, lattice)
+            assert set(report.verdicts) == set(specs.values())
+            for spec, key in specs.items():
+                assert runs[spec](S, lattice, registry, ideal.members) is report.verdicts[key]
+                compared += 1
+    assert compared > 0

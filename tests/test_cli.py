@@ -226,8 +226,16 @@ def test_search_no_counterexample(runner, kmn_file, b24):
     assert "no counterexample" in res.output
 
 
-def test_search_bad_spec_usage_error(runner):
+def test_search_bad_spec_usage_error(runner, kmn_file):
     res = invoke(runner, "search", "--implication", "J oops prime", "--builtin")
+    assert res.exit_code == 2
+    # a one-element structure has no proper ideal to evaluate the sides on
+    from hyperring import enumerate_structures
+
+    one = kmn_file(enumerate_structures(2, 2, 1)[0], "one")
+    res = invoke(runner, "search", "--implication", "bogus => nonsense[1,2,3]", one)
+    assert res.exit_code == 2
+    res = invoke(runner, "search", "--implication", "J[delta0] => prime", "--builtin")
     assert res.exit_code == 2
 
 
