@@ -13,26 +13,34 @@ candidate multiplications are far fewer than the multiplications, so each is
 tested once per hypergroup, and a pair is kept only if all of its
 multiplication's maps pass.  Every kept pair still gets the full
 witness-producing verification.  A plain product-scan strategy exists as a
-cross-check oracle for the hyperaddition candidates.
+cross-check oracle for the hyperaddition candidates.  Candidates of either
+operation are built directly as ranked cell tables (``core.TableView``), and
+canonical forms compare relabeled cells through rank maps cached per
+relabeling.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, Optional
 
 from .core import (
+    BITS,
     CapExceeded,
     FiniteStructure,
     AxiomReport,
+    TableView,
     inverse_candidates,
+    mask_of,
     msort,
     mul_associativity_violation,
     multiset_minus,
     multisets,
-    split_plan,
+    ranked_plan,
+    table_shape,
     translation_violation,
     verify_canonical_hypergroup,
     verify_krasner,
@@ -173,16 +181,54 @@ def builtin_examples() -> list[CatalogEntry]:
 # -- canonical forms ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _relabeling(size: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Entry r is the rank of the key that a relabeling takes to the key of
+    rank r, so that listing a table's cells through it gives the relabeled
+    table in rank order."""
+    shape = table_shape(size, arity)
+    src = [0] * len(shape.keys)
+    for r, key in enumerate(shape.keys):
+        src[shape.rank[msort(tuple(perm[x] for x in key))]] = r
+    return tuple(src)
+
+
+@lru_cache(maxsize=1024)
+def _relabeled_sets(size: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """For every mask, the position of its relabeled set among all sets in
+    the order of their ascending element tuples, the order in which
+    ``_permuted_key`` compares hyperaddition values."""
+    order = sorted(range(1 << size), key=BITS.__getitem__)
+    position = {mask: i for i, mask in enumerate(order)}
+    return tuple(
+        position[mask_of(perm[x] for x in BITS[mask])] for mask in range(1 << size)
+    )
+
+
+def _relabeled(S: FiniteStructure, perm: tuple[int, ...]) -> tuple:
+    """S's cells under a relabeling, ordered exactly like its
+    ``_permuted_key``: every key sits at the same position in both tables,
+    so the values alone decide."""
+    sets = _relabeled_sets(S.size, perm)
+    add, mul = S.add_cells, S.mul_cells
+    return (
+        tuple(sets[add[r]] for r in _relabeling(S.size, S.m, perm)),
+        tuple(perm[mul[r]] for r in _relabeling(S.size, S.n, perm)),
+    )
+
+
 def _permuted_key(S: FiniteStructure, perm: tuple[int, ...]):
-    add_items = sorted(
-        (msort(tuple(perm[i] for i in key)), tuple(sorted(perm[v] for v in value)))
-        for key, value in S.add.items()
+    """The relabeled tables as sorted item lists: (key, sorted value tuple)
+    and (key, product)."""
+    add_keys, mul_keys = table_shape(S.size, S.m).keys, table_shape(S.size, S.n).keys
+    add_items = tuple(
+        (key, tuple(sorted(perm[v] for v in BITS[S.add_cells[r]])))
+        for key, r in zip(add_keys, _relabeling(S.size, S.m, perm))
     )
-    mul_items = sorted(
-        (msort(tuple(perm[i] for i in key)), perm[value])
-        for key, value in S.mul.items()
+    mul_items = tuple(
+        (key, perm[S.mul_cells[r]]) for key, r in zip(mul_keys, _relabeling(S.size, S.n, perm))
     )
-    return (tuple(add_items), tuple(mul_items))
+    return (add_items, mul_items)
 
 
 def _zero_fixing_perms(size: int, zero: int) -> Iterator[tuple[int, ...]]:
@@ -195,17 +241,20 @@ def _zero_fixing_perms(size: int, zero: int) -> Iterator[tuple[int, ...]]:
         yield tuple(perm)
 
 
+def _canonical_perm(S: FiniteStructure) -> tuple[int, ...]:
+    """The first zero-fixing relabeling with the least ``_permuted_key``."""
+    return min(_zero_fixing_perms(S.size, S.zero), key=lambda p: _relabeled(S, p))
+
+
 def canonical_key(S: FiniteStructure):
     """Lexicographically least table serialization over relabelings that fix
     the zero element."""
-    return min(_permuted_key(S, p) for p in _zero_fixing_perms(S.size, S.zero))
+    return _permuted_key(S, _canonical_perm(S))
 
 
 def canonicalize(S: FiniteStructure) -> FiniteStructure:
     """Relabel onto the canonical form; idempotent."""
-    best = min(
-        _zero_fixing_perms(S.size, S.zero), key=lambda p: _permuted_key(S, p)
-    )
+    best = _canonical_perm(S)
     labels = [""] * S.size
     for old, new in enumerate(best):
         labels[new] = S.labels[old]
@@ -252,10 +301,11 @@ def _orbit_of(atom, iota, m):
     return frozenset(seen)
 
 
-def _add_candidates(order: int, m: int) -> Iterator[dict]:
+def _add_candidates(order: int, m: int) -> Iterator[TableView]:
     """Hyperaddition tables with neutral zero, unique inverses and
     reversibility built in by orbit construction."""
-    keys = list(multisets(order, m))
+    shape = table_shape(order, m)
+    keys = shape.keys
     nonzero = list(range(1, order))
     for iota_nz in _involutions(nonzero):
         iota = {0: 0, **iota_nz}
@@ -306,96 +356,96 @@ def _add_candidates(order: int, m: int) -> Iterator[dict]:
                 f"{len(free)} free membership orbits exceed cap {FREE_ORBIT_CAP}"
             )
         free.sort(key=lambda orb: min(orb))
-        base = set()
+        # orbits are disjoint, so a table is the OR of its orbits' cells
+        base = [0] * len(keys)
         for orb in must:
-            base |= orb
+            for key, x in orb:
+                base[shape.rank[key]] |= 1 << x
+        free_cells = [[(shape.rank[key], 1 << x) for key, x in orb] for orb in free]
         for bits in product((0, 1), repeat=len(free)):
-            atoms = set(base)
-            for bit, orb in zip(bits, free):
+            cells = list(base)
+            for bit, orb in zip(bits, free_cells):
                 if bit:
-                    atoms |= orb
-            table = {key: frozenset(x for k, x in atoms if k == key) for key in keys}
-            if any(not v for v in table.values()):
+                    for r, b in orb:
+                        cells[r] |= b
+            if 0 in cells:
                 continue
-            yield table
+            yield TableView(shape, tuple(cells), True)
 
 
-def _mul_candidates(order: int, n: int) -> Iterator[dict]:
+def _mul_candidates(order: int, n: int) -> Iterator[TableView]:
     """Zero-absorbing associative multiplication tables."""
-    free_keys = [k for k in multisets(order, n) if 0 not in k]
-    forced = {k: 0 for k in multisets(order, n) if 0 in k}
-    plan = split_plan(order, 2 * n - 1, n)
-    for values in product(range(order), repeat=len(free_keys)):
-        mul = dict(forced)
-        mul.update(zip(free_keys, values))
-        if not any(mul_associativity_violation(mul, row) for row in plan):
-            yield mul
+    shape = table_shape(order, n)
+    free = [r for r, key in enumerate(shape.keys) if 0 not in key]
+    plan = ranked_plan(order, 2 * n - 1, n)
+    cells = [0] * len(shape.keys)
+    for values in product(range(order), repeat=len(free)):
+        for r, v in zip(free, values):
+            cells[r] = v
+        if not any(mul_associativity_violation(cells, shape.ext, row) for row in plan):
+            yield TableView(shape, tuple(cells), False)
 
 
-def _translation_maps(order: int, n: int, mul: dict) -> tuple[tuple[int, ...], ...]:
+def _translation_maps(order: int, n: int, mul: TableView) -> tuple[tuple[int, ...], ...]:
     """The distinct translations x -> g(a, x) of a multiplication, for a over
     the (n-1)-multisets, each as the tuple of its images."""
-    maps = (
-        tuple(mul[msort(a + (x,))] for x in range(order))
-        for a in multisets(order, n - 1)
-    )
+    cells = mul.cells
+    maps = (tuple(cells[r] for r in row) for row in table_shape(order, n).ext)
     return tuple(dict.fromkeys(maps))
 
 
 def _distributive_muls(
-    order: int, m: int, add: dict, muls: list[tuple[dict, tuple]]
-) -> Iterator[dict]:
+    order: int, m: int, add: TableView, muls: list[tuple[TableView, tuple]]
+) -> Iterator[TableView]:
     """The multiplications that distribute over ``add``, in the given order.
 
     g distributes over f exactly when every translation map of g is an
     endomorphism of f.  ``muls`` pairs each multiplication with its
     translation maps; many multiplications share maps, so each distinct map
-    is tested at most once per hyperaddition.
+    is tested at most once per hyperaddition (through image and target
+    tables that all hyperadditions of the shape share).
     """
     endo: dict[tuple[int, ...], bool] = {}
     for mul, maps in muls:
         for phi in maps:
             if phi not in endo:
-                endo[phi] = translation_violation(order, m, add, phi) is None
+                endo[phi] = translation_violation(order, m, add.cells, phi) is None
             if not endo[phi]:
                 break
         else:
             yield mul
 
 
-def _raw_add_candidates(order: int, m: int) -> Iterator[dict]:
+def _raw_add_candidates(order: int, m: int) -> Iterator[TableView]:
     """Plain product scan over all free value assignments (cross-check
     oracle for the orbit strategy).  Zero's neutral row is forced; the
     inverse-uniqueness constraint prunes early."""
-    keys = list(multisets(order, m))
-    forced = {}
-    for y in range(order):
-        forced[msort((0,) * (m - 1) + (y,))] = frozenset({y})
-    inv_keys = sorted(
+    shape = table_shape(order, m)
+    forced = {shape.rank[msort((0,) * (m - 1) + (y,))]: 1 << y for y in range(order)}
+    inv_ranks = sorted(
         {
-            msort((0,) * (m - 2) + (a, b))
+            shape.rank[msort((0,) * (m - 2) + (a, b))]
             for a in range(1, order)
             for b in range(1, order)
         }
         - set(forced)
     )
-    other_keys = [k for k in keys if k not in forced and k not in inv_keys]
-    from itertools import combinations
-
-    values = sorted(
-        {frozenset(c) for r in range(1, order + 1) for c in combinations(range(order), r)},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    for inv_vals in product(values, repeat=len(inv_keys)):
-        table0 = dict(forced)
-        table0.update(zip(inv_keys, inv_vals))
-        # table0 holds every key of the form (0, .., 0, x, y)
-        if any(len(c) != 1 for c in inverse_candidates(order, m, 0, table0)):
+    other_ranks = [r for r in range(len(shape.keys)) if r not in forced and r not in inv_ranks]
+    # every nonempty value set, by size and then by its element tuple
+    values = sorted(range(1, 1 << order), key=lambda s: (len(BITS[s]), BITS[s]))
+    cells = [0] * len(shape.keys)
+    for r, mask in forced.items():
+        cells[r] = mask
+    for inv_vals in product(values, repeat=len(inv_ranks)):
+        for r, mask in zip(inv_ranks, inv_vals):
+            cells[r] = mask
+        # the cells of every key of the form (0, .., 0, x, y) are set now
+        if any(len(c) != 1 for c in inverse_candidates(order, m, 0, cells)):
             continue
-        for other_vals in product(values, repeat=len(other_keys)):
-            table = dict(table0)
-            table.update(zip(other_keys, other_vals))
-            yield table
+        for other_vals in product(values, repeat=len(other_ranks)):
+            for r, mask in zip(other_ranks, other_vals):
+                cells[r] = mask
+            yield TableView(shape, tuple(cells), True)
 
 
 def enumerate_structures(
@@ -440,7 +490,8 @@ def enumerate_structures(
     labels = tuple(str(i) for i in range(order))
     # probes and candidates use the plain constructor: their identity is
     # never read, and verify_krasner detects it for itself
-    zero_mul = {k: 0 for k in multisets(order, n)}
+    mul_shape = table_shape(order, n)
+    zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     seen_keys = set()
     candidates = 0
     for add in add_source:

@@ -2,8 +2,20 @@
 
 A structure lives on a carrier {0, .., size-1} and consists of an m-ary
 hyperoperation (the "hyperaddition", returning nonempty element sets) and an
-n-ary single-valued operation (the "multiplication").  Both tables are keyed
-by sorted tuples (multisets), which makes commutativity hold by construction.
+n-ary single-valued operation (the "multiplication").  An entry is addressed
+by the multiset of its arguments, which makes commutativity hold by
+construction.
+
+Each table is stored once, as a flat tuple of cells indexed by the *rank* of
+a multiset key: its position in ``multisets(size, arity)`` order.  A
+hyperaddition cell is the int bitmask of its value set (bit x for element
+x), so a union is an OR and membership a bit test; a multiplication cell is
+the product.  ``table_shape`` caches per shape the rank of every key and the
+extension table ``ext[rank(rest)][x] = rank(rest + (x,))``, so a scan that
+adds one argument to a known sub-multiset neither sorts nor hashes, and
+``BITS`` lists the elements of a mask.  ``FiniteStructure.add`` and ``.mul``
+are read-only ``Mapping`` views (key -> frozenset or element) over the cells
+for callers; every scan in the package reads the cells.
 
 Verification is exhaustive and witness-producing.  Each checked axiom is one
 ``Clause``: its cases (table rows, in scan order) and one function that gives
@@ -14,9 +26,9 @@ witness's case, so a scan and its replay cannot drift apart.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, abc
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -104,9 +116,153 @@ def split_plan(size: int, total: int, part: int) -> tuple[Split, ...]:
 
 
 @lru_cache(maxsize=128)
-def _key_set(size: int, arity: int) -> frozenset:
-    """The keys of a total table of the given shape."""
-    return frozenset(multisets(size, arity))
+def ranked_plan(size: int, total: int, part: int) -> tuple:
+    """``split_plan`` with each split (A, remainder) given as (A, rank of A,
+    rank of the remainder), each ranked among the multisets of its length,
+    so that a scan reads table cells without sorting or hashing."""
+    rank_a = table_shape(size, part).rank
+    rank_rest = table_shape(size, total - part).rank
+    return tuple(
+        (whole, tuple((A, rank_a[A], rank_rest[rest]) for A, rest in splits))
+        for whole, splits in split_plan(size, total, part)
+    )
+
+
+# -- ranked table storage ----------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Shape:
+    """The ``arity``-multisets over {0..size-1}, ranked.
+
+    ``keys`` lists them in ``multisets`` order and ``rank`` maps each back to
+    its position.  ``rest_rank`` ranks the (arity-1)-multisets the same way,
+    and ``ext[rest_rank[rest]][x]`` is the rank of ``msort(rest + (x,))``.
+    """
+
+    size: int
+    arity: int
+    keys: tuple
+    rank: dict
+    rest_rank: dict
+    ext: tuple
+
+
+@lru_cache(maxsize=128)
+def table_shape(size: int, arity: int) -> Shape:
+    """The ranking of one table shape, built on first use and shared by
+    every structure of that shape."""
+    keys = tuple(multisets(size, arity))
+    rank = {key: r for r, key in enumerate(keys)}
+    if arity == 0:
+        return Shape(size, arity, keys, rank, {}, ())
+    lower = table_shape(size, arity - 1)
+    ext = tuple(tuple(rank[msort(rest + (x,))] for x in range(size)) for rest in lower.keys)
+    return Shape(size, arity, keys, rank, lower.rank, ext)
+
+
+class _Memo(dict):
+    """key -> fn(key), each value computed on first use."""
+
+    def __init__(self, fn: Callable) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# a mask's elements as an ascending tuple and as a frozenset; they do not
+# depend on the carrier size, so one memo of each serves every structure
+BITS = _Memo(lambda mask: tuple(x for x in range(mask.bit_length()) if mask >> x & 1))
+SETS = _Memo(lambda mask: frozenset(BITS[mask]))
+
+
+def mask_of(elements: Iterable[int]) -> int:
+    """The bitmask of a set of carrier elements."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def _union(cells: Sequence[int], row: Sequence[int], mask: int) -> int:
+    """f(s, rest) united over the elements s of a mask, for the
+    hyperaddition cells and the ``ext`` row of rest."""
+    out = 0
+    for s in BITS[mask]:
+        out |= cells[row[s]]
+    return out
+
+
+class TableView(abc.Mapping):
+    """Read-only view of one ranked table as multiset key -> value: a
+    frozenset for hyperaddition cells (bitmasks, ``sets``), an element for
+    multiplication cells."""
+
+    __slots__ = ("shape", "cells", "sets")
+
+    def __init__(self, shape: Shape, cells: tuple, sets: bool) -> None:
+        self.shape, self.cells, self.sets = shape, cells, sets
+
+    def __getitem__(self, key):
+        cell = self.cells[self.shape.rank[key]]
+        return SETS[cell] if self.sets else cell
+
+    def __iter__(self) -> Iterator[Multiset]:
+        return iter(self.shape.keys)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TableView):
+            return abc.Mapping.__eq__(self, other)
+        return (self.sets, self.shape.keys, self.cells) == (other.sets, other.shape.keys, other.cells)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TableView({dict(self)!r})"
+
+
+def _ranked(table: Mapping, shape: Shape, sets: bool, what: str):
+    """(view, error): the table as a view over its ranked cells, and the
+    error of its first malformed value in the table's own order, or None.
+    A missing or foreign key raises at once.  A view of the same shape is
+    kept as it is once its cells pass a range check."""
+    size = shape.size
+    if isinstance(table, TableView) and table.shape is shape and table.sets == sets:
+        low, high = min(table.cells), max(table.cells)
+        if (0 < low and high >> size == 0) if sets else (0 <= low and high < size):
+            return table, None
+    rank, keys = shape.rank, shape.keys
+    cells: list = [None] * len(keys)
+    extra, error = [], None
+    for key, value in table.items():
+        r = rank.get(key)
+        if r is None:
+            extra.append(key)
+            continue
+        cells[r] = 0
+        if not sets:
+            if 0 <= value < size:
+                cells[r] = value
+            elif error is None:
+                error = ForeignElementError(f"{what} value out of range at {key}")
+        elif not isinstance(value, frozenset) or not value:
+            if error is None:
+                error = StructureError(f"empty or non-set {what} value at {key}")
+        elif all(0 <= v < size for v in value):
+            cells[r] = mask_of(value)
+        elif error is None:
+            error = ForeignElementError(f"{what} value out of range at {key}")
+    if None in cells:
+        raise StructureError(f"{what} table missing entry {keys[cells.index(None)]}")
+    if extra:
+        raise StructureError(f"{what} table has foreign key {min(extra)}")
+    return TableView(shape, tuple(cells), sets), error
 
 
 # Exhaustive verification gets expensive fast; these guards keep desk-scale
@@ -120,10 +276,13 @@ class FiniteStructure:
     """Carrier plus hyperaddition/multiplication tables.
 
     ``add`` maps m-multisets to nonempty frozensets, ``mul`` maps n-multisets
-    to single elements.  ``zero`` is the declared additive neutral element;
-    ``one`` is the *detected* scalar identity of ``mul`` (None if absent).
-    Construction checks well-formedness only; the algebraic axioms are the
-    verifiers' job, so deliberately broken tables can be built and audited.
+    to single elements; after construction both are read-only
+    ``TableView``s over the ranked cells ``add_cells`` (bitmasks) and
+    ``mul_cells`` (elements) of the shapes ``add_shape`` and ``mul_shape``.
+    ``zero`` is the declared additive neutral element; ``one`` is the
+    *detected* scalar identity of ``mul`` (None if absent).  Construction
+    checks well-formedness only; the algebraic axioms are the verifiers'
+    job, so deliberately broken tables can be built and audited.
     """
 
     name: str
@@ -138,12 +297,15 @@ class FiniteStructure:
         default_factory=dict, repr=False, compare=False, hash=False
     )
     carrier: range = field(init=False, repr=False, compare=False, hash=False)
+    add_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
+    mul_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
+    add_cells: tuple = field(init=False, repr=False, compare=False, hash=False)
+    mul_cells: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     # -- construction ------------------------------------------------------
 
     def __post_init__(self) -> None:
         size = len(self.labels)
-        object.__setattr__(self, "carrier", range(size))
         if size == 0:
             raise StructureError("empty carrier")
         if len(set(self.labels)) != size:
@@ -154,25 +316,22 @@ class FiniteStructure:
             raise ForeignElementError("zero outside carrier")
         if self.one is not None and not (0 <= self.one < size):
             raise ForeignElementError("one outside carrier")
-        self._check_total(self.add, self.m, "hyperaddition")
-        self._check_total(self.mul, self.n, "multiplication")
-        for key, value in self.add.items():
-            if not isinstance(value, frozenset) or not value:
-                raise StructureError(f"empty or non-set hyperaddition value at {key}")
-            if not all(0 <= v < size for v in value):
-                raise ForeignElementError(f"hyperaddition value out of range at {key}")
-        for key, value in self.mul.items():
-            if not (0 <= value < size):
-                raise ForeignElementError(f"multiplication value out of range at {key}")
-
-    def _check_total(self, table: Mapping, arity: int, what: str) -> None:
-        expected = _key_set(len(self.labels), arity)
-        if table.keys() != expected:
-            missing = sorted(expected - table.keys())
-            extra = sorted(table.keys() - expected)
-            if missing:
-                raise StructureError(f"{what} table missing entry {missing[0]}")
-            raise StructureError(f"{what} table has foreign key {extra[0]}")
+        # one pass per table ranks and checks every entry; the errors keep
+        # their order: keys of f, keys of g, values of f, values of g
+        add, add_error = _ranked(self.add, table_shape(size, self.m), True, "hyperaddition")
+        mul, mul_error = _ranked(self.mul, table_shape(size, self.n), False, "multiplication")
+        if add_error or mul_error:
+            raise add_error or mul_error
+        # the fields are frozen, so they are set past __setattr__
+        vars(self).update(
+            carrier=range(size),
+            add=add,
+            mul=mul,
+            add_shape=add.shape,
+            mul_shape=mul.shape,
+            add_cells=add.cells,
+            mul_cells=mul.cells,
+        )
 
     @classmethod
     def build(
@@ -191,7 +350,7 @@ class FiniteStructure:
         A declared identity that contradicts detection is an error; the
         detected value always wins so downstream predicates stay honest.
         """
-        S = cls(name, m, n, tuple(labels), dict(add), dict(mul), zero, None)
+        S = cls(name, m, n, tuple(labels), add, mul, zero, None)
         ones = S.detect_identities()
         one = ones[0] if len(ones) == 1 else None
         if declared_one is not None and declared_one != one:
@@ -232,15 +391,26 @@ class FiniteStructure:
     def _check_args(self, args: Sequence[int], arity: int) -> None:
         if len(args) != arity:
             raise ArityError(f"expected {arity} arguments, got {len(args)}")
+        size = len(self.labels)
         for a in args:
-            if not (0 <= a < self.size):
+            if not (0 <= a < size):
                 raise ForeignElementError(f"element {a} outside carrier")
+
+    def add_row(self, rest: Multiset) -> tuple:
+        """The ranks of f(rest, x) for x over the carrier, rest an
+        (m-1)-multiset."""
+        return self.add_shape.ext[self.add_shape.rest_rank[rest]]
+
+    def mul_row(self, rest: Multiset) -> tuple:
+        """The ranks of g(rest, x) for x over the carrier, rest an
+        (n-1)-multiset."""
+        return self.mul_shape.ext[self.mul_shape.rest_rank[rest]]
 
     # -- hyperaddition -----------------------------------------------------
 
     def hyperadd(self, args: Sequence[int]) -> frozenset:
         self._check_args(args, self.m)
-        return self.add[msort(args)]
+        return SETS[self.add_cells[self.add_shape.rank[msort(args)]]]
 
     def hyperadd_subsets(self, sets: Sequence) -> frozenset:
         """Subset extension: union of the table over the argument product."""
@@ -254,33 +424,33 @@ class FiniteStructure:
             if not all(0 <= v < self.size for v in s):
                 raise ForeignElementError("argument set outside carrier")
             pools.append(s)
-        out: set = set()
-        for combo in {msort(c) for c in product(*pools)}:
-            out |= self.add[combo]
-        return frozenset(out)
+        rank, cells = self.add_shape.rank, self.add_cells
+        mask = 0
+        for combo in product(*pools):
+            mask |= cells[rank[msort(combo)]]
+        return SETS[mask]
 
     def hyperadd_iterated(self, args: Sequence[int]) -> frozenset:
         """Left-nested fold of the hyperaddition over l(m-1)+1 arguments."""
         t = len(args)
-        if t == 1:
-            if not (0 <= args[0] < self.size):
-                raise ForeignElementError(f"element {args[0]} outside carrier")
-            return frozenset({args[0]})
-        if (t - 1) % (self.m - 1) != 0:
+        if t == 0 or (t - 1) % (self.m - 1) != 0:
             raise ArityError(
                 f"iterated hyperaddition needs l*{self.m - 1}+1 arguments, got {t}"
             )
-        acc = self.hyperadd(args[: self.m])
+        self._check_args(args, t)
+        if t == 1:
+            return frozenset({args[0]})
+        cells = self.add_cells
+        acc = cells[self.add_shape.rank[msort(args[: self.m])]]
         for i in range(self.m, t, self.m - 1):
-            chunk = args[i : i + self.m - 1]
-            acc = self.hyperadd_subsets([acc] + [{c} for c in chunk])
-        return acc
+            acc = _union(cells, self.add_row(msort(args[i : i + self.m - 1])), acc)
+        return SETS[acc]
 
     # -- multiplication ----------------------------------------------------
 
     def multiply(self, args: Sequence[int]) -> int:
         self._check_args(args, self.n)
-        return self.mul[msort(args)]
+        return self.mul_cells[self.mul_shape.rank[msort(args)]]
 
     def multiply_iterated(self, args: Sequence[int]) -> int:
         """Left-nested fold of the multiplication over l(n-1)+1 arguments."""
@@ -289,27 +459,26 @@ class FiniteStructure:
         if cached is not None:
             return cached
         t = len(args)
-        if t == 1:
-            if not (0 <= args[0] < self.size):
-                raise ForeignElementError(f"element {args[0]} outside carrier")
-            return args[0]
-        if (t - 1) % (self.n - 1) != 0:
+        if t == 0 or (t - 1) % (self.n - 1) != 0:
             raise ArityError(
                 f"iterated multiplication needs l*{self.n - 1}+1 arguments, got {t}"
             )
-        acc = self.mul[msort(args[: self.n])]
-        for i in range(self.n, t, self.n - 1):
-            acc = self.mul[msort((acc,) + args[i : i + self.n - 1])]
+        if min(args) < 0 or max(args) >= len(self.labels):
+            self._check_args(args, t)  # raises for the first foreign element
+        cells, shape, n = self.mul_cells, self.mul_shape, self.n
+        acc = args[0] if t == 1 else cells[shape.rank[msort(args[:n])]]
+        for i in range(n, t, n - 1):
+            acc = cells[shape.ext[shape.rest_rank[msort(args[i : i + n - 1])]][acc]]
         self._chain_cache[args] = acc
         return acc
 
     def detect_identities(self) -> tuple[int, ...]:
         """Elements acting as scalar identity of the multiplication."""
+        cells = self.mul_cells
         found = []
         for e in self.carrier:
-            if all(
-                self.mul[msort((e,) * (self.n - 1) + (x,))] == x for x in self.carrier
-            ):
+            row = self.mul_row((e,) * (self.n - 1))
+            if all(cells[row[x]] == x for x in self.carrier):
                 found.append(e)
         return tuple(found)
 
@@ -320,19 +489,34 @@ class FiniteStructure:
         cands = self._inverse_table[x]
         return cands[0] if len(cands) == 1 else None
 
-    @cached_property
+    @property
     def _inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        # scanned once per structure, kept out of equality and hashing
-        return inverse_candidates(self.size, self.m, self.zero, self.add)
+        # scanned once per structure, kept out of equality and hashing; a
+        # plain memo, as functools.cached_property takes a lock on first read
+        table = vars(self).get("_inverses")
+        if table is None:
+            table = vars(self)["_inverses"] = inverse_candidates(
+                self.size, self.m, self.zero, self.add_cells
+            )
+        return table
 
 
-def inverse_candidates(size: int, m: int, zero: int, add: Mapping) -> tuple[tuple, ...]:
-    """For each x, every y with zero in x+y+0+..+0, ascending, over a bare
-    hyperaddition table."""
-    pad = (zero,) * (m - 2)
+def inverse_candidates(size: int, m: int, zero: int, cells: Sequence[int]) -> tuple[tuple, ...]:
+    """For each x, every y with zero in x+y+0+..+0, ascending, over bare
+    hyperaddition cells of shape (size, m); only the cells of the keys
+    (x, y, 0, .., 0) are read."""
+    bit = 1 << zero
     return tuple(
-        tuple(y for y in range(size) if zero in add[msort((x, y) + pad)]) for x in range(size)
+        tuple([y for y, r in enumerate(row) if cells[r] & bit]) for row in _pair_rows(size, m, zero)
     )
+
+
+@lru_cache(maxsize=128)
+def _pair_rows(size: int, m: int, zero: int) -> tuple:
+    """Per x, the ``ext`` row of the (m-1)-multiset (x, zero, .., zero)."""
+    shape = table_shape(size, m)
+    pad = (zero,) * (m - 2)
+    return tuple(shape.ext[shape.rest_rank[msort((x,) + pad)]] for x in range(size))
 
 
 def is_invertible(S: FiniteStructure, x: int) -> bool:
@@ -345,9 +529,9 @@ def mul_inverse(S: FiniteStructure, x: int) -> Optional[int]:
         raise MissingIdentityError(f"{S.name} has no scalar identity")
     if not (0 <= x < S.size):
         raise ForeignElementError(f"element {x} outside carrier")
-    pad = (S.one,) * (S.n - 2)
+    row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     for y in S.carrier:
-        if S.mul[msort((x, y) + pad)] == S.one:
+        if S.mul_cells[row[y]] == S.one:
             return y
     return None
 
@@ -448,16 +632,26 @@ class Clause:
         return want is not None and want in found
 
 
+@lru_cache(maxsize=128)
+def _neutral_cases(size: int, m: int, zero: int) -> tuple:
+    # each case carries the ranks of the row it reads: f(0..0, x) for
+    # ("not-neutral", x), f(e..e, x) over x for ("extra-neutral", e)
+    shape = table_shape(size, m)
+    zero_row = shape.ext[shape.rest_rank[(zero,) * (m - 1)]]
+    return tuple(("not-neutral", x, zero_row) for x in range(size)) + tuple(
+        ("extra-neutral", e, shape.ext[shape.rest_rank[(e,) * (m - 1)]]) for e in range(size)
+    )
+
+
 def _neutral(S: FiniteStructure, case: tuple) -> Optional[tuple]:
     # ("not-neutral", x): f(0..0, x) must be exactly {x}; ("extra-neutral",
     # e): no element other than zero may act as a scalar neutral
-    kind, e = case
+    kind, e, row = case
+    cells = S.add_cells
     if kind == "not-neutral":
-        return case if S.add[msort((S.zero,) * (S.m - 1) + (e,))] != {e} else None
-    neutral = e != S.zero and all(
-        S.add[msort((e,) * (S.m - 1) + (x,))] == {x} for x in S.carrier
-    )
-    return case if neutral else None
+        return (kind, e) if cells[row[e]] != 1 << e else None
+    neutral = e != S.zero and all(cells[row[x]] == 1 << x for x in S.carrier)
+    return (kind, e) if neutral else None
 
 
 def _inverses(S: FiniteStructure, x: int) -> Optional[tuple]:
@@ -467,20 +661,33 @@ def _inverses(S: FiniteStructure, x: int) -> Optional[tuple]:
     return ("multiple", x, cands[0], cands[1]) if cands else ("none", x)
 
 
-def _reversibility(S: FiniteStructure, row: Split) -> Optional[tuple]:
-    # x in f(a_1..a_m) forces each a_i in f(x, inverses of the others).
-    # Instances whose inverses are undefined are already reported by the
-    # inverse check, so they are skipped here.
-    key, splits = row
-    inv = S._inverse_table
-    usable = [
-        (a, tuple(inv[o][0] for o in others))
-        for (a,), others in splits
+@lru_cache(maxsize=256)
+def _reversibility_cases(size: int, m: int, inv: tuple) -> tuple:
+    # per m-multiset, by rank, given the inverse candidates ``inv`` of a
+    # table: each element a with the ranks of f(x, the inverses of the
+    # others) over x.  Instances whose inverses are undefined are already
+    # reported by the inverse check, so they are left out.  Tables with the
+    # same inverses share one copy.
+    shape = table_shape(size, m)
+    inverses = tuple(
+        shape.ext[shape.rest_rank[msort(inv[o][0] for o in others)]]
         if all(len(inv[o]) == 1 for o in others)
-    ]
-    for x in sorted(S.add[key]):
-        for a, inverses in usable:
-            if a not in S.add[msort((x,) + inverses)]:
+        else None
+        for others in shape.rest_rank
+    )
+    return tuple(
+        (r, key, tuple((a, inverses[rest]) for _, a, rest in splits if inverses[rest] is not None))
+        for r, (key, splits) in enumerate(ranked_plan(size, m, 1))
+    )
+
+
+def _reversibility(S: FiniteStructure, case: tuple) -> Optional[tuple]:
+    # x in f(a_1..a_m) forces each a_i in f(x, inverses of the others)
+    r, key, usable = case
+    cells = S.add_cells
+    for x in BITS[cells[r]]:
+        for a, row in usable:
+            if not cells[row[x]] >> a & 1:
                 return key, x, a
     return None
 
@@ -489,44 +696,63 @@ def solvability_violation(S: FiniteStructure, pool, rest: Multiset) -> Optional[
     """(rest, b) for the least b in ``pool`` outside f(rest, t) for every t
     in ``pool``, or None: the solvability clause over the carrier, and over a
     subset's members for the hyperideal clause."""
-    reached = frozenset().union(*(S.add[msort(rest + (t,))] for t in pool))
-    unreached = sorted(frozenset(pool) - reached)
-    return (rest, unreached[0]) if unreached else None
+    cells, row = S.add_cells, S.add_row(rest)
+    reached = 0
+    for t in pool:
+        reached |= cells[row[t]]
+    for b in sorted(pool):
+        if not reached >> b & 1:
+            return rest, b
+    return None
 
 
-def _first_disagreement(row: Split, bracket: Callable) -> Optional[tuple]:
-    """(whole, A, B) for the first sub-multiset B of a ``split_plan`` row
-    whose ``bracket(B, rest)`` differs from that of the row's first, A."""
-    whole, ((first_sub, rest), *others) = row
-    first = bracket(first_sub, rest)
-    for B, rest in others:
-        if bracket(B, rest) != first:
+def _first_disagreement(row: tuple, bracket: Callable) -> Optional[tuple]:
+    """(whole, A, B) for the first sub-multiset B of a ``ranked_plan`` row
+    whose ``bracket(rank of B, rank of its remainder)`` differs from that of
+    the row's first, A."""
+    whole, ((first_sub, a, rest), *others) = row
+    first = bracket(a, rest)
+    for B, b, rest in others:
+        if bracket(b, rest) != first:
             return whole, first_sub, B
     return None
 
 
-def _add_associativity(S: FiniteStructure, row: Split) -> Optional[tuple]:
+def _add_associativity(S: FiniteStructure, row: tuple) -> Optional[tuple]:
     # With multiset-keyed (commutative) tables, m-ary associativity over all
     # (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
     # f(f(A), rest), the union of f(s, rest) over s in f(A), does not depend
     # on the chosen m-sub-multiset A.
-    return _first_disagreement(
-        row, lambda A, rest: frozenset().union(*(S.add[msort((s,) + rest)] for s in S.add[A]))
-    )
+    cells, ext = S.add_cells, S.add_shape.ext
+    return _first_disagreement(row, lambda a, rest: _union(cells, ext[rest], cells[a]))
 
 
-def mul_associativity_violation(mul: Mapping, row: Split) -> Optional[tuple]:
-    """The mul-associativity clause on one ``split_plan`` row of a bare
-    table: g(g(A), rest) must not depend on the n-sub-multiset A."""
-    return _first_disagreement(row, lambda A, rest: mul[msort((mul[A],) + rest)])
+def mul_associativity_violation(cells: Sequence[int], ext: tuple, row: tuple) -> Optional[tuple]:
+    """The mul-associativity clause on one ``ranked_plan`` row of bare
+    multiplication cells with the shape's ``ext`` table: g(g(A), rest) must
+    not depend on the n-sub-multiset A."""
+    return _first_disagreement(row, lambda a, rest: cells[ext[rest][cells[a]]])
 
 
-def translation_violation(size: int, m: int, add: Mapping, phi: Sequence[int]):
-    """The first m-multiset xs of a bare table ``add`` with phi(f(xs)) other
-    than f(phi(xs)), phi a tuple of images; None for an endomorphism of f."""
-    for xs in multisets(size, m):
-        if frozenset(phi[s] for s in add[xs]) != add[msort(phi[x] for x in xs)]:
-            return xs
+@lru_cache(maxsize=1024)
+def translation_tables(size: int, m: int, phi: tuple) -> tuple[dict, tuple]:
+    """(image, target) of a map phi on {0..size-1}, a tuple of images:
+    ``image[mask]`` is the mask of phi's image of the set ``mask``, and
+    ``target[r]`` the rank of phi applied to the m-multiset of rank r.
+    Shared by every table of the shape that is tested against phi."""
+    shape = table_shape(size, m)
+    target = tuple(shape.rank[msort(phi[x] for x in key)] for key in shape.keys)
+    return _Memo(lambda mask: mask_of(phi[s] for s in BITS[mask])), target
+
+
+def translation_violation(size: int, m: int, cells: Sequence[int], phi: tuple):
+    """The first m-multiset xs of bare hyperaddition cells with phi(f(xs))
+    other than f(phi(xs)), phi a tuple of images; None for an endomorphism
+    of f."""
+    image, target = translation_tables(size, m, phi)
+    for r, t in enumerate(target):
+        if image[cells[r]] != cells[t]:
+            return table_shape(size, m).keys[r]
     return None
 
 
@@ -535,35 +761,38 @@ def _distributivity(S: FiniteStructure, a: Multiset) -> Optional[tuple]:
     # f(g(a..x_1), .., g(a..x_m)): the translation x -> g(a, x) is an
     # endomorphism of f.  The position of the sum slot is irrelevant because
     # both tables are multiset-keyed.
-    xs = translation_violation(S.size, S.m, S.add, [S.mul[msort(a + (x,))] for x in S.carrier])
+    phi = tuple(S.mul_cells[r] for r in S.mul_row(a))
+    xs = translation_violation(S.size, S.m, S.add_cells, phi)
     return None if xs is None else (a, xs)
 
 
 HYPERGROUP_AXIOMS = (
-    Clause(
-        "add-neutral", lambda S: product(("not-neutral", "extra-neutral"), S.carrier), _neutral
-    ),
+    Clause("add-neutral", lambda S: _neutral_cases(S.size, S.m, S.zero), _neutral),
     Clause("add-inverses", lambda S: S.carrier, _inverses),
-    Clause("add-reversibility", lambda S: split_plan(S.size, S.m, 1), _reversibility),
+    Clause(
+        "add-reversibility",
+        lambda S: _reversibility_cases(S.size, S.m, S._inverse_table),
+        _reversibility,
+    ),
     Clause(
         "add-solvability",
         lambda S: multisets(S.size, S.m - 1),
         lambda S, rest: solvability_violation(S, S.carrier, rest),
     ),
     Clause(
-        "add-associativity", lambda S: split_plan(S.size, 2 * S.m - 1, S.m), _add_associativity
+        "add-associativity", lambda S: ranked_plan(S.size, 2 * S.m - 1, S.m), _add_associativity
     ),
 )
 RING_AXIOMS = (
     Clause(
         "mul-associativity",
-        lambda S: split_plan(S.size, 2 * S.n - 1, S.n),
-        lambda S, row: mul_associativity_violation(S.mul, row),
+        lambda S: ranked_plan(S.size, 2 * S.n - 1, S.n),
+        lambda S, row: mul_associativity_violation(S.mul_cells, S.mul_shape.ext, row),
     ),
     Clause(
         "zero-absorbing",
         lambda S: multisets(S.size, S.n - 1),
-        lambda S, rest: (rest,) if S.mul[msort((S.zero,) + rest)] != S.zero else None,
+        lambda S, rest: (rest,) if S.mul_cells[S.mul_row(rest)[S.zero]] != S.zero else None,
     ),
     Clause("distributivity", lambda S: multisets(S.size, S.n - 1), _distributivity),
 )

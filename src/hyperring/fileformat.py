@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from .core import FiniteStructure, StructureError, msort, multisets
+from .core import BITS, FiniteStructure, StructureError, msort, multisets
 
 
 class ParseError(ValueError):
@@ -37,23 +37,15 @@ def export_structure(S: FiniteStructure) -> str:
         "zero": S.labels[S.zero],
         "one": None if S.one is None else S.labels[S.one],
         "f": [
-            {
-                "args": [S.labels[i] for i in key],
-                "value": sorted((S.labels[v] for v in value), key=_label_key(S)),
-            }
-            for key, value in sorted(S.add.items())
+            {"args": [S.labels[i] for i in key], "value": [S.labels[v] for v in BITS[cell]]}
+            for key, cell in zip(S.add_shape.keys, S.add_cells)
         ],
         "g": [
-            {"args": [S.labels[i] for i in key], "value": S.labels[value]}
-            for key, value in sorted(S.mul.items())
+            {"args": [S.labels[i] for i in key], "value": S.labels[cell]}
+            for key, cell in zip(S.mul_shape.keys, S.mul_cells)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def _label_key(S: FiniteStructure):
-    order = {label: i for i, label in enumerate(S.labels)}
-    return lambda label: order[label]
 
 
 def parse_structure(text: str) -> FiniteStructure:

@@ -13,10 +13,11 @@ one ``core.Clause``, shared by its scan and its replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from .core import (
+    BITS,
     CapExceeded,
     Clause,
     FiniteStructure,
@@ -71,14 +72,17 @@ class IdealCheck:
 
 
 def _add_closed(S: FiniteStructure, members: frozenset, key) -> Optional[tuple]:
-    outside = sorted(S.add[key] - members)
-    return (key, outside[0]) if outside else None
+    for x in BITS[S.add_cells[S.add_shape.rank[key]]]:
+        if x not in members:
+            return key, x
+    return None
 
 
 def _absorbing(S: FiniteStructure, members: frozenset, rest) -> Optional[tuple]:
     # a product with any factor inside the subset stays inside it
+    cells, row = S.mul_cells, S.mul_row(rest)
     for i in sorted(members):
-        prod = S.mul[msort(rest + (i,))]
+        prod = cells[row[i]]
         if prod not in members:
             return rest, i, prod
     return None
@@ -220,15 +224,15 @@ def _close_under_ops(S: FiniteStructure, seed: frozenset) -> frozenset:
     """Smallest superset closed under hyperaddition, additive inverses and
     multiplication absorption.  On a verified structure this is the
     hyperideal generated by the seed."""
+    add_rank, add_cells, mul_cells = S.add_shape.rank, S.add_cells, S.mul_cells
     cur = set(seed) | {S.zero}
     changed = True
     while changed:
         changed = False
-        members = sorted(cur)
-        for key in multisets(len(members), S.m):
-            value = S.add[msort(tuple(members[i] for i in key))]
-            if not value <= cur:
-                cur |= value
+        for key in combinations_with_replacement(sorted(cur), S.m):
+            value = BITS[add_cells[add_rank[key]]]
+            if not cur.issuperset(value):
+                cur.update(value)
                 changed = True
         for x in list(cur):
             inv = S.add_inverse(x)
@@ -236,8 +240,9 @@ def _close_under_ops(S: FiniteStructure, seed: frozenset) -> frozenset:
                 cur.add(inv)
                 changed = True
         for rest in multisets(S.size, S.n - 1):
+            row = S.mul_row(rest)
             for i in list(cur):
-                prod = S.mul[msort(rest + (i,))]
+                prod = mul_cells[row[i]]
                 if prod not in cur:
                     cur.add(prod)
                     changed = True
@@ -283,8 +288,8 @@ def principal_ideal(
 ) -> PrincipalIdeal:
     if S.one is None:
         raise MissingIdentityError(f"{S.name} has no scalar identity")
-    pad = (S.one,) * (S.n - 2)
-    raw = frozenset(S.mul[msort((r, x) + pad)] for r in S.carrier)
+    row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
+    raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
     if lattice is None:
         lattice = enumerate_hyperideals(S)
@@ -324,8 +329,9 @@ def _prime(S: FiniteStructure, members: frozenset, prefix) -> Optional[tuple]:
     # outside P may have its product inside P
     if any(k in members for k in prefix):
         return None
+    cells, row = S.mul_cells, S.mul_row(prefix)
     for last in range(prefix[-1], S.size):
-        if last not in members and S.mul[prefix + (last,)] in members:
+        if last not in members and cells[row[last]] in members:
             return prefix + (last,)
     return None
 
@@ -359,12 +365,8 @@ def is_prime_by_subsets(
 
 
 def _set_product(S: FiniteStructure, sets) -> frozenset:
-    from itertools import product as iproduct
-
-    out = set()
-    for combo in {msort(c) for c in iproduct(*[sorted(s) for s in sets])}:
-        out.add(S.mul[combo])
-    return frozenset(out)
+    rank, cells = S.mul_shape.rank, S.mul_cells
+    return frozenset(cells[rank[msort(c)]] for c in product(*sets))
 
 
 def radical_by_primes(
@@ -401,7 +403,7 @@ def element_power(S: FiniteStructure, x: int, t: int) -> int:
     if S.one is None:
         raise MissingIdentityError(f"{S.name} has no scalar identity")
     if t <= S.n:
-        return S.mul[msort((x,) * t + (S.one,) * (S.n - t))]
+        return S.multiply((x,) * t + (S.one,) * (S.n - t))
     return S.multiply_iterated((x,) * t)
 
 
@@ -422,11 +424,12 @@ def _drop(S: FiniteStructure, Q, trigger, target, key) -> Optional[tuple]:
     # the J-family drop clause at an n-multiset whose product lies in Q: for
     # each distinct factor v outside ``trigger``, the product with one copy
     # of v replaced by the identity lands in ``target``; witness (key, v)
-    if S.mul[key] not in Q:
+    cells = S.mul_cells
+    if cells[S.mul_shape.rank[key]] not in Q:
         return None
     for v in sorted(set(key) - trigger):
         i = key.index(v)
-        if S.mul[msort(key[:i] + key[i + 1 :] + (S.one,))] not in target:
+        if cells[S.mul_row(key[:i] + key[i + 1 :])[S.one]] not in target:
             return key, v
     return None
 
@@ -469,8 +472,7 @@ def residual(S: FiniteStructure, Q: Iterable[int], T: Iterable[int]) -> frozense
     if not tset:
         raise ValueError("residual requires a nonempty subset")
     pad = (S.one,) * (S.n - 2)
+    rows = [S.mul_row(msort((s,) + pad)) for s in tset]
     return frozenset(
-        x
-        for x in S.carrier
-        if all(S.mul[msort((x, s) + pad)] in members for s in tset)
+        x for x in S.carrier if all(S.mul_cells[row[x]] in members for row in rows)
     )

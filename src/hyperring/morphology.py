@@ -13,9 +13,11 @@ from itertools import product as iproduct
 from typing import Iterable, Optional
 
 from .core import (
+    BITS,
     AxiomCheck,
     AxiomReport,
     FiniteStructure,
+    mask_of,
     msort,
     multisets,
     verify_krasner,
@@ -100,13 +102,13 @@ def quotient(S: FiniteStructure, I: Iterable[int]) -> QuotientResult:
     proj = tuple(cosets.index(coset_of_elem[r]) for r in S.carrier)
     reps = [sorted(c) for c in cosets]
 
-    def induced(table_arity: int, lookup) -> Optional[dict]:
+    def induced(shape, cell_value) -> Optional[dict]:
         table: dict = {}
-        for key in multisets(len(cosets), table_arity):
+        for key in multisets(len(cosets), shape.arity):
             value = None
             first_combo = None
             for combo in iproduct(*[reps[i] for i in key]):
-                v = lookup(msort(combo))
+                v = cell_value(shape.rank[msort(combo)])
                 if value is None:
                     value, first_combo = v, combo
                 elif v != value:
@@ -122,11 +124,11 @@ def quotient(S: FiniteStructure, I: Iterable[int]) -> QuotientResult:
         return table
 
     add_table = induced(
-        S.m, lambda ms: frozenset(proj[s] for s in S.add[ms])
+        S.add_shape, lambda r: frozenset(proj[s] for s in BITS[S.add_cells[r]])
     )
     if add_table is None:
         return QuotientResult(False, None, tuple(problems))
-    mul_table = induced(S.n, lambda ms: proj[S.mul[ms]])
+    mul_table = induced(S.mul_shape, lambda r: proj[S.mul_cells[r]])
     if mul_table is None:
         return QuotientResult(False, None, tuple(problems))
 
@@ -188,13 +190,13 @@ def is_homomorphism(h: Homomorphism):
     S, T = h.source, h.target
     if (S.m, S.n) != (T.m, T.n):
         return False, ("arity", (S.m, S.n), (T.m, T.n))
-    for key in multisets(S.size, S.m):
-        lhs = h.image(S.add[key])
-        rhs = T.add[msort(tuple(h(x) for x in key))]
-        if lhs != rhs:
+    hmap = h.mapping
+    for key, cell in zip(S.add_shape.keys, S.add_cells):
+        lhs = mask_of(hmap[x] for x in BITS[cell])
+        if lhs != T.add_cells[T.add_shape.rank[msort(tuple(hmap[x] for x in key))]]:
             return False, ("add", key)
-    for key in multisets(S.size, S.n):
-        if h(S.mul[key]) != T.mul[msort(tuple(h(x) for x in key))]:
+    for key, cell in zip(S.mul_shape.keys, S.mul_cells):
+        if hmap[cell] != T.mul_cells[T.mul_shape.rank[msort(tuple(hmap[x] for x in key))]]:
             return False, ("mul", key)
     return True, None
 

@@ -1,6 +1,8 @@
 """Operation tables, iterated operations and the axiom verifier."""
 
+import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -13,9 +15,12 @@ from hyperring import (
     ForeignElementError,
     MissingIdentityError,
     StructureError,
+    export_structure,
     is_hyperideal,
     is_invertible,
     mul_inverse,
+    parse_structure,
+    prime_witness,
     replay_axiom_check,
     replay_ideal_check,
     verify_canonical_hypergroup,
@@ -139,7 +144,7 @@ def test_multiply_rows(b33, b24):
     assert T.multiply((1, a, b, a)) == 0
 
 
-def test_multiply_iterated(b24):
+def test_multiply_iterated(b33, b24):
     T = b24.structure
     # 4-ary: valid lengths 1, 4, 7, ..
     assert T.multiply_iterated((2,)) == 2
@@ -148,6 +153,18 @@ def test_multiply_iterated(b24):
     assert T.multiply_iterated((2, 3, 2, 3, 1, 2, 2)) == 0
     with pytest.raises(ArityError):
         T.multiply_iterated((2, 3))
+    with pytest.raises(ArityError):
+        T.multiply_iterated(())
+    # foreign and negative elements are rejected before any lookup
+    for S, args in (
+        (b33.structure, (0, 7, 1)),
+        (b33.structure, (0, -1, 1)),
+        (T, (2, 3, 2, -1)),
+        (T, (2, 3, 2, 3, 2, 2, 4)),
+        (T, (-1,)),
+    ):
+        with pytest.raises(ForeignElementError):
+            S.multiply_iterated(args)
 
 
 def test_multiply_iterated_zero_absorbs(b33, small_catalog):
@@ -329,8 +346,9 @@ def test_size_guard():
 
 
 @st.composite
-def well_formed_tables(draw):
-    """Total tables of size <= 3 and arities <= 3, with no axiom imposed."""
+def table_dicts(draw):
+    """Total tables of size <= 3 and arities <= 3, with no axiom imposed, as
+    the constructor's (m, n, labels, add, mul) arguments."""
     size = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=2, max_value=3))
     n = draw(st.integers(min_value=2, max_value=3))
@@ -338,7 +356,11 @@ def well_formed_tables(draw):
     add = {k: frozenset(draw(st.sets(element, min_size=1))) for k in multisets(size, m)}
     mul = {k: draw(element) for k in multisets(size, n)}
     labels = tuple(str(x) for x in range(size))
-    return FiniteStructure.build("random", m, n, labels, add, mul, 0)
+    return m, n, labels, add, mul
+
+
+def well_formed_tables():
+    return table_dicts().map(lambda t: FiniteStructure.build("random", *t, 0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,6 +378,84 @@ def test_every_failed_check_replays_and_no_passing_one_does(S):
             members = frozenset(combo) | {S.zero}
             check = is_hyperideal(S, members)
             assert replay_ideal_check(S, members, check) == (not check.ok)
+
+
+# -- the table storage against the input dicts --------------------------------
+
+
+def _mul_fold(mul, n, args):
+    """Left fold of a multiplication dict over l(n-1)+1 arguments."""
+    acc = mul[msort(args[:n])]
+    for i in range(n, len(args), n - 1):
+        acc = mul[msort((acc,) + tuple(args[i : i + n - 1]))]
+    return acc
+
+
+def _add_fold(add, m, args):
+    """Left fold of a hyperaddition dict over l(m-1)+1 arguments, each step
+    the union of the table over the set reached so far."""
+    acc = add[msort(args[:m])]
+    for i in range(m, len(args), m - 1):
+        rest = tuple(args[i : i + m - 1])
+        acc = frozenset().union(*(add[msort((s,) + rest)] for s in acc))
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=table_dicts(), data=st.data())
+def test_table_storage_matches_input_dicts(tables, data):
+    m, n, labels, add, mul = tables
+    S = FiniteStructure.build("random", m, n, labels, add, mul, 0)
+    assert S.add == add and dict(S.add) == add and len(S.add) == len(add)
+    assert S.mul == mul and dict(S.mul) == mul and len(S.mul) == len(mul)
+    for key, value in add.items():
+        assert S.hyperadd(key[::-1]) == value
+    for key, value in mul.items():
+        assert S.multiply(key[::-1]) == value
+    element = st.integers(min_value=0, max_value=S.size - 1)
+    l = data.draw(st.integers(min_value=1, max_value=3))
+    args = tuple(data.draw(st.lists(element, min_size=l * (n - 1) + 1, max_size=l * (n - 1) + 1)))
+    assert S.multiply_iterated(args) == _mul_fold(mul, n, args)
+    args = tuple(data.draw(st.lists(element, min_size=l * (m - 1) + 1, max_size=l * (m - 1) + 1)))
+    assert S.hyperadd_iterated(args) == _add_fold(add, m, args)
+    twin = FiniteStructure.build("random", m, n, labels, dict(add), dict(mul), 0)
+    assert S == twin and S.one == twin.one
+    assert parse_structure(export_structure(S)) == S
+
+
+def _seeded_tables(count: int, seed: int):
+    """``count`` random total tables of size <= 3 and arities <= 3."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size, m, n = rng.randint(1, 3), rng.randint(2, 3), rng.randint(2, 3)
+        add = {}
+        for key in multisets(size, m):
+            mask = rng.randrange(1, 1 << size)
+            add[key] = frozenset(x for x in range(size) if mask >> x & 1)
+        mul = {key: rng.randrange(size) for key in multisets(size, n)}
+        labels = tuple(str(x) for x in range(size))
+        yield FiniteStructure.build(f"seeded-{i}", m, n, labels, add, mul, 0)
+
+
+# sha256 of the reports and witnesses below, as computed before the tables
+# were stored as ranked arrays: any drift in a verdict or a witness fails
+PINNED_WITNESS_DIGEST = "25e18a5c7e73d78f79308c1b1bc9474012022aec8da46b3c42821622a782dd68"
+
+
+def test_reports_and_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    for S in _seeded_tables(1000, 7):
+        digest.update(json.dumps(verify_krasner(S).as_dict()).encode())
+        others = [x for x in S.carrier if x != S.zero]
+        for r in range(len(others) + 1):
+            for combo in combinations(others, r):
+                members = frozenset(combo) | {S.zero}
+                check = is_hyperideal(S, members)
+                rows = [sorted(members), check.ok, check.clause, check.witness]
+                if len(members) < S.size:
+                    rows.append(prime_witness(S, members))
+                digest.update(json.dumps(rows).encode())
+    assert digest.hexdigest() == PINNED_WITNESS_DIGEST
 
 
 # -- iterated folds are bracket-independent on verified structures -----------
