@@ -5,18 +5,18 @@ The enumeration works in two stages.  Hyperaddition candidates are generated
 from membership orbits: neutrality, inverse uniqueness and reversibility link
 individual memberships x in f(..) into closed orbits, so consistent tables
 are exactly the unions of orbits extending the forced ones.  Surviving
-candidates get the full axiom sweep.  Multiplication candidates are filtered
-by associativity once per shape.  Distributivity is then decided through
-translation maps: g distributes over f exactly when every map
-x -> g(a_1..a_{n-1}, x) is an endomorphism of f.  The distinct maps of all
-candidate multiplications are far fewer than the multiplications, so each is
-tested once per hypergroup, and a pair is kept only if all of its
-multiplication's maps pass.  Every kept pair still gets the full
-witness-producing verification.  A plain product-scan strategy exists as a
-cross-check oracle for the hyperaddition candidates.  Candidates of either
-operation are built directly as ranked cell tables (``core.TableView``), and
-canonical forms compare relabeled cells through rank maps cached per
-relabeling.
+candidates get the hypergroup axiom sweep.  Multiplication candidates are
+zero-absorbing by construction and filtered by associativity once per shape.
+Distributivity is then decided through translation maps: g distributes over
+f exactly when every map x -> g(a_1..a_{n-1}, x) is an endomorphism of f.
+The distinct maps of all candidate multiplications are far fewer than the
+multiplications, so each is tested once per hypergroup, and a pair is kept
+only if all of its multiplication's maps pass.  Each clause of
+``verify_krasner`` is thus decided once per table, and kept pairs are not
+verified again.  A plain product-scan strategy exists as a cross-check
+oracle for the hyperaddition candidates.  Candidates are ranked cell tables
+(``core.TableView``), and classes are keyed by their least relabeled cells,
+from which the outputs are built.
 """
 
 from __future__ import annotations
@@ -193,42 +193,30 @@ def _relabeling(size: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]
     return tuple(src)
 
 
+@lru_cache(maxsize=16)
+def _set_order(size: int) -> tuple[int, ...]:
+    """Every mask over ``size`` elements, by its ascending element tuple."""
+    return tuple(sorted(range(1 << size), key=BITS.__getitem__))
+
+
 @lru_cache(maxsize=1024)
 def _relabeled_sets(size: int, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """For every mask, the position of its relabeled set among all sets in
-    the order of their ascending element tuples, the order in which
-    ``_permuted_key`` compares hyperaddition values."""
-    order = sorted(range(1 << size), key=BITS.__getitem__)
-    position = {mask: i for i, mask in enumerate(order)}
+    """For every mask, the position of its relabeled set in ``_set_order``."""
+    position = {mask: i for i, mask in enumerate(_set_order(size))}
     return tuple(
         position[mask_of(perm[x] for x in BITS[mask])] for mask in range(1 << size)
     )
 
 
 def _relabeled(S: FiniteStructure, perm: tuple[int, ...]) -> tuple:
-    """S's cells under a relabeling, ordered exactly like its
-    ``_permuted_key``: every key sits at the same position in both tables,
-    so the values alone decide."""
+    """S's cells under a relabeling, in rank order: hyperaddition values as
+    their positions in ``_set_order``, then the products."""
     sets = _relabeled_sets(S.size, perm)
     add, mul = S.add_cells, S.mul_cells
     return (
         tuple(sets[add[r]] for r in _relabeling(S.size, S.m, perm)),
         tuple(perm[mul[r]] for r in _relabeling(S.size, S.n, perm)),
     )
-
-
-def _permuted_key(S: FiniteStructure, perm: tuple[int, ...]):
-    """The relabeled tables as sorted item lists: (key, sorted value tuple)
-    and (key, product)."""
-    add_keys, mul_keys = table_shape(S.size, S.m).keys, table_shape(S.size, S.n).keys
-    add_items = tuple(
-        (key, tuple(sorted(perm[v] for v in BITS[S.add_cells[r]])))
-        for key, r in zip(add_keys, _relabeling(S.size, S.m, perm))
-    )
-    mul_items = tuple(
-        (key, perm[S.mul_cells[r]]) for key, r in zip(mul_keys, _relabeling(S.size, S.n, perm))
-    )
-    return (add_items, mul_items)
 
 
 def _zero_fixing_perms(size: int, zero: int) -> Iterator[tuple[int, ...]]:
@@ -242,14 +230,17 @@ def _zero_fixing_perms(size: int, zero: int) -> Iterator[tuple[int, ...]]:
 
 
 def _canonical_perm(S: FiniteStructure) -> tuple[int, ...]:
-    """The first zero-fixing relabeling with the least ``_permuted_key``."""
+    """The first zero-fixing relabeling with the least relabeled cells."""
     return min(_zero_fixing_perms(S.size, S.zero), key=lambda p: _relabeled(S, p))
 
 
 def canonical_key(S: FiniteStructure):
-    """Lexicographically least table serialization over relabelings that fix
-    the zero element."""
-    return _permuted_key(S, _canonical_perm(S))
+    """The least relabeled cells over relabelings that fix the zero element:
+    in key-rank order, each hyperaddition value as its position among all
+    value sets ordered by ascending element tuple, then each product.  Keys
+    of one shape compare and sort like the tables' (key, sorted values) and
+    (key, product) item lists."""
+    return _relabeled(S, _canonical_perm(S))
 
 
 def canonicalize(S: FiniteStructure) -> FiniteStructure:
@@ -258,14 +249,16 @@ def canonicalize(S: FiniteStructure) -> FiniteStructure:
     labels = [""] * S.size
     for old, new in enumerate(best):
         labels[new] = S.labels[old]
-    return _from_key(S.name, S.m, S.n, labels, _permuted_key(S, best), best[S.zero])
+    return _from_key(S.name, S.m, S.n, labels, _relabeled(S, best), best[S.zero])
 
 
 def _from_key(name, m, n, labels, key, zero) -> FiniteStructure:
-    """The structure whose tables are a table key's two item lists."""
-    add_items, mul_items = key
-    add = {k: frozenset(v) for k, v in add_items}
-    return FiniteStructure.build(name, m, n, labels, add, dict(mul_items), zero)
+    """The structure whose cells are a ``canonical_key``'s."""
+    (add, mul), size = key, len(labels)
+    sets = _set_order(size)
+    add_view = TableView(table_shape(size, m), tuple(sets[p] for p in add), True)
+    mul_view = TableView(table_shape(size, n), mul, False)
+    return FiniteStructure.build(name, m, n, labels, add_view, mul_view, zero)
 
 
 # -- hyperaddition candidates (orbit strategy) -------------------------------
@@ -449,19 +442,13 @@ def _raw_add_candidates(order: int, m: int) -> Iterator[TableView]:
 
 
 def enumerate_structures(
-    m: int,
-    n: int,
-    order: int,
-    symmetry: bool = True,
-    strategy: str = "orbit",
-    cap: int = ENUM_CANDIDATE_CAP,
+    m: int, n: int, order: int, strategy: str = "orbit"
 ) -> list[FiniteStructure]:
-    """All verified Krasner (m,n)-hyperrings of the given order.
-
-    Zero is fixed at element 0.  With ``symmetry`` the output is one
-    structure per relabeling class (canonical forms, in canonical order);
-    without it, every verified zero-fixed table pair is returned.
-    """
+    """All verified Krasner (m,n)-hyperrings of the given order with zero at
+    element 0, one per relabeling class: built from the distinct
+    ``canonical_key``s in sorted order, so canonical forms in canonical
+    order.  ``strategy="raw"`` generates the hyperadditions by the plain
+    product scan, the oracle for the default orbit construction."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
@@ -470,46 +457,41 @@ def enumerate_structures(
         add_source = _add_candidates(order, m)
     elif strategy == "raw":
         n_free_keys = len(list(multisets(order, m))) - order
-        if (2**order - 1) ** n_free_keys > cap:
+        if (2**order - 1) ** n_free_keys > ENUM_CANDIDATE_CAP:
             raise CapExceeded(
                 f"raw scan of (2^{order}-1)^{n_free_keys} hyperaddition tables"
-                f" exceeds cap {cap}"
+                f" exceeds cap {ENUM_CANDIDATE_CAP}"
             )
         add_source = _raw_add_candidates(order, m)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
     n_free_mul = len([k for k in multisets(order, n) if 0 not in k])
-    if order**n_free_mul > cap:
+    if order**n_free_mul > ENUM_CANDIDATE_CAP:
         raise CapExceeded(
-            f"scan of {order}^{n_free_mul} multiplication tables exceeds cap {cap}"
+            f"scan of {order}^{n_free_mul} multiplication tables"
+            f" exceeds cap {ENUM_CANDIDATE_CAP}"
         )
     muls = [
         (mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)
     ]
     labels = tuple(str(i) for i in range(order))
     # probes and candidates use the plain constructor: their identity is
-    # never read, and verify_krasner detects it for itself
+    # never read
     mul_shape = table_shape(order, n)
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     seen_keys = set()
     candidates = 0
     for add in add_source:
         candidates += 1
-        if candidates > cap:
-            raise CapExceeded(f"enumeration candidate cap {cap} exceeded")
+        if candidates > ENUM_CANDIDATE_CAP:
+            raise CapExceeded(f"enumeration candidate cap {ENUM_CANDIDATE_CAP} exceeded")
         probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
         for mul in _distributive_muls(order, m, add, muls):
             S = FiniteStructure("candidate", m, n, labels, add, mul, 0)
-            if not verify_krasner(S).ok:
-                continue
-            seen_keys.add(
-                canonical_key(S) if symmetry else _permuted_key(S, tuple(range(order)))
-            )
-    # a key's two item lists are the output's tables: the canonical ones
-    # with symmetry, the candidate's own without
+            seen_keys.add(canonical_key(S))
     return [
         _from_key(f"enum-m{m}n{n}-o{order}-{i:03d}", m, n, labels, key, 0)
         for i, key in enumerate(sorted(seen_keys))

@@ -29,9 +29,6 @@ from .fileformat import ParseError, load_structure, save_structure
 from .ideals import enumerate_hyperideals, radical_by_powers, radical_by_primes
 from .morphology import quotient
 
-ENUM_CAP_ENV = "HYPERRING_ENUM_CAP"
-
-
 def _load(path) -> object:
     try:
         return load_structure(path)
@@ -213,14 +210,14 @@ def audit(files, use_builtin, enum_spec, use_default, theorems, out, kmax, seed)
         entries.extend(default_catalog(seed=seed))
     if use_builtin and not use_default:
         entries.extend(builtin_examples())
-    cap = int(os.environ.get(ENUM_CAP_ENV, 2_000_000))
     if enum_spec:
-        m, n, order = enum_spec
         try:
-            for S in enumerate_structures(m, n, order, cap=cap):
+            for S in enumerate_structures(*enum_spec):
                 entries.append(CatalogEntry(S, "enumerated"))
         except CapExceeded as e:
             click.echo(f"enumeration truncated: {e}", err=True)
+        except ValueError as e:
+            raise click.UsageError(f"--enumerate: {e}")
     for path in files:
         entries.append(CatalogEntry(_load(path), "file"))
     if not entries:

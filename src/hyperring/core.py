@@ -804,10 +804,6 @@ def _check(clause: Clause, S: FiniteStructure) -> AxiomCheck:
     return AxiomCheck(clause.name, witness is None, witness)
 
 
-def _check_distributivity(S: FiniteStructure) -> AxiomCheck:
-    return _check(AXIOMS["distributivity"], S)
-
-
 def _identity_info(S: FiniteStructure) -> AxiomCheck:
     ones = S.detect_identities()
     if len(ones) == 1:

@@ -198,14 +198,22 @@ def test_radical_on_non_ideal_exits_one(runner, kmn_file, b33):
 
 
 def test_audit_enumeration_cap_notice(runner):
+    # 5^10 multiplication tables exceed the enumeration cap at once
     res = runner.invoke(
         main,
-        ["audit", "--enumerate", "3", "3", "3", "--theorems", "T01"],
-        env={"HYPERRING_ENUM_CAP": "5"},
+        ["audit", "--enumerate", "2", "2", "5", "--theorems", "T01"],
         catch_exceptions=False,
     )
     assert res.exit_code == 0
     assert "enumeration truncated" in res.output
+
+
+@pytest.mark.parametrize("spec", [("5", "2", "2"), ("2", "2", "0")])
+def test_audit_enumerate_bad_shape_is_usage_error(runner, spec):
+    res = invoke(runner, "audit", "--enumerate", *spec, "--theorems", "T01")
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "--enumerate" in res.output
 
 
 def test_audit_unknown_theorem_usage_error(runner):
