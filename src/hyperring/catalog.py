@@ -16,7 +16,7 @@ only if all of its multiplication's maps pass.  Each clause of
 verified again.  A plain product-scan strategy exists as a cross-check
 oracle for the hyperaddition candidates.  Candidates are ranked cell tables
 (``core.TableView``), and classes are keyed by their least relabeled cells,
-from which the outputs are built.
+from which the outputs are built; relabelings act through ``carrier_map``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .core import (
     FiniteStructure,
     AxiomReport,
     TableView,
+    carrier_map,
     inverse_candidates,
+    map_violation,
     mask_of,
     msort,
     mul_associativity_violation,
@@ -41,7 +43,6 @@ from .core import (
     multisets,
     ranked_plan,
     table_shape,
-    translation_violation,
     verify_canonical_hypergroup,
     verify_krasner,
 )
@@ -181,18 +182,6 @@ def builtin_examples() -> list[CatalogEntry]:
 # -- canonical forms ---------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _relabeling(size: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Entry r is the rank of the key that a relabeling takes to the key of
-    rank r, so that listing a table's cells through it gives the relabeled
-    table in rank order."""
-    shape = table_shape(size, arity)
-    src = [0] * len(shape.keys)
-    for r, key in enumerate(shape.keys):
-        src[shape.rank[msort(tuple(perm[x] for x in key))]] = r
-    return tuple(src)
-
-
 @lru_cache(maxsize=16)
 def _set_order(size: int) -> tuple[int, ...]:
     """Every mask over ``size`` elements, by its ascending element tuple."""
@@ -208,30 +197,37 @@ def _relabeled_sets(size: int, perm: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _relabeled(S: FiniteStructure, perm: tuple[int, ...]) -> tuple:
+def _relabeled(S: FiniteStructure, perm: tuple[int, ...], inverse: tuple[int, ...]) -> tuple:
     """S's cells under a relabeling, in rank order: hyperaddition values as
-    their positions in ``_set_order``, then the products."""
-    sets = _relabeled_sets(S.size, perm)
+    their positions in ``_set_order``, then the products.  The relabeled
+    cell at rank r is the old cell at the rank the inverse relabeling takes
+    r's key to."""
+    size, sets = S.size, _relabeled_sets(S.size, perm)
     add, mul = S.add_cells, S.mul_cells
     return (
-        tuple(sets[add[r]] for r in _relabeling(S.size, S.m, perm)),
-        tuple(perm[mul[r]] for r in _relabeling(S.size, S.n, perm)),
+        tuple(sets[add[r]] for r in carrier_map(inverse, S.m, size, size)[1]),
+        tuple(perm[mul[r]] for r in carrier_map(inverse, S.n, size, size)[1]),
     )
 
 
-def _zero_fixing_perms(size: int, zero: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=16)
+def _zero_fixing_perms(size: int, zero: int) -> tuple:
+    """Every relabeling of {0..size-1} that fixes ``zero``, with its
+    inverse, as (perm, inverse) tuples of images."""
     others = [i for i in range(size) if i != zero]
+    out = []
     for images in permutations(others):
-        perm = [0] * size
-        perm[zero] = zero
+        perm, inverse = list(range(size)), list(range(size))
         for src, dst in zip(others, images):
-            perm[src] = dst
-        yield tuple(perm)
+            perm[src], inverse[dst] = dst, src
+        out.append((tuple(perm), tuple(inverse)))
+    return tuple(out)
 
 
-def _canonical_perm(S: FiniteStructure) -> tuple[int, ...]:
-    """The first zero-fixing relabeling with the least relabeled cells."""
-    return min(_zero_fixing_perms(S.size, S.zero), key=lambda p: _relabeled(S, p))
+def _canonical_perm(S: FiniteStructure) -> tuple:
+    """The first zero-fixing (relabeling, inverse) with the least relabeled
+    cells."""
+    return min(_zero_fixing_perms(S.size, S.zero), key=lambda p: _relabeled(S, *p))
 
 
 def canonical_key(S: FiniteStructure):
@@ -240,16 +236,14 @@ def canonical_key(S: FiniteStructure):
     value sets ordered by ascending element tuple, then each product.  Keys
     of one shape compare and sort like the tables' (key, sorted values) and
     (key, product) item lists."""
-    return _relabeled(S, _canonical_perm(S))
+    return _relabeled(S, *_canonical_perm(S))
 
 
 def canonicalize(S: FiniteStructure) -> FiniteStructure:
     """Relabel onto the canonical form; idempotent."""
-    best = _canonical_perm(S)
-    labels = [""] * S.size
-    for old, new in enumerate(best):
-        labels[new] = S.labels[old]
-    return _from_key(S.name, S.m, S.n, labels, _relabeled(S, best), best[S.zero])
+    perm, inverse = _canonical_perm(S)
+    labels = [S.labels[old] for old in inverse]
+    return _from_key(S.name, S.m, S.n, labels, _relabeled(S, perm, inverse), perm[S.zero])
 
 
 def _from_key(name, m, n, labels, key, zero) -> FiniteStructure:
@@ -402,7 +396,7 @@ def _distributive_muls(
     for mul, maps in muls:
         for phi in maps:
             if phi not in endo:
-                endo[phi] = translation_violation(order, m, add.cells, phi) is None
+                endo[phi] = map_violation(phi, add, add) is None
             if not endo[phi]:
                 break
         else:

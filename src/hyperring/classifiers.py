@@ -20,10 +20,10 @@ also holds its witness name and the ``(trigger, target)`` function that its
 scan and ``replay_witness`` both read.  ``classify`` and
 ``catalog.search_counterexample`` call the same evaluators.
 
-Scans run over multisets (commutativity is structural) and report concrete
-tuples as witnesses.  ``replay_witness`` re-checks the prime and drop clauses
-with the functions their scans use, and the absorbing scan against the
-literal tuple-level definition.
+Scans run over multisets and per-length product tables (commutativity is
+structural) and report concrete tuples as witnesses.  ``replay_witness``
+re-checks the prime and drop clauses with the functions their scans use,
+and the absorbing scan against the literal tuple-level definition.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .core import (
     FiniteStructure,
     msort,
     multisets,
-    split_plan,
+    ranked_plan,
+    table_shape,
 )
 from .ideals import (
     DROP,
@@ -332,7 +333,6 @@ def is_absorbing_delta_j(
     delta: ExpansionFunction,
     k: int,
     lattice: IdealLattice,
-    tuple_cap: int = ABSORBING_TUPLE_CAP,
 ) -> PredicateResult:
     """(k,n)-absorbing delta-J scan.
 
@@ -349,23 +349,25 @@ def is_absorbing_delta_j(
     if k < 2:
         raise ValueError("absorbing degree k must be at least 2")
     total, part = absorbing_arity(S.n, k)
-    if S.size**total > tuple_cap:
+    if S.size**total > ABSORBING_TUPLE_CAP:
         return PredicateResult(
             Verdict.NOT_APPLICABLE,
-            note=f"tuple space {S.size}^{total} exceeds cap {tuple_cap}",
+            note=f"tuple space {S.size}^{total} exceeds cap {ABSORBING_TUPLE_CAP}",
         )
     jac = lattice.jacobson.members
     dQ = delta(members)
-    for whole, splits in split_plan(S.size, total, part):
-        if S.multiply_iterated(whole) not in members:
+    wholes, parts = S.product_table(total), S.product_table(part)
+    rests = table_shape(S.size, total - part).keys
+    for r, (_, splits) in enumerate(ranked_plan(S.size, total, part)):
+        if wholes[r] not in members:
             continue
-        in_dq = [S.multiply_iterated(A) in dQ for A, _ in splits]
+        in_dq = [parts[a] in dQ for _, a, _ in splits]
         any_in_dq = sum(in_dq)
-        for idx, (A, rest) in enumerate(splits):
-            if S.multiply_iterated(A) in jac:
+        for idx, (A, a, b) in enumerate(splits):
+            if parts[a] in jac:
                 continue
             # is A realisable by a second index selection?
-            repeat = any(v in rest for v in A)
+            repeat = any(v in rests[b] for v in A)
             alternatives = any_in_dq - (0 if repeat else int(in_dq[idx]))
             if alternatives == 0:
                 return PredicateResult(
@@ -373,7 +375,7 @@ def is_absorbing_delta_j(
                     Witness(
                         "absorbing-delta-j",
                         tuple(sorted(members)),
-                        A + rest,
+                        A + rests[b],
                         prefix_len=part,
                         delta=delta.name,
                         k=k,

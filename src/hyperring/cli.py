@@ -220,7 +220,7 @@ def audit(files, use_builtin, enum_spec, use_default, theorems, out, kmax, seed)
             raise click.UsageError(f"--enumerate: {e}")
     for path in files:
         entries.append(CatalogEntry(_load(path), "file"))
-    if not entries:
+    if not (use_default or use_builtin or enum_spec or files):
         entries = builtin_examples()
     ids = None
     if theorems:

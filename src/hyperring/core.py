@@ -15,7 +15,9 @@ extension table ``ext[rank(rest)][x] = rank(rest + (x,))``, so a scan that
 adds one argument to a known sub-multiset neither sorts nor hashes, and
 ``BITS`` lists the elements of a mask.  ``FiniteStructure.add`` and ``.mul``
 are read-only ``Mapping`` views (key -> frozenset or element) over the cells
-for callers; every scan in the package reads the cells.
+for callers; every scan in the package reads the cells, iterated products
+from per-length tables (``product_table``).  Every map between carriers acts
+on ranked keys through one primitive, ``carrier_map``.
 
 Verification is exhaustive and witness-producing.  Each checked axiom is one
 ``Clause``: its cases (table rows, in scan order) and one function that gives
@@ -95,36 +97,28 @@ def multiset_minus(ms: Multiset, sub: Multiset) -> Multiset:
     return tuple(sorted(left.elements()))
 
 
-Split = tuple  # (whole, ((sub, remainder), ...))
-
-
 @lru_cache(maxsize=128)
-def split_plan(size: int, total: int, part: int) -> tuple[Split, ...]:
+def ranked_plan(size: int, total: int, part: int) -> tuple:
     """Every ``total``-multiset over {0..size-1}, in ``multisets`` order, with
-    each of its distinct ``part``-sub-multisets and the remainder, in the
-    lexicographic order of ``sub_multisets``.
+    each of its distinct ``part``-sub-multisets A, in the lexicographic order
+    of ``sub_multisets``, as (A, rank of A, rank of the remainder), each
+    ranked among the multisets of its length, so that a scan reads table
+    cells without sorting or hashing.
 
     The plan depends on the shape only, never on a table, so the exhaustive
     scans that split multisets (associativity, reversibility, the
     (k,n)-absorbing scan) share one copy per shape.  Plans are built on first
     use and the cache is bounded.
     """
-    return tuple(
-        (whole, tuple((A, multiset_minus(whole, A)) for A in sub_multisets(whole, part)))
-        for whole in multisets(size, total)
-    )
-
-
-@lru_cache(maxsize=128)
-def ranked_plan(size: int, total: int, part: int) -> tuple:
-    """``split_plan`` with each split (A, remainder) given as (A, rank of A,
-    rank of the remainder), each ranked among the multisets of its length,
-    so that a scan reads table cells without sorting or hashing."""
     rank_a = table_shape(size, part).rank
     rank_rest = table_shape(size, total - part).rank
+
+    def split(whole: Multiset, A: Multiset) -> tuple:
+        return A, rank_a[A], rank_rest[multiset_minus(whole, A)]
+
     return tuple(
-        (whole, tuple((A, rank_a[A], rank_rest[rest]) for A, rest in splits))
-        for whole, splits in split_plan(size, total, part)
+        (whole, tuple(split(whole, A) for A in sub_multisets(whole, part)))
+        for whole in multisets(size, total)
     )
 
 
@@ -293,9 +287,6 @@ class FiniteStructure:
     mul: Mapping[Multiset, int]
     zero: int
     one: Optional[int] = None
-    _chain_cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
     carrier: range = field(init=False, repr=False, compare=False, hash=False)
     add_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
     mul_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
@@ -376,9 +367,6 @@ class FiniteStructure:
     def size(self) -> int:
         return len(self.labels)
 
-    def label_of(self, x: int) -> str:
-        return self.labels[x]
-
     def labels_of(self, xs) -> tuple[str, ...]:
         return tuple(self.labels[x] for x in sorted(xs))
 
@@ -433,10 +421,7 @@ class FiniteStructure:
     def hyperadd_iterated(self, args: Sequence[int]) -> frozenset:
         """Left-nested fold of the hyperaddition over l(m-1)+1 arguments."""
         t = len(args)
-        if t == 0 or (t - 1) % (self.m - 1) != 0:
-            raise ArityError(
-                f"iterated hyperaddition needs l*{self.m - 1}+1 arguments, got {t}"
-            )
+        _check_length(t, self.m, "hyperaddition")
         self._check_args(args, t)
         if t == 1:
             return frozenset({args[0]})
@@ -454,23 +439,32 @@ class FiniteStructure:
 
     def multiply_iterated(self, args: Sequence[int]) -> int:
         """Left-nested fold of the multiplication over l(n-1)+1 arguments."""
-        args = tuple(args)
-        cached = self._chain_cache.get(args)
-        if cached is not None:
-            return cached
         t = len(args)
-        if t == 0 or (t - 1) % (self.n - 1) != 0:
-            raise ArityError(
-                f"iterated multiplication needs l*{self.n - 1}+1 arguments, got {t}"
-            )
+        _check_length(t, self.n, "multiplication")
         if min(args) < 0 or max(args) >= len(self.labels):
             self._check_args(args, t)  # raises for the first foreign element
         cells, shape, n = self.mul_cells, self.mul_shape, self.n
         acc = args[0] if t == 1 else cells[shape.rank[msort(args[:n])]]
         for i in range(n, t, n - 1):
             acc = cells[shape.ext[shape.rest_rank[msort(args[i : i + n - 1])]][acc]]
-        self._chain_cache[args] = acc
         return acc
+
+    def product_table(self, t: int) -> tuple:
+        """Entry r is ``multiply_iterated`` of the t-multiset of rank r, for
+        t = l(n-1)+1: g(product of its first t-n+1 elements, its last n-1),
+        read from the (t-n+1)-table.  Built once per structure and length and
+        kept out of equality and hashing."""
+        tables = vars(self).setdefault("_products", {1: tuple(self.carrier)})
+        if t not in tables:
+            n = self.n
+            _check_length(t, n, "multiplication")
+            head, prev = table_shape(self.size, t - n + 1).rank, self.product_table(t - n + 1)
+            cells, shape = self.mul_cells, self.mul_shape
+            tables[t] = tuple(
+                cells[shape.ext[shape.rest_rank[key[1 - n :]]][prev[head[key[: 1 - n]]]]]
+                for key in table_shape(self.size, t).keys
+            )
+        return tables[t]
 
     def detect_identities(self) -> tuple[int, ...]:
         """Elements acting as scalar identity of the multiplication."""
@@ -499,6 +493,12 @@ class FiniteStructure:
                 self.size, self.m, self.zero, self.add_cells
             )
         return table
+
+
+def _check_length(t: int, arity: int, what: str) -> None:
+    """ArityError unless t = l(arity-1)+1 for some l >= 0."""
+    if t < 1 or (t - 1) % (arity - 1) != 0:
+        raise ArityError(f"iterated {what} needs l*{arity - 1}+1 arguments, got {t}")
 
 
 def inverse_candidates(size: int, m: int, zero: int, cells: Sequence[int]) -> tuple[tuple, ...]:
@@ -735,24 +735,30 @@ def mul_associativity_violation(cells: Sequence[int], ext: tuple, row: tuple) ->
 
 
 @lru_cache(maxsize=1024)
-def translation_tables(size: int, m: int, phi: tuple) -> tuple[dict, tuple]:
-    """(image, target) of a map phi on {0..size-1}, a tuple of images:
-    ``image[mask]`` is the mask of phi's image of the set ``mask``, and
-    ``target[r]`` the rank of phi applied to the m-multiset of rank r.
-    Shared by every table of the shape that is tested against phi."""
-    shape = table_shape(size, m)
-    target = tuple(shape.rank[msort(phi[x] for x in key)] for key in shape.keys)
+def carrier_map(phi: tuple, arity: int, size: int, target_size: int) -> tuple[dict, tuple]:
+    """(image, target) of a map phi from {0..size-1} into
+    {0..target_size-1}, a tuple of images: ``image[mask]`` is the mask of
+    phi's image of the set ``mask``, and ``target[r]`` the rank, among the
+    arity-multisets over the target, of phi applied to the arity-multiset of
+    rank r.  Shared by every table of the shape that is tested against phi."""
+    shape, into = table_shape(size, arity), table_shape(target_size, arity)
+    target = tuple(into.rank[msort(phi[x] for x in key)] for key in shape.keys)
     return _Memo(lambda mask: mask_of(phi[s] for s in BITS[mask])), target
 
 
-def translation_violation(size: int, m: int, cells: Sequence[int], phi: tuple):
-    """The first m-multiset xs of bare hyperaddition cells with phi(f(xs))
-    other than f(phi(xs)), phi a tuple of images; None for an endomorphism
-    of f."""
-    image, target = translation_tables(size, m, phi)
+def map_violation(phi: tuple, table: TableView, into: TableView) -> Optional[Multiset]:
+    """The first key xs of ``table``, in rank order, whose value phi does not
+    carry to the value of ``into`` at phi(xs), phi a tuple of images; None
+    when phi carries every cell over: value sets as set images for
+    hyperaddition cells, products on the nose."""
+    shape = table.shape
+    image, target = carrier_map(phi, shape.arity, shape.size, into.shape.size)
+    if not table.sets:
+        image = phi
+    cells, into_cells = table.cells, into.cells
     for r, t in enumerate(target):
-        if image[cells[r]] != cells[t]:
-            return table_shape(size, m).keys[r]
+        if image[cells[r]] != into_cells[t]:
+            return shape.keys[r]
     return None
 
 
@@ -762,7 +768,7 @@ def _distributivity(S: FiniteStructure, a: Multiset) -> Optional[tuple]:
     # endomorphism of f.  The position of the sum slot is irrelevant because
     # both tables are multiset-keyed.
     phi = tuple(S.mul_cells[r] for r in S.mul_row(a))
-    xs = translation_violation(S.size, S.m, S.add_cells, phi)
+    xs = map_violation(phi, S.add, S.add)
     return None if xs is None else (a, xs)
 
 

@@ -183,17 +183,15 @@ class IdealLattice:
         return self._primes
 
 
-def enumerate_hyperideals(
-    S: FiniteStructure, strategy: str = "auto", size_cap: int = ENUM_SIZE_CAP
-) -> IdealLattice:
+def enumerate_hyperideals(S: FiniteStructure, strategy: str = "auto") -> IdealLattice:
     """Compute the full hyperideal lattice.
 
     ``scan`` filters all zero-containing subsets, ``closure`` grows ideals
     from generator closures (breadth-first over single-element extensions).
     Both agree on small carriers; ``auto`` picks by size.
     """
-    if S.size > size_cap:
-        raise CapExceeded(f"{S.name}: carrier size {S.size} exceeds cap {size_cap}")
+    if S.size > ENUM_SIZE_CAP:
+        raise CapExceeded(f"{S.name}: carrier size {S.size} exceeds cap {ENUM_SIZE_CAP}")
     if strategy == "auto":
         strategy = "scan" if S.size <= SCAN_LIMIT else "closure"
     if strategy == "scan":

@@ -17,7 +17,7 @@ from .core import (
     AxiomCheck,
     AxiomReport,
     FiniteStructure,
-    mask_of,
+    map_violation,
     msort,
     multisets,
     verify_krasner,
@@ -190,14 +190,11 @@ def is_homomorphism(h: Homomorphism):
     S, T = h.source, h.target
     if (S.m, S.n) != (T.m, T.n):
         return False, ("arity", (S.m, S.n), (T.m, T.n))
-    hmap = h.mapping
-    for key, cell in zip(S.add_shape.keys, S.add_cells):
-        lhs = mask_of(hmap[x] for x in BITS[cell])
-        if lhs != T.add_cells[T.add_shape.rank[msort(tuple(hmap[x] for x in key))]]:
-            return False, ("add", key)
-    for key, cell in zip(S.mul_shape.keys, S.mul_cells):
-        if hmap[cell] != T.mul_cells[T.mul_shape.rank[msort(tuple(hmap[x] for x in key))]]:
-            return False, ("mul", key)
+    phi = tuple(h.mapping)
+    for kind, table, into in (("add", S.add, T.add), ("mul", S.mul, T.mul)):
+        key = map_violation(phi, table, into)
+        if key is not None:
+            return False, (kind, key)
     return True, None
 
 
@@ -251,14 +248,13 @@ def enumerate_homomorphisms(
     S: FiniteStructure,
     T: FiniteStructure,
     injective_only: bool = False,
-    cap: int = MAP_ENUMERATION_CAP,
 ) -> list[Homomorphism]:
     """All (mono)morphisms S -> T by exhaustive map enumeration."""
     if (S.m, S.n) != (T.m, T.n):
         return []
-    if T.size**S.size > cap:
+    if T.size**S.size > MAP_ENUMERATION_CAP:
         raise ValueError(
-            f"map space {T.size}^{S.size} exceeds cap {cap}; not enumerating"
+            f"map space {T.size}^{S.size} exceeds cap {MAP_ENUMERATION_CAP}; not enumerating"
         )
     out = []
     for mapping in iproduct(range(T.size), repeat=S.size):

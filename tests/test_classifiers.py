@@ -1,10 +1,14 @@
 """Expansion functions and the J-family predicates."""
 
+import hashlib
+import json
+import random
 from itertools import combinations, product
 
 import pytest
 
 from hyperring import (
+    FiniteStructure,
     Verdict,
     classify,
     compose_expansions,
@@ -24,7 +28,7 @@ from hyperring import (
     validate_expansion,
 )
 from hyperring.classifiers import absorbing_arity
-from hyperring.core import msort
+from hyperring.core import msort, multisets
 
 
 def ctx(entry):
@@ -256,12 +260,52 @@ def test_absorbing_rejects_degenerate_degree(b33):
 
 
 def test_absorbing_cap_reports_not_applicable(b24):
+    # k = 4 on the 4-ary builtin24: 4^13 product tuples pass the fixed cap
     S, lat, registry = ctx(b24)
-    res = is_absorbing_delta_j(
-        S, frozenset({0}), registry["delta0"], 3, lat, tuple_cap=100
-    )
+    res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 4, lat)
     assert res.verdict is Verdict.NOT_APPLICABLE
+    assert "tuple space 4^13" in res.note
     assert "cap" in res.note
+
+
+def _seeded_zero_row_tables(count: int, seed: int):
+    """``count`` unverified tables of size 2-4 and arities 2-3: random value
+    masks with the neutral zero row, random zero-absorbing products."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size, m, n = rng.randint(2, 4), rng.randint(2, 3), rng.randint(2, 3)
+        masks = {key: rng.randrange(1, 1 << size) for key in multisets(size, m)}
+        for y in range(size):
+            masks[(0,) * (m - 1) + (y,)] = 1 << y
+        add = {key: frozenset(x for x in range(size) if mask >> x & 1) for key, mask in masks.items()}
+        mul = {
+            key: 0 if 0 in key or rng.random() < 0.4 else rng.randrange(size)
+            for key in multisets(size, n)
+        }
+        labels = tuple(str(x) for x in range(size))
+        yield FiniteStructure.build(f"seeded-{i}", m, n, labels, add, mul, 0)
+
+
+# sha256 of the absorbing scans below, as computed when the scan read
+# products through tuple folds: 4,440 scans, 330 of them FALSE
+PINNED_ABSORBING_DIGEST = "2198da4d08ff9baeab9456946d06c24a128a934e852cc0cb6ca55b870dedae1a"
+
+
+def test_absorbing_scans_on_seeded_tables_are_pinned():
+    digest = hashlib.sha256()
+    verdicts = []
+    for S in _seeded_zero_row_tables(1000, 11):
+        lat = enumerate_hyperideals(S)
+        for q in lat.proper():
+            for delta in (identity_expansion(lat), constant_expansion(lat)):
+                for k in (2, 3):
+                    res = is_absorbing_delta_j(S, q.members, delta, k, lat)
+                    witness = None if res.witness is None else res.witness.as_dict()
+                    row = [S.name, sorted(q.members), delta.name, k, res.verdict, witness, res.note]
+                    digest.update(json.dumps(row).encode())
+                    verdicts.append(res.verdict)
+    assert (len(verdicts), verdicts.count(Verdict.FALSE)) == (4440, 330)
+    assert digest.hexdigest() == PINNED_ABSORBING_DIGEST
 
 
 def test_deltaR_absorbing_everywhere(full_catalog):

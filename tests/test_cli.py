@@ -206,6 +206,9 @@ def test_audit_enumeration_cap_notice(runner):
     )
     assert res.exit_code == 0
     assert "enumeration truncated" in res.output
+    # nothing was enumerated, and the built-ins were not asked for
+    assert "over 0 structures" in res.output
+    assert "builtin33" not in res.output
 
 
 @pytest.mark.parametrize("spec", [("5", "2", "2"), ("2", "2", "0")])

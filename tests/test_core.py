@@ -31,7 +31,7 @@ from hyperring.core import (
     msort,
     multiset_minus,
     multisets,
-    split_plan,
+    ranked_plan,
     sub_multisets,
 )
 
@@ -72,13 +72,22 @@ def _split_shapes():
 
 @pytest.mark.parametrize("size,total,part", _split_shapes())
 def test_split_plan_matches_sub_multisets(size, total, part):
+    # the split plan is ``ranked_plan``: each split as (A, rank of A, rank of
+    # the remainder), ranked by position in ``multisets`` order
+    parts, rests = list(multisets(size, part)), list(multisets(size, total - part))
     expected = [
-        (whole, [(A, multiset_minus(whole, A)) for A in sub_multisets(whole, part)])
+        (
+            whole,
+            [
+                (A, parts.index(A), rests.index(multiset_minus(whole, A)))
+                for A in sub_multisets(whole, part)
+            ],
+        )
         for whole in multisets(size, total)
     ]
-    plan = split_plan(size, total, part)
+    plan = ranked_plan(size, total, part)
     assert [(whole, list(splits)) for whole, splits in plan] == expected
-    assert split_plan(size, total, part) is plan
+    assert ranked_plan(size, total, part) is plan
 
 
 # -- table evaluation --------------------------------------------------------
@@ -378,6 +387,15 @@ def test_every_failed_check_replays_and_no_passing_one_does(S):
             members = frozenset(combo) | {S.zero}
             check = is_hyperideal(S, members)
             assert replay_ideal_check(S, members, check) == (not check.ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(S=well_formed_tables())
+def test_product_table_is_the_iterated_product_of_each_key(S):
+    for t in (1, S.n, 2 * S.n - 1, 3 * S.n - 2):
+        table = S.product_table(t)
+        assert list(table) == [S.multiply_iterated(key) for key in multisets(S.size, t)]
+        assert S.product_table(t) is table
 
 
 # -- the table storage against the input dicts --------------------------------

@@ -150,11 +150,15 @@ def test_one_element_structure_lattice():
     assert not is_local(S, lat)
 
 
-def test_enumeration_size_cap(b24):
-    from hyperring.core import CapExceeded
+def test_enumeration_size_cap():
+    from hyperring.core import CapExceeded, FiniteStructure, multisets
 
+    # 21 elements pass the fixed carrier-size cap of 20
+    add = {key: frozenset({0}) for key in multisets(21, 2)}
+    mul = {key: 0 for key in multisets(21, 2)}
+    big = FiniteStructure("big", 2, 2, tuple(str(x) for x in range(21)), add, mul, 0)
     with pytest.raises(CapExceeded):
-        enumerate_hyperideals(b24.structure, size_cap=3)
+        enumerate_hyperideals(big)
 
 
 def test_lattice_closed_under_intersection(full_catalog):

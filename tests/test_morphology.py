@@ -1,8 +1,10 @@
 """Quotients, homomorphisms and the expansion-compatibility machinery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperring import (
+    FiniteStructure,
     Homomorphism,
     Verdict,
     enumerate_homomorphisms,
@@ -18,7 +20,7 @@ from hyperring import (
     quotient_expansion,
     standard_registry,
 )
-from hyperring.core import msort
+from hyperring.core import msort, multisets
 
 
 def test_quotient_by_zero_is_isomorphic(b24):
@@ -194,9 +196,63 @@ def test_preimage_under_identity(b33):
     assert pre == frozenset({0}) and check.ok
 
 
-def test_enumerate_homomorphisms_cap(b24):
-    with pytest.raises(ValueError, match="map space"):
-        enumerate_homomorphisms(b24.structure, b24.structure, cap=10)
+def _constant_table(name, size):
+    """A (2,2) table on {0..size-1} whose sums are all {0} and products 0."""
+    add = {key: frozenset({0}) for key in multisets(size, 2)}
+    mul = {key: 0 for key in multisets(size, 2)}
+    return FiniteStructure(name, 2, 2, tuple(str(x) for x in range(size)), add, mul, 0)
+
+
+def test_enumerate_homomorphisms_cap():
+    # 4^10 maps pass the fixed map-space cap
+    S, T = _constant_table("ten", 10), _constant_table("four", 4)
+    with pytest.raises(ValueError, match=r"map space 4\^10"):
+        enumerate_homomorphisms(S, T)
+
+
+@st.composite
+def maps_between_tables(draw):
+    """A map between two random tables of equal arities and sizes 1-3.
+    Either both hyperadditions are random, or every value set is the whole
+    carrier, so that surjective maps reach the multiplication check."""
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    full = draw(st.booleans())
+
+    def table(size):
+        element = st.integers(min_value=0, max_value=size - 1)
+        add = {
+            key: frozenset(range(size)) if full else frozenset(draw(st.sets(element, min_size=1)))
+            for key in multisets(size, m)
+        }
+        mul = {key: draw(element) for key in multisets(size, n)}
+        return FiniteStructure("random", m, n, tuple(str(x) for x in range(size)), add, mul, 0)
+
+    S = table(draw(st.integers(min_value=1, max_value=3)))
+    T = S if draw(st.booleans()) else table(draw(st.integers(min_value=1, max_value=3)))
+    image = st.integers(min_value=0, max_value=T.size - 1)
+    maps = st.lists(image, min_size=S.size, max_size=S.size)
+    if T is S:
+        maps = maps | st.just(list(S.carrier))
+    return Homomorphism(S, T, tuple(draw(maps)))
+
+
+def _dict_homomorphism(h):
+    """(ok, witness) of ``is_homomorphism``, read off the .add / .mul dict
+    views: the first failing key in key order, hyperaddition first."""
+    S, T, phi = h.source, h.target, h.mapping
+    for key, value in S.add.items():
+        if frozenset(phi[x] for x in value) != T.add[msort(phi[x] for x in key)]:
+            return False, ("add", key)
+    for key, value in S.mul.items():
+        if phi[value] != T.mul[msort(phi[x] for x in key)]:
+            return False, ("mul", key)
+    return True, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=maps_between_tables())
+def test_is_homomorphism_matches_dict_views(h):
+    assert is_homomorphism(h) == _dict_homomorphism(h)
 
 
 def test_enumerate_monomorphisms_small(small_catalog):
