@@ -17,13 +17,14 @@ is an implication with a true hypothesis whose conclusion is that its sides
 agree.  A cell is SKIPped with a reason when the structure fails
 verification, lacks a scalar identity the check needs, or fails the gate.
 
-The checks share their verdicts through a ``StructureContext``, which
-computes each J, delta-J, delta-primary, (k,n)-absorbing and radical verdict
-once.  The memo key is the lattice object the verdict is computed against,
-plus the member set, the expansion name and k.  The context holds every
-lattice it keys on for its whole life, so no key outlives its lattice, and
-within one lattice an expansion name names one expansion: a registered one,
-a composition ``gammaodelta`` or an induced quotient expansion ``delta_q``.
+The checks share their verdicts through a ``StructureContext``: its
+``verdict`` evaluates a row of ``classifiers.PREDICATES`` once per lattice,
+row, member set, expansion name and k, and its radicals share the same
+memo.  The key holds the lattice object itself (lattices hash by identity),
+so the memo keeps every lattice it names alive.  Within one lattice an
+expansion name names one expansion: a registered one, a composition
+``gammaodelta`` or an induced quotient expansion ``delta_q``; theorem
+instances carry the expansion and witnesses write its name.
 
 Built-in claims are compared against computed verdicts and mismatches are
 emitted as discrepancy records: auditing the claims is part of the job, so a
@@ -42,14 +43,11 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import __version__
 from .catalog import CatalogEntry, Claim
 from .classifiers import (
-    ExpansionFunction,
+    PREDICATES,
     Verdict,
     compose_expansions,
     delta_j_ideal_form,
     delta_j_mixed_form,
-    is_absorbing_delta_j,
-    is_delta_j,
-    is_delta_primary,
     is_j_hyperideal,
     preserves_intersections,
     standard_registry,
@@ -187,13 +185,12 @@ class StructureContext:
         self._fixtures: Optional[list] = None
         self._quotients: Optional[list] = None
         self._verdicts: dict = {}
-        self._lattices: dict = {}  # id -> every lattice a memo key names
 
-    @property
+    @cached_property
     def lattice(self) -> IdealLattice:
         return self.entry.lattice()
 
-    @property
+    @cached_property
     def registry(self) -> dict:
         return self.entry.registry()
 
@@ -209,35 +206,21 @@ class StructureContext:
     def proper(self) -> tuple[frozenset, ...]:
         return tuple(i.members for i in self.lattice.proper())
 
-    @cached_property
-    def maximal(self) -> frozenset:
-        return frozenset(i.members for i in self.lattice.maximal)
-
-    def _memo(self, lattice: Optional[IdealLattice], key: tuple, compute: Callable):
+    def verdict(self, row: str, Q: frozenset, delta=None, k=None, lattice=None):
+        """``PREDICATES[row]`` on Q against ``lattice`` (the structure's own
+        by default), with the expansion and k the row takes."""
         lattice = self.lattice if lattice is None else lattice
-        key = (id(lattice),) + key
+        key = (lattice, row, Q, None if delta is None else delta.name, k)
         if key not in self._verdicts:
-            self._lattices[id(lattice)] = lattice
-            self._verdicts[key] = compute(lattice.parent, lattice)
+            evaluate = PREDICATES[row].evaluate
+            self._verdicts[key] = evaluate(lattice.parent, Q, lattice, delta, k)
         return self._verdicts[key]
 
-    def j(self, Q: frozenset, lattice: Optional[IdealLattice] = None):
-        return self._memo(lattice, ("j", Q), lambda S, L: is_j_hyperideal(S, Q, L))
-
-    def delta_j(self, Q: frozenset, delta: ExpansionFunction, lattice=None):
-        key = ("delta_j", Q, delta.name)
-        return self._memo(lattice, key, lambda S, L: is_delta_j(S, Q, delta, L))
-
-    def delta_primary(self, Q: frozenset, delta: ExpansionFunction):
-        key = ("delta_primary", Q, delta.name)
-        return self._memo(None, key, lambda S, L: is_delta_primary(S, Q, delta, L))
-
-    def absorbing(self, Q: frozenset, delta: ExpansionFunction, k: int, lattice=None):
-        key = ("absorbing", Q, delta.name, k)
-        return self._memo(lattice, key, lambda S, L: is_absorbing_delta_j(S, Q, delta, k, L))
-
     def radical(self, Q: frozenset) -> frozenset:
-        return self._memo(None, ("radical", Q), lambda S, L: radical_by_primes(S, Q, L).members)
+        key = (self.lattice, "radical", Q, None, None)
+        if key not in self._verdicts:
+            self._verdicts[key] = radical_by_primes(self.S, Q, self.lattice).members
+        return self._verdicts[key]
 
     def quotients(self) -> list[Quotient]:
         """Every well-defined quotient whose tables verify, with its lattice
@@ -280,7 +263,7 @@ class StructureContext:
             # quotient expansion first
             pairs = [(self.registry[name], dq) for name, dq in induced.items()]
             pairs += product(self.registry.values(), treg.values())
-            fixture = dict(tag=tag, hom=h, target_lattice=tl, target_registry=treg)
+            fixture = dict(tag=tag, hom=h, target_lattice=tl)
             for delta, gamma in pairs:
                 if is_delta_gamma_hom(h, delta, gamma, self.lattice, tl)[0]:
                     self._fixtures.append(dict(fixture, delta=delta, gamma=gamma))
@@ -354,8 +337,8 @@ def _proper(ctx) -> Iterable[tuple]:
 
 
 def _cases(ctx) -> Iterable[tuple]:
-    """(Q, name, delta) over proper ideals, then registered expansions."""
-    return ((q, name, delta) for q in ctx.proper for name, delta in ctx.registry.items())
+    """(Q, delta) over proper ideals, then registered expansions."""
+    return ((q, delta) for q in ctx.proper for delta in ctx.registry.values())
 
 
 def _agree(context: dict, **sides: bool) -> Optional[dict]:
@@ -365,12 +348,12 @@ def _agree(context: dict, **sides: bool) -> Optional[dict]:
 
 def _absorbing_fails(ctx, Q, expansion, degree, **context) -> Optional[dict]:
     """The witness when Q is not (degree,n)-absorbing delta-J, else None."""
-    res = ctx.absorbing(Q, expansion, degree)
+    res = ctx.verdict("absorbing", Q, expansion, degree)
     return dict(context, witness=res.witness.as_dict()) if res.verdict is Verdict.FALSE else None
 
 
 def _local_iff_all_j(ctx) -> Optional[dict]:
-    bad = next((q for q in ctx.proper if not ctx.j(q)), None)
+    bad = next((q for q in ctx.proper if not ctx.verdict("J", q)), None)
     local = is_local(ctx.S, ctx.lattice)
     return _agree(dict(ideal=bad or frozenset()), local=local, all_proper_are_j=bad is None)
 
@@ -378,12 +361,12 @@ def _local_iff_all_j(ctx) -> Optional[dict]:
 def _meet_is_j(ctx, a, b) -> Optional[dict]:
     if a & b not in ctx.lattice:
         return dict(first=a, second=b)
-    return None if ctx.j(a & b) else dict(first=a, second=b, meet=a & b)
+    return None if ctx.verdict("J", a & b) else dict(first=a, second=b, meet=a & b)
 
 
 def _residual_is_j(ctx, q, T) -> Optional[dict]:
     u = residual(ctx.S, q, T)
-    if is_hyperideal(ctx.S, u).ok and u != ctx.top and ctx.j(u):
+    if is_hyperideal(ctx.S, u).ok and u != ctx.top and ctx.verdict("J", u):
         return None
     return dict(ideal=q, subset=T, residual=u)
 
@@ -403,35 +386,37 @@ def _top_j(ctx, q) -> Optional[dict]:
     # the first instance is the radical itself, the others lie above it
     if q != ctx.jac:
         return dict(ideal=q, reason="j-hyperideal above the radical")
-    return None if ctx.j(q) else dict(ideal=q, reason="radical not a j-hyperideal")
+    return None if ctx.verdict("J", q) else dict(ideal=q, reason="radical not a j-hyperideal")
 
 
 def _sandwiches(ctx) -> Iterable[tuple]:
     for q1 in ctx.proper:
         for q2 in (q for q in ctx.proper if q1 <= q):
             for q3 in (q for q in ctx.proper if q2 <= q):
-                for name, delta in ctx.registry.items():
-                    yield q1, q2, q3, name, delta
+                for delta in ctx.registry.values():
+                    yield q1, q2, q3, delta
 
 
 def _meets(ctx) -> Iterable[tuple]:
     # the first instance is the leading check that delta1 preserves meets
-    yield "delta1", ctx.registry["delta1"], None, None
-    for name, delta in ctx.registry.items():
+    yield ctx.registry["delta1"], None, None
+    for delta in ctx.registry.values():
         if preserves_intersections(ctx.S, ctx.lattice, delta):
             for a, b in product(ctx.proper, repeat=2):
-                yield name, delta, a, b
+                yield delta, a, b
 
 
-def _meet_is_delta_j(ctx, name, delta, a, b) -> Optional[dict]:
+def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
     if a is None:
         if preserves_intersections(ctx.S, ctx.lattice, delta):
             return None
         return dict(reason="delta1 does not preserve intersections")
-    return None if ctx.delta_j(a & b, delta) else dict(first=a, second=b, delta=name)
+    if ctx.verdict("delta-J", a & b, delta):
+        return None
+    return dict(first=a, second=b, delta=delta.name)
 
 
-def _maximal_relative_drops(ctx, q, name, delta) -> bool:
+def _maximal_relative_drops(ctx, q, delta) -> bool:
     # the drop clause, triggered outside the intersection of the maximal
     # hyperideals over Q
     m_q = ctx.top
@@ -441,13 +426,13 @@ def _maximal_relative_drops(ctx, q, name, delta) -> bool:
     return q <= ctx.jac and DROP.scan(ctx.S, q, m_q, delta(q)) is None
 
 
-def _local_iff_delta_j(ctx, name, delta) -> Optional[dict]:
+def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
     principals = [principal_ideal(ctx.S, x, ctx.lattice).ideal for x in ctx.S.carrier]
     return _agree(
-        dict(delta=name),
+        dict(delta=delta.name),
         local=is_local(ctx.S, ctx.lattice),
-        principal_all=all(ctx.delta_j(p.members, delta) for p in principals if p.proper),
-        proper_all=all(ctx.delta_j(q, delta) for q in ctx.proper),
+        principal_all=all(ctx.verdict("delta-J", p.members, delta) for p in principals if p.proper),
+        proper_all=all(ctx.verdict("delta-J", q, delta) for q in ctx.proper),
     )
 
 
@@ -468,17 +453,12 @@ def _transfers(ctx, ks) -> Iterable[tuple]:
                         yield fix, k, "image", i1
 
 
-def _transfer_verdict(ctx, k, Q, delta, lattice):
-    """delta-J for k None, (k,n)-absorbing delta-J otherwise."""
-    if k is None:
-        return ctx.delta_j(Q, delta, lattice)
-    return ctx.absorbing(Q, delta, k, lattice)
-
-
 def _transfer_hypothesis(ctx, fix, k, side, Q):
+    # delta-J for k None, (k,n)-absorbing delta-J otherwise
+    row = "delta-J" if k is None else "absorbing"
     if side == "preimage":
-        return _transfer_verdict(ctx, k, Q, fix["gamma"], fix["target_lattice"])
-    return _transfer_verdict(ctx, k, Q, fix["delta"], ctx.lattice)
+        return ctx.verdict(row, Q, fix["gamma"], k, fix["target_lattice"])
+    return ctx.verdict(row, Q, fix["delta"], k)
 
 
 def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
@@ -494,7 +474,7 @@ def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
         lattice, delta = fix["target_lattice"], fix["gamma"]
     if mapped == top or mapped not in lattice:
         return wit
-    res = _transfer_verdict(ctx, k, mapped, delta, lattice)
+    res = ctx.verdict("delta-J" if k is None else "absorbing", mapped, delta, k, lattice)
     # delta-J must hold; an absorbing verdict fails only when it is FALSE
     holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
     if holds:
@@ -508,33 +488,33 @@ def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
 
 def _quotient_ideals(ctx) -> Iterable[tuple]:
     for quot in ctx.quotients():
-        for name, delta in ctx.registry.items() if quot.q.structure.one is not None else ():
+        for delta in ctx.registry.values() if quot.q.structure.one is not None else ():
             for big in ctx.proper:
                 if quot.modulus <= big:
-                    yield quot, name, delta, big
+                    yield quot, delta, big
 
 
-def _quotient_is_delta_j(ctx, quot, name, delta, big) -> Optional[dict]:
+def _quotient_is_delta_j(ctx, quot, delta, big) -> Optional[dict]:
     Qs = quot.q.structure
     img = quot.q.project(big)
-    wit = dict(modulus=quot.modulus, ideal=big, delta=name)
+    wit = dict(modulus=quot.modulus, ideal=big, delta=delta.name)
     if img == frozenset(Qs.carrier) or img not in quot.lattice:
         return wit
-    if ctx.delta_j(img, quot.induced[name], quot.lattice):
+    if ctx.verdict("delta-J", img, quot.induced[delta.name], lattice=quot.lattice):
         return None
     return dict(wit, quotient_ideal=sorted(Qs.labels_of(img)))
 
 
-def _radical_absorbing(ctx, q, name, delta, k) -> Optional[dict]:
+def _radical_absorbing(ctx, q, delta, k) -> Optional[dict]:
     rad = ctx.radical(q)
-    wit = dict(ideal=q, radical=rad, delta=name, k=k)
+    wit = dict(ideal=q, radical=rad, delta=delta.name, k=k)
     return wit if rad == ctx.top else _absorbing_fails(ctx, rad, delta, k, **wit)
 
 
 _IMPLICATIONS: list[Implication] = [
     Implication(
         "T01", "J-hyperideals sit inside the Jacobson radical", True, _proper,
-        lambda ctx, q: ctx.j(q),
+        lambda ctx, q: ctx.verdict("J", q),
         lambda ctx, q: None if q <= ctx.jac else dict(ideal=q, jacobson=ctx.jac),
     ),
     Implication(
@@ -544,14 +524,14 @@ _IMPLICATIONS: list[Implication] = [
     Implication(
         "T03", "J-hyperideals are intersection-closed", True,
         lambda ctx: product(ctx.proper, repeat=2),
-        lambda ctx, a, b: ctx.j(a) and ctx.j(b),
+        lambda ctx, a, b: ctx.verdict("J", a) and ctx.verdict("J", b),
         _meet_is_j,
     ),
     Implication(
         "T04", "J iff residual-fixed outside J(R) iff ideal-tuple form", True, _proper, _always,
         lambda ctx, q: _agree(
             dict(ideal=q),
-            j=bool(ctx.j(q)),
+            j=bool(ctx.verdict("J", q)),
             residual_fixed=all(
                 residual(ctx.S, q, {x}) == q for x in ctx.S.carrier if x not in ctx.jac
             ),
@@ -562,7 +542,7 @@ _IMPLICATIONS: list[Implication] = [
         "T05", "J iff residuals outside Q land in J(R)", True, _proper, _always,
         lambda ctx, q: _agree(
             dict(ideal=q),
-            j=bool(ctx.j(q)),
+            j=bool(ctx.verdict("J", q)),
             residuals_in_jacobson=all(
                 residual(ctx.S, q, {x}) <= ctx.jac for x in ctx.S.carrier if x not in q
             ),
@@ -576,106 +556,116 @@ _IMPLICATIONS: list[Implication] = [
             for r in range(1, ctx.S.size + 1)
             for subset in combinations(ctx.S.carrier, r)
         ),
-        lambda ctx, q, T: ctx.j(q) and not T <= q,
+        lambda ctx, q, T: ctx.verdict("J", q) and not T <= q,
         _residual_is_j,
     ),
     Implication(
         "T07", "maximal J-hyperideals are prime", True, _proper,
-        lambda ctx, q: ctx.j(q) and not any(q < o for o in ctx.proper if ctx.j(o)),
+        lambda ctx, q: (
+            ctx.verdict("J", q) and not any(q < o for o in ctx.proper if ctx.verdict("J", o))
+        ),
         _is_prime,
     ),
     Implication(
         "T08", "a prime Jacobson radical is a top J-hyperideal", True,
         lambda ctx: [(ctx.jac,)] + [(q,) for q in ctx.proper if ctx.jac < q],
-        lambda ctx, q: q == ctx.jac or ctx.j(q),
+        lambda ctx, q: q == ctx.jac or ctx.verdict("J", q),
         _top_j,
         _jacobson_prime,
     ),
     Implication(
         "T09", "delta(Q) J forces Q delta-J", True, _cases,
-        lambda ctx, q, name, delta: delta(q) != ctx.top and ctx.j(delta(q)),
-        lambda ctx, q, name, delta: None if ctx.delta_j(q, delta) else dict(ideal=q, delta=name),
+        lambda ctx, q, delta: delta(q) != ctx.top and ctx.verdict("J", delta(q)),
+        lambda ctx, q, delta: (
+            None if ctx.verdict("delta-J", q, delta) else dict(ideal=q, delta=delta.name)
+        ),
     ),
     Implication(
         "T10", "delta1-J forces a J radical", True, _proper,
-        lambda ctx, q: ctx.delta_j(q, ctx.registry["delta1"]),
+        lambda ctx, q: ctx.verdict("delta-J", q, ctx.registry["delta1"]),
         lambda ctx, q: (
             dict(ideal=q, radical=ctx.radical(q))
-            if ctx.radical(q) == ctx.top or not ctx.j(ctx.radical(q))
+            if ctx.radical(q) == ctx.top or not ctx.verdict("J", ctx.radical(q))
             else None
         ),
     ),
     Implication(
         "T11", "delta(Q) gamma-J forces Q (gamma o delta)-J", True,
-        lambda ctx: (c + g for c in _cases(ctx) for g in ctx.registry.items()),
-        lambda ctx, q, dname, delta, gname, gamma: (
-            delta(q) != ctx.top and ctx.delta_j(delta(q), gamma)
+        lambda ctx: (c + (g,) for c in _cases(ctx) for g in ctx.registry.values()),
+        lambda ctx, q, delta, gamma: (
+            delta(q) != ctx.top and ctx.verdict("delta-J", delta(q), gamma)
         ),
-        lambda ctx, q, dname, delta, gname, gamma: (
+        lambda ctx, q, delta, gamma: (
             None
-            if ctx.delta_j(q, compose_expansions(gamma, delta))
-            else dict(ideal=q, delta=dname, gamma=gname)
+            if ctx.verdict("delta-J", q, compose_expansions(gamma, delta))
+            else dict(ideal=q, delta=delta.name, gamma=gamma.name)
         ),
     ),
     Implication(
         "T12", "sandwich between delta-equal delta-J ideals", True, _sandwiches,
-        lambda ctx, q1, q2, q3, name, delta: delta(q1) == delta(q3) and ctx.delta_j(q3, delta),
-        lambda ctx, q1, q2, q3, name, delta: (
-            None if ctx.delta_j(q2, delta) else dict(q1=q1, q2=q2, q3=q3, delta=name)
+        lambda ctx, q1, q2, q3, delta: delta(q1) == delta(q3) and ctx.verdict("delta-J", q3, delta),
+        lambda ctx, q1, q2, q3, delta: (
+            None
+            if ctx.verdict("delta-J", q2, delta)
+            else dict(q1=q1, q2=q2, q3=q3, delta=delta.name)
         ),
     ),
     Implication(
         "T13", "radical of delta-J is delta-J (gated)", True, _cases,
-        lambda ctx, q, name, delta: (
-            ctx.delta_j(q, delta) and ctx.radical(delta(q)) <= delta(ctx.radical(q))
+        lambda ctx, q, delta: (
+            ctx.verdict("delta-J", q, delta) and ctx.radical(delta(q)) <= delta(ctx.radical(q))
         ),
         # an improper radical cannot be a delta-J hyperideal
-        lambda ctx, q, name, delta: (
-            dict(ideal=q, delta=name, radical=ctx.radical(q))
-            if ctx.radical(q) == ctx.top or not ctx.delta_j(ctx.radical(q), delta)
+        lambda ctx, q, delta: (
+            dict(ideal=q, delta=delta.name, radical=ctx.radical(q))
+            if ctx.radical(q) == ctx.top or not ctx.verdict("delta-J", ctx.radical(q), delta)
             else None
         ),
     ),
     Implication(
         "T14", "intersection preservation and delta-J meets", True, _meets,
-        lambda ctx, name, delta, a, b: (
-            a is None or (ctx.delta_j(a, delta) and ctx.delta_j(b, delta))
+        lambda ctx, delta, a, b: (
+            a is None or (ctx.verdict("delta-J", a, delta) and ctx.verdict("delta-J", b, delta))
         ),
         _meet_is_delta_j,
     ),
     Implication(
         "T15", "three delta-J forms agree", True, _cases, _always,
-        lambda ctx, q, name, delta: _agree(
-            dict(ideal=q, delta=name),
-            elementwise=bool(ctx.delta_j(q, delta)),
+        lambda ctx, q, delta: _agree(
+            dict(ideal=q, delta=delta.name),
+            elementwise=bool(ctx.verdict("delta-J", q, delta)),
             mixed_form=delta_j_mixed_form(ctx.S, q, delta, ctx.lattice),
             tuple_form=delta_j_ideal_form(ctx.S, q, delta, ctx.lattice),
         ),
     ),
     Implication(
         "T16", "delta-J iff inside J(R) with maximal-relative drops", True, _cases, _always,
-        lambda ctx, q, name, delta: _agree(
-            dict(ideal=q, delta=name),
-            lhs=bool(ctx.delta_j(q, delta)),
-            rhs=_maximal_relative_drops(ctx, q, name, delta),
+        lambda ctx, q, delta: _agree(
+            dict(ideal=q, delta=delta.name),
+            lhs=bool(ctx.verdict("delta-J", q, delta)),
+            rhs=_maximal_relative_drops(ctx, q, delta),
         ),
     ),
     Implication(
         "T17", "local iff principal delta-J iff all delta-J", True,
-        lambda ctx: ctx.registry.items(), _always, _local_iff_delta_j, _no_proper,
+        lambda ctx: ((d,) for d in ctx.registry.values()), _always, _local_iff_delta_j, _no_proper,
     ),
     Implication(
         "T18", "for delta-primary: delta-J iff inside J(R)", True, _cases,
-        lambda ctx, q, name, delta: ctx.delta_primary(q, delta),
-        lambda ctx, q, name, delta: _agree(
-            dict(ideal=q, delta=name), lhs=bool(ctx.delta_j(q, delta)), rhs=q <= ctx.jac
+        lambda ctx, q, delta: ctx.verdict("delta-primary", q, delta),
+        lambda ctx, q, delta: _agree(
+            dict(ideal=q, delta=delta.name),
+            lhs=bool(ctx.verdict("delta-J", q, delta)),
+            rhs=q <= ctx.jac,
         ),
     ),
     Implication(
         "T19", "for maximal: delta-J iff equal to J(R)", True, _cases,
-        lambda ctx, q, name, delta: q in ctx.maximal,
-        lambda ctx, q, name, delta: _agree(
-            dict(ideal=q, delta=name), lhs=bool(ctx.delta_j(q, delta)), rhs=q == ctx.jac
+        lambda ctx, q, delta: ctx.verdict("maximal", q),
+        lambda ctx, q, delta: _agree(
+            dict(ideal=q, delta=delta.name),
+            lhs=bool(ctx.verdict("delta-J", q, delta)),
+            rhs=q == ctx.jac,
         ),
     ),
     # transfers along expansion-compatible homomorphisms: preimages along
@@ -686,50 +676,50 @@ _IMPLICATIONS: list[Implication] = [
     ),
     Implication(
         "T21", "delta-J passes to quotients as induced-expansion J", True, _quotient_ideals,
-        lambda ctx, quot, name, delta, big: ctx.delta_j(big, delta),
+        lambda ctx, quot, delta, big: ctx.verdict("delta-J", big, delta),
         _quotient_is_delta_j,
     ),
     Implication(
         "T22", "delta-J forces (2,n)-absorbing delta-J", True, _cases,
-        lambda ctx, q, name, delta: ctx.delta_j(q, delta),
-        lambda ctx, q, name, delta: _absorbing_fails(ctx, q, delta, 2, ideal=q, delta=name),
+        lambda ctx, q, delta: ctx.verdict("delta-J", q, delta),
+        lambda ctx, q, delta: _absorbing_fails(ctx, q, delta, 2, ideal=q, delta=delta.name),
     ),
     # the successor step of the absorbing chain, audited in place of the
     # s>n phrasing
     Implication(
         "T23", "(k,n)-absorbing forces (k+1,n)-absorbing", False,
         lambda ctx: (c + (k,) for c in _cases(ctx) for k in range(2, ctx.k_max)),
-        lambda ctx, q, name, delta, k: ctx.absorbing(q, delta, k),
-        lambda ctx, q, name, delta, k: _absorbing_fails(
-            ctx, q, delta, k + 1, ideal=q, delta=name, k=k
+        lambda ctx, q, delta, k: ctx.verdict("absorbing", q, delta, k),
+        lambda ctx, q, delta, k: _absorbing_fails(
+            ctx, q, delta, k + 1, ideal=q, delta=delta.name, k=k
         ),
     ),
     # the radical's defining framework assumes a scalar identity
     Implication(
         "T24", "absorbing passes to radicals", True,
         lambda ctx: (
-            (q, name, delta, k)
+            (q, delta, k)
             for q in ctx.proper
             for k in range(2, ctx.k_max + 1)
-            for name, delta in ctx.registry.items()
+            for delta in ctx.registry.values()
         ),
-        lambda ctx, q, name, delta, k: ctx.absorbing(q, ctx.registry["delta0"], k),
+        lambda ctx, q, delta, k: ctx.verdict("absorbing", q, ctx.registry["delta0"], k),
         _radical_absorbing,
     ),
     Implication(
         "T25", "delta(Q) (2,n)-absorbing forces Q (3,n)-absorbing delta-J", False, _cases,
-        lambda ctx, q, name, delta: (
-            delta(q) != ctx.top and ctx.absorbing(delta(q), ctx.registry["delta0"], 2)
+        lambda ctx, q, delta: (
+            delta(q) != ctx.top and ctx.verdict("absorbing", delta(q), ctx.registry["delta0"], 2)
         ),
-        lambda ctx, q, name, delta: _absorbing_fails(ctx, q, delta, 3, ideal=q, delta=name),
+        lambda ctx, q, delta: _absorbing_fails(ctx, q, delta, 3, ideal=q, delta=delta.name),
     ),
     Implication(
         "T26", "delta(Q) (k+1,n)-absorbing delta-J forces the same for Q", False,
         lambda ctx: (c + (k,) for c in _cases(ctx) for k in range(2, ctx.k_max + 1)),
-        lambda ctx, q, name, delta, k: delta(q) != ctx.top and ctx.absorbing(delta(q), delta, k),
-        lambda ctx, q, name, delta, k: _absorbing_fails(
-            ctx, q, delta, k, ideal=q, delta=name, k=k
+        lambda ctx, q, delta, k: (
+            delta(q) != ctx.top and ctx.verdict("absorbing", delta(q), delta, k)
         ),
+        lambda ctx, q, delta, k: _absorbing_fails(ctx, q, delta, k, ideal=q, delta=delta.name, k=k),
     ),
     Implication(
         "T27", "absorbing transfers along hom fixtures", True,

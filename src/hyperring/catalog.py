@@ -511,27 +511,19 @@ def _representative_slice(structures: list[FiniteStructure], k: int):
     return picks[:k] if len(picks) > k else picks
 
 
-def default_catalog(
-    max_order: int = 3,
-    arities=DEFAULT_ARITIES,
-    order4_slice: int = 4,
-    seed: Optional[int] = None,
-) -> list[CatalogEntry]:
-    """Built-ins plus exhaustive small orders plus a sampled order-4 slice."""
+def default_catalog(max_order: int = 3, seed: Optional[int] = None) -> list[CatalogEntry]:
+    """Built-ins plus exhaustive small orders plus a sampled order-4 slice of
+    four (2,2) structures."""
     entries = builtin_examples()
-    for m, n in arities:
+    for m, n in DEFAULT_ARITIES:
         for order in range(1, max_order + 1):
             for S in enumerate_structures(m, n, order):
                 entries.append(CatalogEntry(S, "enumerated"))
-    if order4_slice:
-        slice4 = list(enumerate_structures(2, 2, 4))
-        if seed is not None:
-            rng = random.Random(seed)
-            rng.shuffle(slice4)
-        entries.extend(
-            CatalogEntry(S, "enumerated")
-            for S in _representative_slice(slice4, order4_slice)
-        )
+    slice4 = list(enumerate_structures(2, 2, 4))
+    if seed is not None:
+        rng = random.Random(seed)
+        rng.shuffle(slice4)
+    entries.extend(CatalogEntry(S, "enumerated") for S in _representative_slice(slice4, 4))
     return entries
 
 

@@ -559,7 +559,7 @@ def classify(
     has no scalar identity.
     """
     members = frozenset(subset)
-    lattice = lattice or enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     registry = registry if registry is not None else standard_registry(S, lattice)
     check = is_hyperideal(S, members)
     proper = members != frozenset(S.carrier)

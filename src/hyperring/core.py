@@ -838,20 +838,11 @@ def verify_canonical_hypergroup(
     return AxiomReport(S.name, tuple(checks))
 
 
-def verify_krasner(
-    S: FiniteStructure, fail_fast: bool = False, size_guard: bool = True
-) -> AxiomReport:
+def verify_krasner(S: FiniteStructure, size_guard: bool = True) -> AxiomReport:
     """Full Krasner (m,n)-hyperring verification with witnesses."""
-    base = verify_canonical_hypergroup(S, fail_fast=fail_fast, size_guard=size_guard)
-    checks = list(base.checks)
-    if fail_fast and not base.ok:
-        return AxiomReport(S.name, tuple(checks))
+    checks = list(verify_canonical_hypergroup(S, size_guard=size_guard).checks)
     checks.append(AxiomCheck("mul-commutativity", True, None, "by multiset keying"))
-    for clause in RING_AXIOMS:
-        c = _check(clause, S)
-        checks.append(c)
-        if fail_fast and not c.passed:
-            return AxiomReport(S.name, tuple(checks))
+    checks.extend(_check(clause, S) for clause in RING_AXIOMS)
     checks.append(_identity_info(S))
     return AxiomReport(S.name, tuple(checks))
 

@@ -13,6 +13,7 @@ one ``core.Clause``, shared by its scan and its replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Optional
 
@@ -129,16 +130,21 @@ def replay_ideal_check(S: FiniteStructure, subset: Iterable[int], check: IdealCh
     return IDEAL_CLAUSES[check.clause].replays(check.witness, S, frozenset(subset))
 
 
-@dataclass
+@dataclass(eq=False)
 class IdealLattice:
-    """All hyperideals of a structure, sorted by (size, member ids)."""
+    """All hyperideals of a structure, sorted by (size, member ids).
+
+    A lattice compares and hashes by identity, so it can key a memo.  Its
+    maximal hyperideals, Jacobson radical and primes are computed on first
+    read and kept.  A whole-carrier fallback is the carrier's member, or a
+    bare ``Hyperideal`` when an unverified table's carrier is no hyperideal.
+    """
 
     parent: FiniteStructure
     ideals: tuple[Hyperideal, ...]
 
     def __post_init__(self) -> None:
         self._index = {i.members: i for i in self.ideals}
-        self._primes: Optional[tuple] = None
 
     def __iter__(self):
         return iter(self.ideals)
@@ -155,7 +161,11 @@ class IdealLattice:
     def proper(self) -> tuple[Hyperideal, ...]:
         return tuple(i for i in self.ideals if i.proper)
 
-    @property
+    def _whole(self) -> Hyperideal:
+        top = frozenset(self.parent.carrier)
+        return self._index.get(top) or Hyperideal(self.parent, top)
+
+    @cached_property
     def maximal(self) -> tuple[Hyperideal, ...]:
         prop = self.proper()
         return tuple(
@@ -164,23 +174,19 @@ class IdealLattice:
             if not any(i.members < j.members for j in prop)
         )
 
-    @property
+    @cached_property
     def jacobson(self) -> Hyperideal:
         """Intersection of the maximal hyperideals; the whole carrier if none."""
-        maxi = self.maximal
-        if not maxi:
-            return self.by_members(frozenset(self.parent.carrier))
+        if not self.maximal:
+            return self._whole()
         inter = frozenset(self.parent.carrier)
-        for m in maxi:
+        for m in self.maximal:
             inter &= m.members
         return self.by_members(inter)
 
+    @cached_property
     def primes(self) -> tuple[Hyperideal, ...]:
-        if self._primes is None:
-            self._primes = tuple(
-                p for p in self.proper() if is_prime(self.parent, p.members)
-            )
-        return self._primes
+        return tuple(p for p in self.proper() if is_prime(self.parent, p.members))
 
 
 def enumerate_hyperideals(S: FiniteStructure, strategy: str = "auto") -> IdealLattice:
@@ -289,30 +295,27 @@ def principal_ideal(
     row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
-    if lattice is None:
-        lattice = enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     if check.ok:
         return PrincipalIdeal(lattice.by_members(raw), x, raw, True)
-    enclosing = frozenset(S.carrier)
-    for cand in lattice:
-        if raw <= cand.members and len(cand.members) < len(enclosing):
-            enclosing = cand.members
-    return PrincipalIdeal(lattice.by_members(enclosing), x, raw, False)
+    # the lattice runs by size, so the first member over the set is a least one
+    enclosing = next((i for i in lattice if raw <= i.members), lattice._whole())
+    return PrincipalIdeal(enclosing, x, raw, False)
 
 
 def maximal_hyperideals(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = lattice or enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     return lattice.maximal
 
 
 def jacobson_radical(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = lattice or enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     return lattice.jacobson
 
 
 def is_local(S: FiniteStructure, lattice: Optional[IdealLattice] = None) -> bool:
     """Exactly one maximal hyperideal.  A one-element structure has none."""
-    lattice = lattice or enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     return len(lattice.maximal) == 1
 
 
@@ -373,10 +376,10 @@ def radical_by_primes(
     """Intersection of the prime hyperideals containing I (the reference
     definition); the whole carrier when no prime contains I."""
     members = frozenset(I)
-    lattice = lattice or enumerate_hyperideals(S)
-    over = [p.members for p in lattice.primes() if members <= p.members]
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    over = [p.members for p in lattice.primes if members <= p.members]
     if not over:
-        return lattice.by_members(frozenset(S.carrier))
+        return lattice._whole()
     inter = frozenset(S.carrier)
     for p in over:
         inter &= p
@@ -452,7 +455,7 @@ def is_primary(
         raise ValueError("primary test requires a proper hyperideal")
     if S.one is None:
         return None, None
-    lattice = lattice or enumerate_hyperideals(S)
+    lattice = enumerate_hyperideals(S) if lattice is None else lattice
     hit = DROP.scan(S, members, *_primary_pair(S, members, lattice, None))
     if hit is None:
         return True, None

@@ -279,7 +279,8 @@ def quotient_expansion(
     pullback must be a base hyperideal containing the modulus, which holds
     for well-defined quotients and is asserted here.
     """
-    quotient_lattice = quotient_lattice or enumerate_hyperideals(q.structure)
+    if quotient_lattice is None:
+        quotient_lattice = enumerate_hyperideals(q.structure)
     table = {}
     for K in quotient_lattice:
         pulled = q.unproject(K.members)

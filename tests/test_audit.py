@@ -1,5 +1,6 @@
 """Theorem registry execution, discrepancy records, report determinism."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,6 +15,7 @@ from hyperring import (
     run_audit,
 )
 from hyperring.audit import FAIL, PASS, SKIP, StructureContext, catalog_hash, replay_cell
+from hyperring.classifiers import PREDICATES
 
 
 @pytest.fixture(scope="module")
@@ -92,16 +94,19 @@ def test_replay_reproduces_every_cell(small_catalog):
 
 
 def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch):
-    import hyperring.audit as audit_module
-
+    # every row of the predicate table, absorbing included, is evaluated at
+    # most once per (lattice, row, Q, expansion, k) by one context
     seen = []
-    scan = audit_module.is_absorbing_delta_j
 
-    def counting(S, Q, delta, k, lattice):
-        seen.append((lattice.parent.name, frozenset(Q), delta.name, k))
-        return scan(S, Q, delta, k, lattice)
+    def counting(row):
+        def evaluate(S, Q, lattice, delta, k):
+            seen.append((lattice, row.name, frozenset(Q), delta and delta.name, k))
+            return row.evaluate(S, Q, lattice, delta, k)
 
-    monkeypatch.setattr(audit_module, "is_absorbing_delta_j", counting)
+        return evaluate
+
+    for name, row in list(PREDICATES.items()):
+        monkeypatch.setitem(PREDICATES, name, dataclasses.replace(row, evaluate=counting(row)))
     entries = [
         e for e in small_catalog
         if e.verified and e.structure.one is not None and e.structure.size == 3
@@ -112,7 +117,8 @@ def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch
         ctx = StructureContext(entry, small_catalog, k_max=3)
         for check in THEOREMS.values():
             check.run(ctx)
-        assert seen and len(seen) == len(set(seen)), entry.structure.name
+        assert any(key[1] == "absorbing" for key in seen), entry.structure.name
+        assert len(seen) == len(set(seen)), entry.structure.name
 
 
 def test_catalog_hash_stability(full_catalog):

@@ -261,10 +261,10 @@ def test_default_catalog_composition(full_catalog):
 
 
 def test_default_catalog_seed_changes_slice_only():
-    base = [e.structure.name for e in default_catalog(order4_slice=2)]
-    seeded = [e.structure.name for e in default_catalog(order4_slice=2, seed=9)]
+    base = [e.structure.name for e in default_catalog()]
+    seeded = [e.structure.name for e in default_catalog(seed=9)]
     assert len(base) == len(seeded)
-    assert base[: len(base) - 2] == seeded[: len(base) - 2]
+    assert base[: len(base) - 4] == seeded[: len(base) - 4]
 
 
 # -- counterexample search -------------------------------------------------------

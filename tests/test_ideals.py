@@ -7,9 +7,12 @@ literal tuple-level quantifier loops over raw table lookups.
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from test_core import well_formed_tables
 
 from hyperring import (
     MissingIdentityError,
+    classify,
     enumerate_hyperideals,
     is_hyperideal,
     is_local,
@@ -216,7 +219,7 @@ def test_prime_verdicts_on_builtins(b33, b24):
     assert is_prime(S, {0})
     T = b24.structure
     lat = enumerate_hyperideals(T)
-    assert [i.labels() for i in lat.primes()] == [("0", "1")]
+    assert [i.labels() for i in lat.primes] == [("0", "1")]
     # products of four elements of {a,b} give a, so neither {0} nor {0,a}
     # can be prime
     assert not is_prime(T, {0})
@@ -293,7 +296,7 @@ def test_primes_are_primary(full_catalog):
         if S.one is None:
             continue
         lat = entry.lattice()
-        for p in lat.primes():
+        for p in lat.primes:
             verdict, _ = is_primary(S, p.members, lat)
             assert verdict is True
 
@@ -394,3 +397,53 @@ def test_principal_formula_closed_on_verified(full_catalog):
 def test_principal_ideal_requires_identity(b24):
     with pytest.raises(MissingIdentityError):
         principal_ideal(b24.structure, 1)
+
+
+# -- cached views and the whole-carrier fallback ------------------------------
+
+
+def test_lattice_views_are_cached_and_lattices_key_by_identity(b24):
+    S = b24.structure
+    L = enumerate_hyperideals(S)
+    assert L.maximal is L.maximal
+    assert L.jacobson is L.jacobson
+    assert L.primes is L.primes
+    assert len({L: 1, enumerate_hyperideals(S): 2}) == 2
+
+
+def test_carrier_fallbacks_on_tables_whose_carrier_is_no_hyperideal(bare_tables):
+    A, B = bare_tables["A"], bare_tables["B"]
+    top = frozenset(A.carrier)
+    assert [sorted(i.members) for i in enumerate_hyperideals(A)] == [[0]]
+    assert radical_by_primes(A, {0}).members == top
+    assert classify(A, {0}).verdicts["maximal"].value == "true"
+    assert len(enumerate_hyperideals(B)) == 0
+    assert jacobson_radical(B).members == top
+
+
+def test_an_empty_lattice_is_not_enumerated_again(bare_tables, monkeypatch):
+    B = bare_tables["B"]
+    L = enumerate_hyperideals(B)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the given lattice was enumerated again")
+
+    monkeypatch.setattr("hyperring.ideals.enumerate_hyperideals", no_enumeration)
+    assert jacobson_radical(B, L).members == frozenset(B.carrier)
+    assert maximal_hyperideals(B, L) == ()
+    assert not is_local(B, L)
+
+
+@settings(max_examples=100, deadline=None)
+@given(S=well_formed_tables())
+def test_lattice_operations_raise_nothing_on_unverified_tables(S):
+    L = enumerate_hyperideals(S)
+    jacobson_radical(S, L)
+    for ideal in L:
+        radical_by_primes(S, ideal.members, L)
+        classify(S, ideal.members, lattice=L)
+        if ideal.proper:
+            is_primary(S, ideal.members, L)
+    if S.one is not None:
+        for x in S.carrier:
+            principal_ideal(S, x, L)
