@@ -19,8 +19,8 @@ verification, lacks a scalar identity the check needs, or fails the gate.
 
 The checks share their verdicts through a ``StructureContext``: its
 ``verdict`` evaluates a row of ``classifiers.PREDICATES`` once per lattice,
-row, member set, expansion name and k, and its radicals share the same
-memo.  The key holds the lattice object itself (lattices hash by identity),
+row, member set, expansion name and k, and its radicals are read from the
+registry's delta1 expansion.  The key holds the lattice object itself (lattices hash by identity),
 so the memo keeps every lattice it names alive.  Within one lattice an
 expansion name names one expansion: a registered one, a composition
 ``gammaodelta`` or an induced quotient expansion ``delta_q``; theorem
@@ -62,7 +62,6 @@ from .ideals import (
     is_local,
     prime_witness,
     principal_ideal,
-    radical_by_primes,
     residual,
 )
 from .morphology import (
@@ -217,10 +216,8 @@ class StructureContext:
         return self._verdicts[key]
 
     def radical(self, Q: frozenset) -> frozenset:
-        key = (self.lattice, "radical", Q, None, None)
-        if key not in self._verdicts:
-            self._verdicts[key] = radical_by_primes(self.S, Q, self.lattice).members
-        return self._verdicts[key]
+        """The radical of a lattice member, read from the delta1 expansion."""
+        return self.registry["delta1"](Q)
 
     def quotients(self) -> list[Quotient]:
         """Every well-defined quotient whose tables verify, with its lattice
@@ -436,32 +433,31 @@ def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
     )
 
 
-def _transfers(ctx, ks) -> Iterable[tuple]:
-    """(fixture, k, side, Q): per fixture whose target has a scalar identity,
-    the target ideals to pull back along a monomorphism, then the source
-    ideals over the kernel to push along an epimorphism."""
+def _transfers(ctx, row, ks) -> Iterable[tuple]:
+    """(fixture, row, k, side, Q): per fixture whose target has a scalar
+    identity, the target ideals to pull back along a monomorphism, then the
+    source ideals over the kernel to push along an epimorphism; ``row`` is
+    the predicate that transfers."""
     for fix in ctx.hom_fixtures():
         h = fix["hom"]
         for k in ks if h.target.one is not None else ():
             if h.injective:
                 for i2 in fix["target_lattice"].proper():
-                    yield fix, k, "preimage", i2.members
+                    yield fix, row, k, "preimage", i2.members
             if h.surjective:
                 ker = kernel(h)
                 for i1 in ctx.proper:
                     if ker <= i1:
-                        yield fix, k, "image", i1
+                        yield fix, row, k, "image", i1
 
 
-def _transfer_hypothesis(ctx, fix, k, side, Q):
-    # delta-J for k None, (k,n)-absorbing delta-J otherwise
-    row = "delta-J" if k is None else "absorbing"
+def _transfer_hypothesis(ctx, fix, row, k, side, Q):
     if side == "preimage":
         return ctx.verdict(row, Q, fix["gamma"], k, fix["target_lattice"])
     return ctx.verdict(row, Q, fix["delta"], k)
 
 
-def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
+def _transfer_holds(ctx, fix, row, k, side, Q) -> Optional[dict]:
     h = fix["hom"]
     wit = dict(fixture=fix["tag"]) if k is None else dict(fixture=fix["tag"], k=k)
     if side == "preimage":
@@ -474,7 +470,7 @@ def _transfer_holds(ctx, fix, k, side, Q) -> Optional[dict]:
         lattice, delta = fix["target_lattice"], fix["gamma"]
     if mapped == top or mapped not in lattice:
         return wit
-    res = ctx.verdict("delta-J" if k is None else "absorbing", mapped, delta, k, lattice)
+    res = ctx.verdict(row, mapped, delta, k, lattice)
     # delta-J must hold; an absorbing verdict fails only when it is FALSE
     holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
     if holds:
@@ -672,7 +668,7 @@ _IMPLICATIONS: list[Implication] = [
     # monomorphisms, images along epimorphisms whose kernel lies in Q
     Implication(
         "T20", "delta-J transfers along hom fixtures", True,
-        lambda ctx: _transfers(ctx, [None]), _transfer_hypothesis, _transfer_holds, _no_proper,
+        lambda ctx: _transfers(ctx, "delta-J", [None]), _transfer_hypothesis, _transfer_holds, _no_proper,
     ),
     Implication(
         "T21", "delta-J passes to quotients as induced-expansion J", True, _quotient_ideals,
@@ -723,7 +719,7 @@ _IMPLICATIONS: list[Implication] = [
     ),
     Implication(
         "T27", "absorbing transfers along hom fixtures", True,
-        lambda ctx: _transfers(ctx, range(2, ctx.k_max + 1)),
+        lambda ctx: _transfers(ctx, "absorbing", range(2, ctx.k_max + 1)),
         _transfer_hypothesis, _transfer_holds, _no_proper,
     ),
 ]

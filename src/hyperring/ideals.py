@@ -136,8 +136,7 @@ class IdealLattice:
 
     A lattice compares and hashes by identity, so it can key a memo.  Its
     maximal hyperideals, Jacobson radical and primes are computed on first
-    read and kept.  A whole-carrier fallback is the carrier's member, or a
-    bare ``Hyperideal`` when an unverified table's carrier is no hyperideal.
+    read and kept.
     """
 
     parent: FiniteStructure
@@ -161,10 +160,6 @@ class IdealLattice:
     def proper(self) -> tuple[Hyperideal, ...]:
         return tuple(i for i in self.ideals if i.proper)
 
-    def _whole(self) -> Hyperideal:
-        top = frozenset(self.parent.carrier)
-        return self._index.get(top) or Hyperideal(self.parent, top)
-
     @cached_property
     def maximal(self) -> tuple[Hyperideal, ...]:
         prop = self.proper()
@@ -178,7 +173,7 @@ class IdealLattice:
     def jacobson(self) -> Hyperideal:
         """Intersection of the maximal hyperideals; the whole carrier if none."""
         if not self.maximal:
-            return self._whole()
+            return self.by_members(frozenset(self.parent.carrier))
         inter = frozenset(self.parent.carrier)
         for m in self.maximal:
             inter &= m.members
@@ -295,12 +290,15 @@ def principal_ideal(
     row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    if lattice is None:
+        lattice = enumerate_hyperideals(S)
     if check.ok:
         return PrincipalIdeal(lattice.by_members(raw), x, raw, True)
-    # the lattice runs by size, so the first member over the set is a least one
-    enclosing = next((i for i in lattice if raw <= i.members), lattice._whole())
-    return PrincipalIdeal(enclosing, x, raw, False)
+    enclosing = frozenset(S.carrier)
+    for cand in lattice:
+        if raw <= cand.members and len(cand.members) < len(enclosing):
+            enclosing = cand.members
+    return PrincipalIdeal(lattice.by_members(enclosing), x, raw, False)
 
 
 def maximal_hyperideals(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
@@ -379,7 +377,7 @@ def radical_by_primes(
     lattice = enumerate_hyperideals(S) if lattice is None else lattice
     over = [p.members for p in lattice.primes if members <= p.members]
     if not over:
-        return lattice._whole()
+        return lattice.by_members(frozenset(S.carrier))
     inter = frozenset(S.carrier)
     for p in over:
         inter &= p

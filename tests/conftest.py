@@ -45,17 +45,3 @@ def kmn_file(tmp_path):
         return str(path)
 
     return write
-
-
-@pytest.fixture(scope="session")
-def bare_tables():
-    """Two unverified (2,2) tables on {0, 1} whose carrier is no hyperideal:
-    in A only {0} is a hyperideal (0 + 0 = {0}), B has none (0 + 0 = {0, 1})."""
-    from hyperring import FiniteStructure
-
-    def table(zero_sum):
-        add = {(0, 0): frozenset(zero_sum), (0, 1): frozenset({1}), (1, 1): frozenset({1})}
-        mul = {(0, 0): 0, (0, 1): 0, (1, 1): 0}
-        return FiniteStructure.build("bare", 2, 2, ("0", "1"), add, mul, 0)
-
-    return {"A": table({0}), "B": table({0, 1})}

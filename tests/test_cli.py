@@ -127,22 +127,6 @@ def test_unknown_ideal_label_is_usage_error(runner, kmn_file, b33):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize(
-    "table, command, code",
-    [
-        ("A", ("classify", "--ideal", "0"), 1),
-        ("A", ("radical", "--ideal", "0"), 0),
-        ("B", ("jacobson",), 0),
-    ],
-)
-def test_carrier_fallbacks_exit_cleanly(runner, kmn_file, bare_tables, table, command, code):
-    # the carrier of these unverified tables is no hyperideal; an exception
-    # would propagate out of ``invoke``
-    path = kmn_file(bare_tables[table], name=table)
-    res = invoke(runner, command[0], path, *command[1:])
-    assert res.exit_code == code, res.output
-
-
 def test_quotient_command(runner, kmn_file, b24, tmp_path):
     out = tmp_path / "q.kmn"
     res = invoke(

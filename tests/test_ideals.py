@@ -7,12 +7,10 @@ literal tuple-level quantifier loops over raw table lookups.
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
-from test_core import well_formed_tables
 
 from hyperring import (
+    FiniteStructure,
     MissingIdentityError,
-    classify,
     enumerate_hyperideals,
     is_hyperideal,
     is_local,
@@ -399,7 +397,7 @@ def test_principal_ideal_requires_identity(b24):
         principal_ideal(b24.structure, 1)
 
 
-# -- cached views and the whole-carrier fallback ------------------------------
+# -- cached views and passed-in lattices -------------------------------------
 
 
 def test_lattice_views_are_cached_and_lattices_key_by_identity(b24):
@@ -411,39 +409,17 @@ def test_lattice_views_are_cached_and_lattices_key_by_identity(b24):
     assert len({L: 1, enumerate_hyperideals(S): 2}) == 2
 
 
-def test_carrier_fallbacks_on_tables_whose_carrier_is_no_hyperideal(bare_tables):
-    A, B = bare_tables["A"], bare_tables["B"]
-    top = frozenset(A.carrier)
-    assert [sorted(i.members) for i in enumerate_hyperideals(A)] == [[0]]
-    assert radical_by_primes(A, {0}).members == top
-    assert classify(A, {0}).verdicts["maximal"].value == "true"
-    assert len(enumerate_hyperideals(B)) == 0
-    assert jacobson_radical(B).members == top
-
-
-def test_an_empty_lattice_is_not_enumerated_again(bare_tables, monkeypatch):
-    B = bare_tables["B"]
-    L = enumerate_hyperideals(B)
+def test_an_empty_lattice_is_not_enumerated_again(monkeypatch):
+    # an unverified (2,2) table on {0, 1} with no hyperideal: 0 + 0 = {0, 1}
+    add = {(0, 0): frozenset({0, 1}), (0, 1): frozenset({1}), (1, 1): frozenset({1})}
+    mul = {(0, 0): 0, (0, 1): 0, (1, 1): 0}
+    S = FiniteStructure.build("bare", 2, 2, ("0", "1"), add, mul, 0)
+    L = enumerate_hyperideals(S)
+    assert len(L) == 0
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the given lattice was enumerated again")
 
     monkeypatch.setattr("hyperring.ideals.enumerate_hyperideals", no_enumeration)
-    assert jacobson_radical(B, L).members == frozenset(B.carrier)
-    assert maximal_hyperideals(B, L) == ()
-    assert not is_local(B, L)
-
-
-@settings(max_examples=100, deadline=None)
-@given(S=well_formed_tables())
-def test_lattice_operations_raise_nothing_on_unverified_tables(S):
-    L = enumerate_hyperideals(S)
-    jacobson_radical(S, L)
-    for ideal in L:
-        radical_by_primes(S, ideal.members, L)
-        classify(S, ideal.members, lattice=L)
-        if ideal.proper:
-            is_primary(S, ideal.members, L)
-    if S.one is not None:
-        for x in S.carrier:
-            principal_ideal(S, x, L)
+    assert maximal_hyperideals(S, L) == ()
+    assert not is_local(S, L)
