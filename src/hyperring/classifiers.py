@@ -21,15 +21,19 @@ scan and ``replay_witness`` both read.  ``classify`` and
 ``catalog.search_counterexample`` call the same evaluators.
 
 Scans run over multisets and per-length product tables (commutativity is
-structural) and report concrete tuples as witnesses.  ``replay_witness``
-re-checks the prime and drop clauses with the functions their scans use,
-and the absorbing scan against the literal tuple-level definition.
+structural) and report concrete tuples as witnesses.  The absorbing scan
+tests each distinct row signature (value bitmasks, built once per structure
+and length) in first-row order, so the first failing one gives the
+row-by-row scan's witness.  ``replay_witness`` re-checks the prime and drop
+clauses with the functions their scans use, and the absorbing scan against
+the literal tuple-level definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -327,6 +331,41 @@ def absorbing_arity(n: int, k: int) -> tuple[int, int]:
     return k * (n - 1) + 1, (k - 1) * (n - 1) + 1
 
 
+@lru_cache(maxsize=128)
+def _repeats(size: int, total: int, part: int) -> tuple:
+    """Per ``ranked_plan`` row and split (A, a, b): whether a value of A has
+    further copies in the remainder.  Shared by every structure of a shape."""
+    rests = table_shape(size, total - part).keys
+    return tuple(
+        tuple(any(v in rests[b] for v in A) for A, _, b in splits)
+        for _, splits in ranked_plan(size, total, part)
+    )
+
+
+def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
+    """The distinct row signatures ``(1 << whole, P, single)`` of the
+    (total, part) absorbing scan, each with its first rank, in rank order.
+    P is the bitmask of a row's sub-product values; single holds those that
+    exactly one split gives, when that split has no repeat.  Built once per
+    structure and (total, part), kept out of equality and hashing."""
+    tables = vars(S).setdefault("_absorbing", {})
+    if (total, part) not in tables:
+        wholes, parts = S.product_table(total), S.product_table(part)
+        plan, repeats = ranked_plan(S.size, total, part), _repeats(S.size, total, part)
+        first: dict = {}
+        for r, ((_, splits), reps) in enumerate(zip(plan, repeats)):
+            P = multi = single = 0
+            for (_, a, _), repeat in zip(splits, reps):
+                bit = 1 << parts[a]
+                multi |= P & bit
+                P |= bit
+                if not repeat:
+                    single |= bit
+            first.setdefault((1 << wholes[r], P, single & ~multi), r)
+        tables[total, part] = tuple((*sig, r) for sig, r in first.items())
+    return tables[total, part]
+
+
 def is_absorbing_delta_j(
     S: FiniteStructure,
     Q: Iterable[int],
@@ -342,6 +381,13 @@ def is_absorbing_delta_j(
     in the remainder (then an index selection other than the prefix realises
     it).  This matches the tuple-level definition, which the witness replay
     re-checks literally.
+
+    A row's verdict depends only on its signature (``_signatures``): with
+    its whole in Q, it fails when no sub-product lies in delta(Q) and some
+    lies outside the Jacobson radical J, or when one split alone gives a
+    value v in delta(Q), without a repeat, and v lies outside J.  The first
+    failing signature in first-rank order is the first failing row; the
+    witness is that row's first split with a failing value.
     """
     members = frozenset(Q)
     if members == frozenset(S.carrier):
@@ -354,33 +400,27 @@ def is_absorbing_delta_j(
             Verdict.NOT_APPLICABLE,
             note=f"tuple space {S.size}^{total} exceeds cap {ABSORBING_TUPLE_CAP}",
         )
-    jac = lattice.jacobson.members
-    dQ = delta(members)
-    wholes, parts = S.product_table(total), S.product_table(part)
-    rests = table_shape(S.size, total - part).keys
-    for r, (_, splits) in enumerate(ranked_plan(S.size, total, part)):
-        if wholes[r] not in members:
+    sets = (members, delta(members), lattice.jacobson.members)
+    q, d, j = (sum(1 << x for x in s) for s in sets)
+    for whole, P, single, r in _signatures(S, total, part):
+        hit = P & d
+        if not whole & q or hit & (hit - 1):  # two values in delta(Q) leave an alternative
             continue
-        in_dq = [parts[a] in dQ for _, a, _ in splits]
-        any_in_dq = sum(in_dq)
-        for idx, (A, a, b) in enumerate(splits):
-            if parts[a] in jac:
-                continue
-            # is A realisable by a second index selection?
-            repeat = any(v in rests[b] for v in A)
-            alternatives = any_in_dq - (0 if repeat else int(in_dq[idx]))
-            if alternatives == 0:
-                return PredicateResult(
-                    Verdict.FALSE,
-                    Witness(
-                        "absorbing-delta-j",
-                        tuple(sorted(members)),
-                        A + rests[b],
-                        prefix_len=part,
-                        delta=delta.name,
-                        k=k,
-                    ),
-                )
+        bad = (hit & single if hit else P) & ~j
+        if bad:
+            parts, (_, splits) = S.product_table(part), ranked_plan(S.size, total, part)[r]
+            A, _, b = next(split for split in splits if 1 << parts[split[1]] & bad)
+            return PredicateResult(
+                Verdict.FALSE,
+                Witness(
+                    "absorbing-delta-j",
+                    tuple(sorted(members)),
+                    A + table_shape(S.size, total - part).keys[b],
+                    prefix_len=part,
+                    delta=delta.name,
+                    k=k,
+                ),
+            )
     return PredicateResult(Verdict.TRUE)
 
 
