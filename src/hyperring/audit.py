@@ -166,7 +166,6 @@ def catalog_hash(entries: list[CatalogEntry]) -> str:
 class Quotient(NamedTuple):
     """A well-defined quotient of the audited structure whose tables verify."""
 
-    modulus: frozenset
     q: QuotientStructure
     lattice: IdealLattice
     induced: dict  # base expansion name -> induced quotient expansion
@@ -181,8 +180,6 @@ class StructureContext:
         self.catalog = catalog
         self.k_max = k_max
         self.S: FiniteStructure = entry.structure
-        self._fixtures: Optional[list] = None
-        self._quotients: Optional[list] = None
         self._verdicts: dict = {}
 
     @cached_property
@@ -219,34 +216,33 @@ class StructureContext:
         """The radical of a lattice member, read from the delta1 expansion."""
         return self.registry["delta1"](Q)
 
+    @cached_property
     def quotients(self) -> list[Quotient]:
         """Every well-defined quotient whose tables verify, with its lattice
-        and the quotient expansions the registry induces, built once."""
-        if self._quotients is None:
-            self._quotients = []
-            for ideal in self.lattice:
-                res = quotient(self.S, ideal.members)
-                if res.ok and res.axiom_report.ok:
-                    qs = res.quotient
-                    qlat = enumerate_hyperideals(qs.structure)
-                    induced = {
-                        name: quotient_expansion(qs, delta, self.lattice, qlat)
-                        for name, delta in self.registry.items()
-                    }
-                    self._quotients.append(Quotient(ideal.members, qs, qlat, induced))
-        return self._quotients
+        and the quotient expansions the registry induces."""
+        out = []
+        for ideal in self.lattice:
+            res = quotient(self.S, ideal.members)
+            if res.ok and res.axiom_report.ok:
+                qs = res.quotient
+                qlat = enumerate_hyperideals(qs.structure)
+                induced = {
+                    name: quotient_expansion(qs, delta, self.lattice, qlat)
+                    for name, delta in self.registry.items()
+                }
+                out.append(Quotient(qs, qlat, induced))
+        return out
 
+    @cached_property
     def hom_fixtures(self) -> list[dict]:
         """Identity, quotient projections and small monomorphisms, each with
         every registered (delta, gamma) pair that makes it an expansion-
         compatible homomorphism."""
-        if self._fixtures is not None:
-            return self._fixtures
         S = self.S
         # (tag, hom, target lattice, target registry, induced expansions)
         homs = [("identity", identity_hom(S), self.lattice, self.registry, {})]
-        for quot in self.quotients():
-            tag = f"projection/{{{','.join(S.labels_of(quot.modulus))}}}"
+        for quot in self.quotients:
+            tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
             registry = standard_registry(quot.q.structure, quot.lattice)
             homs.append((tag, projection_hom(quot.q), quot.lattice, registry, quot.induced))
         for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
@@ -254,7 +250,7 @@ class StructureContext:
             if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
                 for h in enumerate_homomorphisms(S, T, injective_only=True):
                     homs.append((f"mono->{T.name}", h, other.lattice(), other.registry(), {}))
-        self._fixtures = []
+        fixtures = []
         for tag, h, tl, treg, induced in homs:
             # a projection pairs every base expansion with its induced
             # quotient expansion first
@@ -263,8 +259,8 @@ class StructureContext:
             fixture = dict(tag=tag, hom=h, target_lattice=tl)
             for delta, gamma in pairs:
                 if is_delta_gamma_hom(h, delta, gamma, self.lattice, tl)[0]:
-                    self._fixtures.append(dict(fixture, delta=delta, gamma=gamma))
-        return self._fixtures
+                    fixtures.append(dict(fixture, delta=delta, gamma=gamma))
+        return fixtures
 
 
 # -- theorem checks ----------------------------------------------------------
@@ -416,10 +412,7 @@ def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
 def _maximal_relative_drops(ctx, q, delta) -> bool:
     # the drop clause, triggered outside the intersection of the maximal
     # hyperideals over Q
-    m_q = ctx.top
-    for m in ctx.lattice.maximal:
-        if q <= m.members:
-            m_q &= m.members
+    m_q = ctx.lattice.meet(m for m in ctx.lattice.maximal if q <= m.members)
     return q <= ctx.jac and DROP.scan(ctx.S, q, m_q, delta(q)) is None
 
 
@@ -438,7 +431,7 @@ def _transfers(ctx, row, ks) -> Iterable[tuple]:
     identity, the target ideals to pull back along a monomorphism, then the
     source ideals over the kernel to push along an epimorphism; ``row`` is
     the predicate that transfers."""
-    for fix in ctx.hom_fixtures():
+    for fix in ctx.hom_fixtures:
         h = fix["hom"]
         for k in ks if h.target.one is not None else ():
             if h.injective:
@@ -483,17 +476,17 @@ def _transfer_holds(ctx, fix, row, k, side, Q) -> Optional[dict]:
 
 
 def _quotient_ideals(ctx) -> Iterable[tuple]:
-    for quot in ctx.quotients():
+    for quot in ctx.quotients:
         for delta in ctx.registry.values() if quot.q.structure.one is not None else ():
             for big in ctx.proper:
-                if quot.modulus <= big:
+                if quot.q.modulus <= big:
                     yield quot, delta, big
 
 
 def _quotient_is_delta_j(ctx, quot, delta, big) -> Optional[dict]:
     Qs = quot.q.structure
     img = quot.q.project(big)
-    wit = dict(modulus=quot.modulus, ideal=big, delta=delta.name)
+    wit = dict(modulus=quot.q.modulus, ideal=big, delta=delta.name)
     if img == frozenset(Qs.carrier) or img not in quot.lattice:
         return wit
     if ctx.verdict("delta-J", img, quot.induced[delta.name], lattice=quot.lattice):

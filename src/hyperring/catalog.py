@@ -22,8 +22,8 @@ from which the outputs are built; relabelings act through ``carrier_map``.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 from typing import Iterator, Optional
 
@@ -74,30 +74,34 @@ class Claim:
 
 @dataclass
 class CatalogEntry:
+    """A structure with its provenance and shipped claims.  The axiom report
+    is computed at construction, where the size guard raises, the lattice
+    and registry on first call; none of them takes part in equality."""
+
     structure: FiniteStructure
     provenance: str  # builtin | enumerated | file
     claims: tuple[Claim, ...] = ()
-    report: AxiomReport = None
-    _lattice: Optional[IdealLattice] = field(default=None, repr=False)
-    _registry: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.report is None:
-            self.report = verify_krasner(self.structure)
+        self.report: AxiomReport = verify_krasner(self.structure)
 
     @property
     def verified(self) -> bool:
         return self.report.ok
 
     def lattice(self) -> IdealLattice:
-        if self._lattice is None:
-            self._lattice = enumerate_hyperideals(self.structure)
         return self._lattice
 
     def registry(self) -> dict:
-        if self._registry is None:
-            self._registry = standard_registry(self.structure, self.lattice())
         return self._registry
+
+    @cached_property
+    def _lattice(self) -> IdealLattice:
+        return enumerate_hyperideals(self.structure)
+
+    @cached_property
+    def _registry(self) -> dict:
+        return standard_registry(self.structure, self._lattice)
 
 
 # -- built-in structures -----------------------------------------------------

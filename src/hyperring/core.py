@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter, abc
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -215,7 +215,8 @@ class TableView(abc.Mapping):
             return abc.Mapping.__eq__(self, other)
         return (self.sets, self.shape.keys, self.cells) == (other.sets, other.shape.keys, other.cells)
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash((self.sets, self.cells))
 
     def __repr__(self) -> str:
         return f"TableView({dict(self)!r})"
@@ -273,10 +274,11 @@ class FiniteStructure:
     to single elements; after construction both are read-only
     ``TableView``s over the ranked cells ``add_cells`` (bitmasks) and
     ``mul_cells`` (elements) of the shapes ``add_shape`` and ``mul_shape``.
-    ``zero`` is the declared additive neutral element; ``one`` is the
-    *detected* scalar identity of ``mul`` (None if absent).  Construction
-    checks well-formedness only; the algebraic axioms are the verifiers'
-    job, so deliberately broken tables can be built and audited.
+    ``zero`` is the declared additive neutral element.  Values derived from
+    the tables, such as the scalar identity ``one``, are computed on first
+    read and take no part in equality or hashing.  Construction checks
+    well-formedness only; the algebraic axioms are the verifiers' job, so
+    deliberately broken tables can be built and audited.
     """
 
     name: str
@@ -286,7 +288,6 @@ class FiniteStructure:
     add: Mapping[Multiset, frozenset]
     mul: Mapping[Multiset, int]
     zero: int
-    one: Optional[int] = None
     carrier: range = field(init=False, repr=False, compare=False, hash=False)
     add_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
     mul_shape: Shape = field(init=False, repr=False, compare=False, hash=False)
@@ -305,8 +306,6 @@ class FiniteStructure:
             raise StructureError("arities must be at least 2")
         if not (0 <= self.zero < size):
             raise ForeignElementError("zero outside carrier")
-        if self.one is not None and not (0 <= self.one < size):
-            raise ForeignElementError("one outside carrier")
         # one pass per table ranks and checks every entry; the errors keep
         # their order: keys of f, keys of g, values of f, values of g
         add, add_error = _ranked(self.add, table_shape(size, self.m), True, "hyperaddition")
@@ -336,23 +335,19 @@ class FiniteStructure:
         zero: int,
         declared_one: Optional[int] = None,
     ) -> "FiniteStructure":
-        """Construct and auto-detect the scalar identity of ``mul``.
-
-        A declared identity that contradicts detection is an error; the
-        detected value always wins so downstream predicates stay honest.
+        """Construct, checking a declared scalar identity against the
+        detected one, ``one``: a contradiction is an error, so downstream
+        predicates stay honest.
         """
-        S = cls(name, m, n, tuple(labels), add, mul, zero, None)
-        ones = S.detect_identities()
-        one = ones[0] if len(ones) == 1 else None
-        if declared_one is not None and declared_one != one:
-            raise StructureError(
-                f"declared identity {labels[declared_one]!r} does not act as one"
-                f" (detected: {'none' if one is None else labels[one]!r})"
-            )
-        # the detected identity is within the carrier, which __post_init__
-        # has already checked, so it is set without a second construction
-        object.__setattr__(S, "one", one)
-        return S
+        S = cls(name, m, n, tuple(labels), add, mul, zero)
+        if declared_one is None or declared_one == S.one:
+            return S
+        if not 0 <= declared_one < S.size:
+            raise ForeignElementError(f"declared identity {declared_one} outside carrier")
+        raise StructureError(
+            f"declared identity {S.labels[declared_one]!r} does not act as one"
+            f" (detected: {'none' if S.one is None else S.labels[S.one]!r})"
+        )
 
     # -- basics ------------------------------------------------------------
 
@@ -466,6 +461,13 @@ class FiniteStructure:
             )
         return tables[t]
 
+    @cached_property
+    def one(self) -> Optional[int]:
+        """The scalar identity of the multiplication, None unless exactly one
+        element acts as one."""
+        ones = self.detect_identities()
+        return ones[0] if len(ones) == 1 else None
+
     def detect_identities(self) -> tuple[int, ...]:
         """Elements acting as scalar identity of the multiplication."""
         cells = self.mul_cells
@@ -483,16 +485,9 @@ class FiniteStructure:
         cands = self._inverse_table[x]
         return cands[0] if len(cands) == 1 else None
 
-    @property
+    @cached_property
     def _inverse_table(self) -> tuple[tuple[int, ...], ...]:
-        # scanned once per structure, kept out of equality and hashing; a
-        # plain memo, as functools.cached_property takes a lock on first read
-        table = vars(self).get("_inverses")
-        if table is None:
-            table = vars(self)["_inverses"] = inverse_candidates(
-                self.size, self.m, self.zero, self.add_cells
-            )
-        return table
+        return inverse_candidates(self.size, self.m, self.zero, self.add_cells)
 
 
 def _check_length(t: int, arity: int, what: str) -> None:

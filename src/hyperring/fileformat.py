@@ -85,51 +85,38 @@ def parse_structure(text: str) -> FiniteStructure:
             if not isinstance(entry, dict):
                 raise ParseError(f"{fld} entry {entry!r} must be an object")
 
-    add = {}
-    for entry in doc["f"]:
-        args = entry.get("args")
-        value = entry.get("value")
-        if not isinstance(args, list) or len(args) != m:
-            raise ParseError(f"f entry {entry!r} needs {m} args")
-        if not isinstance(value, list) or not value:
-            raise ParseError(f"empty value set in f entry for args {args}")
-        key = msort(resolve(a, "f args") for a in args)
-        vset = frozenset(resolve(v, "f value") for v in value)
-        if key in add and add[key] != vset:
-            raise ParseError(
-                f"conflicting f entries for multiset {sorted(args)} after reordering"
-            )
-        add[key] = vset
-    mul = {}
-    for entry in doc["g"]:
-        args = entry.get("args")
-        value = entry.get("value")
-        if not isinstance(args, list) or len(args) != n:
-            raise ParseError(f"g entry {entry!r} needs {n} args")
-        if not isinstance(value, str):
-            raise ParseError(f"g entry for args {args} needs a single value label")
-        key = msort(resolve(a, "g args") for a in args)
-        v = resolve(value, "g value")
-        if key in mul and mul[key] != v:
-            raise ParseError(
-                f"conflicting g entries for multiset {sorted(args)} after reordering"
-            )
-        mul[key] = v
-
-    size = len(labels)
-    for key in multisets(size, m):
-        if key not in add:
-            raise ParseError(
-                f"incomplete f table: missing multiset {[labels[i] for i in key]}"
-            )
-    for key in multisets(size, n):
-        if key not in mul:
-            raise ParseError(
-                f"incomplete g table: missing multiset {[labels[i] for i in key]}"
-            )
+    tables: dict = {}
+    for fld, arity in (("f", m), ("g", n)):
+        table = tables[fld] = {}
+        for entry in doc[fld]:
+            args = entry.get("args")
+            value = entry.get("value")
+            if not isinstance(args, list) or len(args) != arity:
+                raise ParseError(f"{fld} entry {entry!r} needs {arity} args")
+            if fld == "f" and (not isinstance(value, list) or not value):
+                raise ParseError(f"empty value set in f entry for args {args}")
+            if fld == "g" and not isinstance(value, str):
+                raise ParseError(f"g entry for args {args} needs a single value label")
+            key = msort(resolve(a, f"{fld} args") for a in args)
+            if fld == "f":
+                value = frozenset(resolve(v, "f value") for v in value)
+            else:
+                value = resolve(value, "g value")
+            if table.setdefault(key, value) != value:
+                raise ParseError(
+                    f"conflicting {fld} entries for multiset {sorted(args)} after reordering"
+                )
+    # completeness is checked after both tables are read, so an entry error
+    # in g is reported before a missing key in f
+    for fld, arity in (("f", m), ("g", n)):
+        for key in multisets(len(labels), arity):
+            if key not in tables[fld]:
+                raise ParseError(
+                    f"incomplete {fld} table: missing multiset {[labels[i] for i in key]}"
+                )
     try:
         return FiniteStructure.build(
-            doc["name"], m, n, tuple(labels), add, mul, zero, declared_one
+            doc["name"], m, n, tuple(labels), tables["f"], tables["g"], zero, declared_one
         )
     except StructureError as e:
         raise ParseError(str(e)) from None

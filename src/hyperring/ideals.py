@@ -160,6 +160,14 @@ class IdealLattice:
     def proper(self) -> tuple[Hyperideal, ...]:
         return tuple(i for i in self.ideals if i.proper)
 
+    def meet(self, family: Iterable[Hyperideal]) -> frozenset:
+        """The intersection of the members of ``family``; the carrier when
+        the family is empty."""
+        inter = frozenset(self.parent.carrier)
+        for i in family:
+            inter &= i.members
+        return inter
+
     @cached_property
     def maximal(self) -> tuple[Hyperideal, ...]:
         prop = self.proper()
@@ -172,12 +180,7 @@ class IdealLattice:
     @cached_property
     def jacobson(self) -> Hyperideal:
         """Intersection of the maximal hyperideals; the whole carrier if none."""
-        if not self.maximal:
-            return self.by_members(frozenset(self.parent.carrier))
-        inter = frozenset(self.parent.carrier)
-        for m in self.maximal:
-            inter &= m.members
-        return self.by_members(inter)
+        return self.by_members(self.meet(self.maximal))
 
     @cached_property
     def primes(self) -> tuple[Hyperideal, ...]:
@@ -375,26 +378,14 @@ def radical_by_primes(
     definition); the whole carrier when no prime contains I."""
     members = frozenset(I)
     lattice = enumerate_hyperideals(S) if lattice is None else lattice
-    over = [p.members for p in lattice.primes if members <= p.members]
-    if not over:
-        return lattice.by_members(frozenset(S.carrier))
-    inter = frozenset(S.carrier)
-    for p in over:
-        inter &= p
-    return lattice.by_members(inter)
+    return lattice.by_members(lattice.meet(p for p in lattice.primes if members <= p.members))
 
 
-def power_exponents(S: FiniteStructure, t_max: Optional[int] = None) -> list[int]:
+def power_exponents(S: FiniteStructure) -> list[int]:
     """Exponents t for which an n-ary t-th power is defined: t <= n, or
     t = l(n-1)+1.  Bounded by size*(n-1)+1 since powers cycle."""
-    if t_max is None:
-        t_max = S.size * (S.n - 1) + 1
-    ts = [t for t in range(1, min(S.n, t_max) + 1)]
-    t = 2 * (S.n - 1) + 1
-    while t <= t_max:
-        ts.append(t)
-        t += S.n - 1
-    return ts
+    n, t_max = S.n, S.size * (S.n - 1) + 1
+    return [*range(1, n + 1), *range(2 * n - 1, t_max + 1, n - 1)]
 
 
 def element_power(S: FiniteStructure, x: int, t: int) -> int:
@@ -406,12 +397,10 @@ def element_power(S: FiniteStructure, x: int, t: int) -> int:
     return S.multiply_iterated((x,) * t)
 
 
-def radical_by_powers(
-    S: FiniteStructure, I: Iterable[int], t_max: Optional[int] = None
-) -> frozenset:
+def radical_by_powers(S: FiniteStructure, I: Iterable[int]) -> frozenset:
     """Elements with some defined power landing in I."""
     members = frozenset(I)
-    ts = power_exponents(S, t_max)
+    ts = power_exponents(S)
     out = set()
     for x in S.carrier:
         if any(element_power(S, x, t) in members for t in ts):

@@ -209,7 +209,7 @@ def test_hom_fixture_population(small_catalog):
     # structures with well-defined quotients
     entries = [e for e in small_catalog if e.verified and e.structure.size == 3]
     ctx = StructureContext(entries[0], entries, k_max=3)
-    tags = {f["tag"] for f in ctx.hom_fixtures()}
+    tags = {f["tag"] for f in ctx.hom_fixtures}
     assert "identity" in tags
     assert any(t.startswith("projection/") for t in tags)
 

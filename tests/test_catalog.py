@@ -1,5 +1,6 @@
 """Built-in tables, enumeration, canonical forms and counterexample search."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -69,6 +70,16 @@ def test_builtin_claims_attached(b33, b24):
     assert "krasner-axioms" in kinds33
     kinds24 = [c.kind for c in b24.claims]
     assert "canonical-hypergroup" in kinds24
+
+
+def test_entry_equality_ignores_the_computed_lattice_and_registry():
+    entry, copy = builtin_examples()[1], builtin_examples()[1]
+    assert entry == copy
+    entry.lattice()
+    assert entry == copy
+    entry.registry()
+    assert entry == copy and entry.lattice() is entry.lattice()
+    assert [f.name for f in dataclasses.fields(CatalogEntry)] == ["structure", "provenance", "claims"]
 
 
 def test_builtin_verification_verdicts(b33, b24):

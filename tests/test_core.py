@@ -1,5 +1,6 @@
 """Operation tables, iterated operations and the axiom verifier."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -238,6 +239,32 @@ def test_build_constructs_the_structure_once(b33, monkeypatch):
     T = FiniteStructure.build("again", 3, 3, S.labels, S.add, S.mul, 0, declared_one=S.one)
     assert calls == ["again"]
     assert T.one == S.one is not None
+
+
+@pytest.mark.parametrize("declared", [7, -1])
+def test_build_rejects_a_declared_one_outside_the_carrier(b33, declared):
+    S = b33.structure
+    with pytest.raises(ForeignElementError, match=f"declared identity {declared} outside"):
+        FiniteStructure.build("bad", 3, 3, S.labels, S.add, S.mul, 0, declared_one=declared)
+
+
+def test_constructor_and_build_agree(b33):
+    # the identity is derived from the tables, not passed in, so the plain
+    # constructor and build give equal, hash-equal structures
+    S = b33.structure
+    plain = FiniteStructure("builtin33", 3, 3, S.labels, dict(S.add), dict(S.mul), 0)
+    assert [f.name for f in dataclasses.fields(FiniteStructure) if f.init] == [
+        "name", "m", "n", "labels", "add", "mul", "zero"
+    ]
+    assert plain.one == S.one == 1
+    assert plain == S and hash(plain) == hash(S)
+
+
+def test_equal_structures_hash_equal_and_key_a_dict(b24):
+    S = b24.structure
+    twin = dataclasses.replace(S)
+    assert twin == S and hash(twin) == hash(S)
+    assert {S: "b24"}[twin] == "b24"
 
 
 # -- verification ------------------------------------------------------------

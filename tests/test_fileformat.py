@@ -55,6 +55,15 @@ def test_missing_g_entry_names_the_multiset(b24):
         parse_structure(json.dumps(doc))
 
 
+def test_g_entry_error_comes_before_a_missing_f_key(b24):
+    # entries of both tables are read before either is checked for gaps
+    doc = _doc(b24)
+    doc["f"].pop(3)
+    doc["g"][0]["value"] = ["0"]
+    with pytest.raises(ParseError, match="g entry for args .* needs a single value label"):
+        parse_structure(json.dumps(doc))
+
+
 def test_empty_value_set_rejected(b24):
     doc = _doc(b24)
     doc["f"][0]["value"] = []

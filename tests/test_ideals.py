@@ -406,6 +406,8 @@ def test_lattice_views_are_cached_and_lattices_key_by_identity(b24):
     assert L.maximal is L.maximal
     assert L.jacobson is L.jacobson
     assert L.primes is L.primes
+    assert L.meet(L.maximal) == L.jacobson.members
+    assert L.meet(()) == frozenset(S.carrier)
     assert len({L: 1, enumerate_hyperideals(S): 2}) == 2
 
 
