@@ -29,36 +29,46 @@ class ParseError(ValueError):
 
 
 def export_structure(S: FiniteStructure) -> str:
-    doc = {
-        "name": S.name,
-        "m": S.m,
-        "n": S.n,
-        "elements": list(S.labels),
-        "zero": S.labels[S.zero],
-        "one": None if S.one is None else S.labels[S.one],
-        "f": [
-            {"args": [S.labels[i] for i in key], "value": [S.labels[v] for v in BITS[cell]]}
-            for key, cell in zip(S.add_shape.keys, S.add_cells)
-        ],
-        "g": [
-            {"args": [S.labels[i] for i in key], "value": S.labels[cell]}
-            for key, cell in zip(S.mul_shape.keys, S.mul_cells)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The document in the layout of ``json.dumps(doc, indent=2)``, written
+    directly from the labels, each escaped once."""
+    labels = [json.dumps(label) for label in S.labels]
+
+    def array(items, pad: str) -> str:
+        # one item a line, two spaces in from the brackets; items nonempty
+        return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+    def entry(key, value: str) -> str:
+        args = array([labels[i] for i in key], "      ")
+        return f'{{\n      "args": {args},\n      "value": {value}\n    }}'
+
+    f = [
+        entry(key, array([labels[v] for v in BITS[cell]], "      "))
+        for key, cell in zip(S.add_shape.keys, S.add_cells)
+    ]
+    g = [entry(key, labels[cell]) for key, cell in zip(S.mul_shape.keys, S.mul_cells)]
+    one = "null" if S.one is None else labels[S.one]
+    return (
+        f'{{\n  "name": {json.dumps(S.name)},\n  "m": {S.m},\n  "n": {S.n},\n'
+        f'  "elements": {array(labels, "  ")},\n'
+        f'  "zero": {labels[S.zero]},\n  "one": {one},\n'
+        f'  "f": {array(f, "  ")},\n  "g": {array(g, "  ")}\n}}\n'
+    )
 
 
 def parse_structure(text: str) -> FiniteStructure:
     """Parse and construct; table canonicalization detects conflicts."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # RecursionError: nesting deeper than the decoder can follow
         raise ParseError(f"not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     for fld in ("name", "m", "n", "elements", "zero", "f", "g"):
         if fld not in doc:
             raise ParseError(f"missing field {fld!r}")
+    if not isinstance(doc["name"], str):
+        raise ParseError("name must be a string")
     labels = doc["elements"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise ParseError("elements must be a list of labels")

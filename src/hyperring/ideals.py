@@ -7,22 +7,26 @@ primality in both element and subset form, the two radical definitions,
 primariness, residuals and locality.
 
 Each hyperideal clause, the prime clause and the J-family drop clause is
-one ``core.Clause``, shared by its scan and its replay.
+one ``core.Clause``, shared by its scan and its replay.  The hyperideal test
+itself decides on subset bitmasks (``_ideal_masks``); its clauses run only to
+name the first violation of a subset that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from .core import (
     BITS,
+    SETS,
     CapExceeded,
     Clause,
     FiniteStructure,
     MissingIdentityError,
+    mask_of,
     msort,
     multisets,
     solvability_violation,
@@ -106,15 +110,79 @@ IDEAL_CLAUSES = {
 }
 
 
+def _ideal_masks(S: FiniteStructure) -> tuple:
+    """(zero, absorb, closed, rows): the hyperideal clauses as bitmask
+    tables, built once per structure and kept out of equality, hashing and
+    export.
+
+    ``zero`` is the bit of the zero element.  ``absorb[x]`` is the mask of
+    every product with x as a factor.  ``closed`` pairs each support mask
+    of an m-multiset key with the union of the cells of its keys, when that
+    union leaves the support.  ``rows`` pairs the support mask of each
+    (m-1)-multiset rest with its row of hyperaddition cells f(rest, t) over
+    t.
+    """
+    masks = vars(S).get("_ideal_masks")
+    if masks is None:
+        absorb = [0] * S.size
+        for row in S.mul_shape.ext:
+            for x, r in enumerate(row):
+                absorb[x] |= 1 << S.mul_cells[r]
+        shape, cells = S.add_shape, S.add_cells
+        closed: dict = {}
+        for key, cell in zip(shape.keys, cells):
+            support = mask_of(key)
+            closed[support] = closed.get(support, 0) | cell
+        rows = tuple(
+            (mask_of(rest), tuple(cells[r] for r in shape.ext[rr]))
+            for rest, rr in shape.rest_rank.items()
+        )
+        masks = vars(S)["_ideal_masks"] = (
+            1 << S.zero,
+            tuple(absorb),
+            tuple((support, value) for support, value in closed.items() if value & ~support),
+            rows,
+        )
+    return masks
+
+
+def _is_ideal_mask(masks: tuple, M: int) -> bool:
+    """The four hyperideal clauses on the subset mask M, as bit tests."""
+    zero, absorb, closed, rows = masks
+    if not M & zero:
+        return False
+    members = BITS[M]
+    hit = 0
+    for x in members:
+        hit |= absorb[x]
+    if hit & ~M:
+        return False
+    for support, value in closed:
+        if not support & ~M and value & ~M:
+            return False
+    for support, row in rows:
+        if not support & ~M:
+            reached = 0
+            for t in members:
+                reached |= row[t]
+            if M & ~reached:
+                return False
+    return True
+
+
 def is_hyperideal(S: FiniteStructure, subset: Iterable[int]) -> IdealCheck:
     """Test the hyperideal clauses, reporting the first violation.
 
     Clause order: zero membership, closure under hyperaddition, absorption
-    of multiplication in any slot, and solvability inside the subset.
+    of multiplication in any slot, and solvability inside the subset.  The
+    verdict is read off the mask tables; the clauses are scanned only for a
+    subset that fails, to find its first violation and witness.
     """
     members = frozenset(subset)
     if not members <= set(S.carrier):
         raise ValueError("subset outside carrier")
+    if _is_ideal_mask(_ideal_masks(S), mask_of(members)):
+        return IdealCheck(True)
     for clause in IDEAL_CLAUSES.values():
         witness = clause.scan(S, members)
         if witness is not None:
@@ -212,14 +280,8 @@ def enumerate_hyperideals(S: FiniteStructure, strategy: str = "auto") -> IdealLa
 
 
 def _enumerate_scan(S: FiniteStructure) -> set:
-    others = [x for x in S.carrier if x != S.zero]
-    found = set()
-    for r in range(len(others) + 1):
-        for combo in combinations(others, r):
-            members = frozenset(combo) | {S.zero}
-            if is_hyperideal(S, members).ok:
-                found.add(members)
-    return found
+    masks = _ideal_masks(S)
+    return {SETS[M] for M in range(1 << S.size) if _is_ideal_mask(masks, M)}
 
 
 def _close_under_ops(S: FiniteStructure, seed: frozenset) -> frozenset:

@@ -356,15 +356,26 @@ def test_absorbing_scan_equals_the_row_by_row_reference():
 
 def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
     S, lat, registry = ctx(b33)
-    scanned = dataclasses.replace(S)  # a fresh structure, without cached tables
-    text = export_structure(scanned)
-    for k in (2, 3):
-        is_absorbing_delta_j(scanned, frozenset({0}), registry["delta0"], k, lat)
-    assert set(vars(scanned)["_absorbing"]) == {absorbing_arity(3, 2), absorbing_arity(3, 3)}
-    # the generated __eq__ and __hash__ read the dataclass fields only
-    assert "_absorbing" not in {f.name for f in dataclasses.fields(FiniteStructure)}
-    assert scanned == S
-    assert export_structure(scanned) == text
+
+    def absorbing(T):
+        for k in (2, 3):
+            is_absorbing_delta_j(T, frozenset({0}), registry["delta0"], k, lat)
+        assert set(vars(T)["_absorbing"]) == {absorbing_arity(3, 2), absorbing_arity(3, 3)}
+
+    def ideal_masks(T):
+        enumerate_hyperideals(T)
+        assert "_ideal_masks" in vars(T)
+
+    # each per-structure table, the absorbing signatures and the hyperideal
+    # masks, is filled in on a fresh structure without changing it
+    for fill, cache in ((absorbing, "_absorbing"), (ideal_masks, "_ideal_masks")):
+        scanned = dataclasses.replace(S)  # a fresh structure, without cached tables
+        text = export_structure(scanned)
+        fill(scanned)
+        # the generated __eq__ and __hash__ read the dataclass fields only
+        assert cache not in {f.name for f in dataclasses.fields(FiniteStructure)}
+        assert scanned == S and hash(scanned) == hash(S)
+        assert export_structure(scanned) == text
 
 
 def test_absorbing_signatures_are_kept_per_total_and_part():

@@ -7,6 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from hyperring import export_structure
 from hyperring.cli import main
 
 
@@ -46,6 +47,25 @@ def test_verify_usage_error_is_exit_two(runner, tmp_path):
     bad.write_text("{}", encoding="utf-8")
     res = invoke(runner, "verify", str(bad))
     assert res.exit_code == 2
+
+
+def _malformed_text(kind, structure):
+    if kind == "deep":
+        return "[" * 100000 + "]" * 100000
+    doc = json.loads(export_structure(structure))
+    doc["name"] = [1]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind", ["deep", "listname"])
+@pytest.mark.parametrize("command", ["verify", "audit"])
+def test_malformed_file_is_exit_two(runner, tmp_path, b33, kind, command):
+    bad = tmp_path / f"{kind}.kmn"
+    bad.write_text(_malformed_text(kind, b33.structure), encoding="utf-8")
+    res = runner.invoke(main, [command, str(bad)])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "not valid JSON" in res.output or "name must be a string" in res.output
 
 
 @pytest.fixture()

@@ -3,8 +3,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyperring import ParseError, export_structure, load_structure, parse_structure, save_structure
+from hyperring import (
+    FiniteStructure,
+    ParseError,
+    export_structure,
+    load_structure,
+    parse_structure,
+    save_structure,
+)
+from hyperring.core import multisets
 
 
 def test_round_trip_builtins(b33, b24):
@@ -30,6 +39,46 @@ def test_exports_match_published_schema(full_catalog):
     )
     for entry in full_catalog[:12]:
         jsonschema.validate(json.loads(export_structure(entry.structure)), schema)
+
+
+def reference_export(S):
+    """The export as a document serialized by the json module."""
+    labels = S.labels
+    doc = {
+        "name": S.name,
+        "m": S.m,
+        "n": S.n,
+        "elements": list(labels),
+        "zero": labels[S.zero],
+        "one": None if S.one is None else labels[S.one],
+        "f": [
+            {"args": [labels[i] for i in key], "value": [labels[v] for v in sorted(value)]}
+            for key, value in S.add.items()
+        ],
+        "g": [{"args": [labels[i] for i in key], "value": labels[v]} for key, v in S.mul.items()],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# labels and names that need escaping: quotes, backslashes, control
+# characters, non-ASCII text, astral code points
+ESCAPED = st.sampled_from('"\\\n\t\x00\x1f\x7f/a0é€\u2028😀')
+TEXT = st.text(ESCAPED | st.characters(), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_export_is_the_json_layout(data):
+    size = data.draw(st.integers(min_value=1, max_value=3))
+    m, n = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    labels = tuple(data.draw(st.lists(TEXT, min_size=size, max_size=size, unique=True)))
+    element = st.integers(min_value=0, max_value=size - 1)
+    add = {key: frozenset(data.draw(st.sets(element, min_size=1))) for key in multisets(size, m)}
+    mul = {key: data.draw(element) for key in multisets(size, n)}
+    S = FiniteStructure(data.draw(TEXT), m, n, labels, add, mul, 0)
+    text = export_structure(S)
+    assert text == reference_export(S)
+    assert parse_structure(text) == S
 
 
 def test_file_io(tmp_path, b24):
@@ -113,6 +162,19 @@ def test_wrong_entry_arity_rejected(b24):
 def test_not_json_rejected():
     with pytest.raises(ParseError, match="not valid JSON"):
         parse_structure("m=3 n=3")
+
+
+def test_deep_nesting_rejected():
+    # the decoder gives up with RecursionError long before the end
+    with pytest.raises(ParseError, match="not valid JSON"):
+        parse_structure("[" * 100000 + "]" * 100000)
+
+
+def test_name_must_be_a_string(b24):
+    doc = _doc(b24)
+    doc["name"] = [1]
+    with pytest.raises(ParseError, match="name must be a string"):
+        parse_structure(json.dumps(doc))
 
 
 def test_missing_field_rejected(b24):

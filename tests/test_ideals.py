@@ -4,6 +4,8 @@ The oracles here are deliberately independent of the library internals:
 literal tuple-level quantifier loops over raw table lookups.
 """
 
+import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -25,7 +27,7 @@ from hyperring import (
     replay_ideal_check,
     residual,
 )
-from hyperring.core import msort
+from hyperring.core import msort, multisets
 from hyperring.ideals import power_exponents
 
 
@@ -98,14 +100,48 @@ def test_zero_and_closure_clauses_replay(b24):
     assert replay_ideal_check(S, {0, b}, check)
 
 
+def _planted_tables(count: int, seed: int):
+    """``count`` unverified tables of size 2-4 and arities 2-3, the zero rows
+    as random as the rest.  Each plants a random subset P: most keys inside
+    P sum into P, often onto all of it, and most products with a factor in P
+    land in P, so that some subsets are hyperideals and the others fail
+    each of the clauses."""
+    rng = random.Random(seed)
+    for i in range(count):
+        size, m, n = rng.randint(2, 4), rng.randint(2, 3), rng.randint(2, 3)
+        planted = [x for x in range(size) if rng.random() < 0.5] or [rng.randrange(size)]
+
+        def some(pool):
+            return frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+
+        add = {}
+        for key in multisets(size, m):
+            if set(key) <= set(planted) and rng.random() < 0.9:
+                add[key] = frozenset(planted) if rng.random() < 0.6 else some(planted)
+            else:
+                add[key] = some(range(size))
+        mul = {
+            key: rng.choice(planted)
+            if set(key) & set(planted) and rng.random() < 0.9
+            else rng.randrange(size)
+            for key in multisets(size, n)
+        }
+        labels = tuple(str(x) for x in range(size))
+        yield FiniteStructure(f"planted-{i}", m, n, labels, add, mul, 0)
+
+
 def test_recognition_matches_oracle_everywhere(small_catalog, b24):
-    for entry in [*small_catalog, b24]:
-        S = entry.structure
-        others = [x for x in S.carrier if x != S.zero]
-        for r in range(len(others) + 1):
-            for combo in combinations(others, r):
-                members = frozenset(combo) | {S.zero}
-                assert is_hyperideal(S, members).ok == oracle_is_hyperideal(S, members)
+    # every subset, with or without zero; the verdict is read off the masks,
+    # and a failing subset's clause scan still finds a witness that replays
+    clauses = Counter()
+    for S in [*(e.structure for e in [*small_catalog, b24]), *_planted_tables(300, 13)]:
+        for mask in range(1 << S.size):
+            members = frozenset(x for x in S.carrier if mask >> x & 1)
+            check = is_hyperideal(S, members)
+            assert check.ok == oracle_is_hyperideal(S, members)
+            assert check.ok or replay_ideal_check(S, members, check)
+            clauses[check.clause] += 1
+    assert set(clauses) == {None, "zero", "add-closed", "absorbing", "solvability"}
 
 
 # -- enumeration -------------------------------------------------------------
@@ -124,10 +160,12 @@ def test_lattice_of_builtins(b33, b24):
 
 
 def test_enumeration_matches_oracle(small_catalog, b24):
-    for entry in [*small_catalog, b24]:
-        S = entry.structure
+    zero_not_ideal = 0
+    for S in [*(e.structure for e in [*small_catalog, b24]), *_planted_tables(300, 13)]:
         got = {i.members for i in enumerate_hyperideals(S)}
         assert got == oracle_lattice(S)
+        zero_not_ideal += frozenset({S.zero}) not in got
+    assert zero_not_ideal > 0
 
 
 def test_scan_and_closure_strategies_agree(small_catalog, b24):
