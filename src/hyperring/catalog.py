@@ -1,12 +1,19 @@
 """Built-in structures, exhaustive small-order enumeration, counterexample
 search.
 
-The enumeration works in two stages.  Hyperaddition candidates are generated
-from membership orbits: neutrality, inverse uniqueness and reversibility link
-individual memberships x in f(..) into closed orbits, so consistent tables
-are exactly the unions of orbits extending the forced ones.  Surviving
-candidates get the hypergroup axiom sweep.  Multiplication candidates are
-zero-absorbing by construction and filtered by associativity once per shape.
+The enumeration builds both candidate tables with one depth-first search
+(``_search``), in the style of the cell-assignment searches of SEM and
+Mace4.  For the hyperaddition, neutrality, inverse uniqueness and
+reversibility link individual memberships x in f(..) into closed orbits;
+the orbits forced in are set, and each level of the search leaves one free
+orbit out, then takes it in.  For the multiplication, zero-absorbing by
+construction, each level gives one cell without a zero factor its values
+in ascending order.  Either way the leaves come in the order of a product
+scan over the choices.  Each associativity row of ``ranked_plan``, and for
+the hyperaddition each "cell is not empty" test, runs at the first level
+where every cell it can read is final, and a failing one cuts off the
+branch.  Every hyperaddition leaf still gets the hypergroup axiom check,
+and every multiplication leaf the full associativity check.
 Distributivity is then decided through translation maps: g distributes over
 f exactly when every map x -> g(a_1..a_{n-1}, x) is an endomorphism of f.
 The distinct maps of all candidate multiplications are far fewer than the
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
 from typing import Iterator, Optional
 
@@ -33,6 +40,7 @@ from .core import (
     FiniteStructure,
     AxiomReport,
     TableView,
+    add_associativity_violation,
     carrier_map,
     inverse_candidates,
     map_violation,
@@ -259,7 +267,59 @@ def _from_key(name, m, n, labels, key, zero) -> FiniteStructure:
     return FiniteStructure.build(name, m, n, labels, add_view, mul_view, zero)
 
 
-# -- hyperaddition candidates (orbit strategy) -------------------------------
+# -- candidate tables: one depth-first search --------------------------------
+
+
+def _empty_cell(cells: list, r: int) -> bool:
+    return not cells[r]
+
+
+def _row_check(violation, ext: tuple, row: tuple) -> tuple:
+    """An associativity row of ``ranked_plan`` as a search check: the cells
+    it can read, those of its sub-multisets and the ``ext`` rows of their
+    remainders, with the row's ``violation`` test."""
+    reads = {r for _, a, rest in row[1] for r in (a, *ext[rest])}
+    return reads, partial(violation, ext=ext, row=row)
+
+
+def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
+    """Depth-first over the choices of ``levels``, yielding at each leaf
+    with ``cells`` holding its table, in the order of a ``product`` over
+    the levels' options.  An option is a tuple of (rank, bits) that is
+    XORed into ``cells`` and back out on the way up, and a cell is final
+    after the last level that can change it.  ``checks`` pairs the cells
+    a check can read with the check; each runs at the first level where
+    all of them are final, and one that returns a truthy value cuts off
+    the branch."""
+    position = [-1] * len(cells)
+    for i, options in enumerate(levels):
+        for option in options:
+            for r, _ in option:
+                position[r] = i
+    # ready[i + 1] holds the checks level i decides, ready[0] the rest
+    ready: list = [[] for _ in range(len(levels) + 1)]
+    for reads, check in checks:
+        ready[max(position[r] for r in reads) + 1].append(check)
+    if any(check(cells) for check in ready[0]):
+        return
+
+    def descend(i: int) -> Iterator[None]:
+        if i == len(levels):
+            yield
+            return
+        decided = ready[i + 1]
+        for option in levels[i]:
+            for r, bits in option:
+                cells[r] ^= bits
+            for check in decided:
+                if check(cells):
+                    break
+            else:
+                yield from descend(i + 1)
+            for r, bits in option:
+                cells[r] ^= bits
+
+    yield from descend(0)
 
 
 def _involutions(elems: list[int]) -> list[dict]:
@@ -292,9 +352,12 @@ def _orbit_of(atom, iota, m):
     return frozenset(seen)
 
 
-def _add_candidates(order: int, m: int) -> Iterator[TableView]:
-    """Hyperaddition tables with neutral zero, unique inverses and
-    reversibility built in by orbit construction."""
+def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
+    """Per involution of the nonzero elements that leaves the forced
+    memberships consistent, in ``_involutions`` order: the ranked cells of
+    the orbits forced in, and the free orbits by least atom, each as a
+    tuple of (rank, bits).  Orbits are disjoint, so a table is the forced
+    cells with the bits of the free orbits it takes in."""
     shape = table_shape(order, m)
     keys = shape.keys
     nonzero = list(range(1, order))
@@ -347,33 +410,51 @@ def _add_candidates(order: int, m: int) -> Iterator[TableView]:
                 f"{len(free)} free membership orbits exceed cap {FREE_ORBIT_CAP}"
             )
         free.sort(key=lambda orb: min(orb))
-        # orbits are disjoint, so a table is the OR of its orbits' cells
-        base = [0] * len(keys)
+        cells = [0] * len(keys)
         for orb in must:
             for key, x in orb:
-                base[shape.rank[key]] |= 1 << x
-        free_cells = [[(shape.rank[key], 1 << x) for key, x in orb] for orb in free]
-        for bits in product((0, 1), repeat=len(free)):
-            cells = list(base)
-            for bit, orb in zip(bits, free_cells):
-                if bit:
-                    for r, b in orb:
-                        cells[r] |= b
-            if 0 in cells:
-                continue
+                cells[shape.rank[key]] |= 1 << x
+        ranked = []
+        for orb in free:
+            bits: dict = {}
+            for key, x in orb:
+                r = shape.rank[key]
+                bits[r] = bits.get(r, 0) | 1 << x
+            ranked.append(tuple(bits.items()))
+        yield cells, ranked
+
+
+def _add_candidates(order: int, m: int) -> Iterator[TableView]:
+    """Hyperaddition tables with neutral zero, unique inverses and
+    reversibility built in by orbit construction, no empty cell and
+    associative: each free orbit is a level of the search, first left out,
+    then taken in, and a cell is final once the last free orbit through it
+    is decided."""
+    shape = table_shape(order, m)
+    empty = [((r,), partial(_empty_cell, r=r)) for r in range(len(shape.keys))]
+    rows = [
+        _row_check(add_associativity_violation, shape.ext, row)
+        for row in ranked_plan(order, 2 * m - 1, m)
+    ]
+    for cells, free in _membership_orbits(order, m):
+        for _ in _search(cells, [((), orb) for orb in free], empty + rows):
             yield TableView(shape, tuple(cells), True)
 
 
 def _mul_candidates(order: int, n: int) -> Iterator[TableView]:
-    """Zero-absorbing associative multiplication tables."""
+    """Zero-absorbing associative multiplication tables: the free cells,
+    those without a zero factor, are the levels of the search, each taking
+    its values in ascending order."""
     shape = table_shape(order, n)
     free = [r for r, key in enumerate(shape.keys) if 0 not in key]
-    plan = ranked_plan(order, 2 * n - 1, n)
+    levels = [tuple(((r, v),) for v in range(order)) for r in free]
+    plan, ext = ranked_plan(order, 2 * n - 1, n), shape.ext
+    # a row through the zero holds by zero absorption, whatever the free
+    # cells hold, so only the leaf check reads it
+    rows = [_row_check(mul_associativity_violation, ext, row) for row in plan if 0 not in row[0]]
     cells = [0] * len(shape.keys)
-    for values in product(range(order), repeat=len(free)):
-        for r, v in zip(free, values):
-            cells[r] = v
-        if not any(mul_associativity_violation(cells, shape.ext, row) for row in plan):
+    for _ in _search(cells, levels, rows):
+        if not any(mul_associativity_violation(cells, ext, row) for row in plan):
             yield TableView(shape, tuple(cells), False)
 
 
@@ -446,7 +527,7 @@ def enumerate_structures(
     element 0, one per relabeling class: built from the distinct
     ``canonical_key``s in sorted order, so canonical forms in canonical
     order.  ``strategy="raw"`` generates the hyperadditions by the plain
-    product scan, the oracle for the default orbit construction."""
+    product scan, the oracle for the default orbit search."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
@@ -467,7 +548,7 @@ def enumerate_structures(
     n_free_mul = len([k for k in multisets(order, n) if 0 not in k])
     if order**n_free_mul > ENUM_CANDIDATE_CAP:
         raise CapExceeded(
-            f"scan of {order}^{n_free_mul} multiplication tables"
+            f"search over {order}^{n_free_mul} multiplication tables"
             f" exceeds cap {ENUM_CANDIDATE_CAP}"
         )
     muls = [

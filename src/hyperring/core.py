@@ -713,12 +713,14 @@ def _first_disagreement(row: tuple, bracket: Callable) -> Optional[tuple]:
     return None
 
 
-def _add_associativity(S: FiniteStructure, row: tuple) -> Optional[tuple]:
-    # With multiset-keyed (commutative) tables, m-ary associativity over all
-    # (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
-    # f(f(A), rest), the union of f(s, rest) over s in f(A), does not depend
-    # on the chosen m-sub-multiset A.
-    cells, ext = S.add_cells, S.add_shape.ext
+def add_associativity_violation(cells: Sequence[int], ext: tuple, row: tuple) -> Optional[tuple]:
+    """The add-associativity clause on one ``ranked_plan`` row of bare
+    hyperaddition cells with the shape's ``ext`` table.
+
+    With multiset-keyed (commutative) tables, m-ary associativity over all
+    (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
+    f(f(A), rest), the union of f(s, rest) over s in f(A), does not depend
+    on the chosen m-sub-multiset A."""
     return _first_disagreement(row, lambda a, rest: _union(cells, ext[rest], cells[a]))
 
 
@@ -781,7 +783,9 @@ HYPERGROUP_AXIOMS = (
         lambda S, rest: solvability_violation(S, S.carrier, rest),
     ),
     Clause(
-        "add-associativity", lambda S: ranked_plan(S.size, 2 * S.m - 1, S.m), _add_associativity
+        "add-associativity",
+        lambda S: ranked_plan(S.size, 2 * S.m - 1, S.m),
+        lambda S, row: add_associativity_violation(S.add_cells, S.add_shape.ext, row),
     ),
 )
 RING_AXIOMS = (

@@ -20,6 +20,7 @@ entries with a fixed layout so parse/export round-trips are byte-exact.
 from __future__ import annotations
 
 import json
+import math
 
 from .core import BITS, FiniteStructure, StructureError, msort, multisets
 
@@ -117,13 +118,21 @@ def parse_structure(text: str) -> FiniteStructure:
                     f"conflicting {fld} entries for multiset {sorted(args)} after reordering"
                 )
     # completeness is checked after both tables are read, so an entry error
-    # in g is reported before a missing key in f
+    # in g is reported before a missing key in f.  A table is complete when
+    # it has as many distinct keys as there are multisets; the first missing
+    # one is named only when finding it costs no more than the document's
+    # length, since a large arity costs the document only its digits.
     for fld, arity in (("f", m), ("g", n)):
-        for key in multisets(len(labels), arity):
-            if key not in tables[fld]:
-                raise ParseError(
-                    f"incomplete {fld} table: missing multiset {[labels[i] for i in key]}"
-                )
+        table = tables[fld]
+        if len(table) == math.comb(len(labels) + arity - 1, arity):
+            continue
+        if (len(table) + 1) * arity > len(text):
+            raise ParseError(
+                f"incomplete {fld} table: {len(table)} distinct entries for the"
+                f" {arity}-multisets over {len(labels)} elements"
+            )
+        key = next(key for key in multisets(len(labels), arity) if key not in table)
+        raise ParseError(f"incomplete {fld} table: missing multiset {[labels[i] for i in key]}")
     try:
         return FiniteStructure.build(
             doc["name"], m, n, tuple(labels), tables["f"], tables["g"], zero, declared_one

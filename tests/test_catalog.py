@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from hyperring.catalog import (
     _add_candidates,
     _distributive_muls,
     _involutions,
+    _membership_orbits,
     _mul_candidates,
     _parse_predicate,
     _translation_maps,
@@ -29,7 +31,11 @@ from hyperring.core import (
     CapExceeded,
     AXIOMS,
     FiniteStructure,
+    TableView,
+    mul_associativity_violation,
     multisets,
+    ranked_plan,
+    table_shape,
     verify_canonical_hypergroup,
 )
 from hyperring.fileformat import export_structure
@@ -129,6 +135,73 @@ def test_enumeration_exports_are_pinned():
     assert digest.hexdigest() == (
         "7a9c39996aaed50c8b3e267795e4fa727fe4b391317b558df6d7c8a355df05ef"
     )
+
+
+def test_enumeration_2_3_4_is_pinned():
+    structures = enumerate_structures(2, 3, 4)
+    assert len(structures) == 143
+    assert sum(S.one is not None for S in structures) == 12
+    digest = hashlib.sha256("".join(export_structure(S) for S in structures).encode())
+    assert digest.hexdigest() == (
+        "e6fadd18f2836749cdd2cde9e14a5a4758fc247393baa0ececd54f0e6cb41212"
+    )
+
+
+def reference_mul_candidates(order, n):
+    """The product scan over every value of every cell without a zero
+    factor, each table kept if it passes every associativity row."""
+    shape = table_shape(order, n)
+    free = [r for r, key in enumerate(shape.keys) if 0 not in key]
+    plan = ranked_plan(order, 2 * n - 1, n)
+    cells = [0] * len(shape.keys)
+    for values in product(range(order), repeat=len(free)):
+        for r, v in zip(free, values):
+            cells[r] = v
+        if not any(mul_associativity_violation(cells, shape.ext, row) for row in plan):
+            yield TableView(shape, tuple(cells), False)
+
+
+def reference_add_candidates(order, m):
+    """The product scan over every choice of free orbits, leaving out the
+    tables with an empty cell."""
+    shape = table_shape(order, m)
+    for base, free in _membership_orbits(order, m):
+        for bits in product((0, 1), repeat=len(free)):
+            cells = list(base)
+            for bit, orb in zip(bits, free):
+                if bit:
+                    for r, b in orb:
+                        cells[r] |= b
+            if 0 in cells:
+                continue
+            yield TableView(shape, tuple(cells), True)
+
+
+@pytest.mark.parametrize(
+    "order,n", [(o, 2) for o in (1, 2, 3, 4)] + [(o, n) for n in (3, 4) for o in (1, 2, 3)]
+)
+def test_mul_search_matches_the_product_scan(order, n):
+    assert list(_mul_candidates(order, n)) == list(reference_mul_candidates(order, n))
+
+
+@pytest.mark.parametrize(
+    "order,m,scanned,kept",
+    [(3, 2, 15, 15), (3, 3, 272, 15), (4, 2, 878, 390), (2, 4, 5, 2), (3, 4, 9762, 15)],
+)
+def test_add_search_matches_the_product_scan(order, m, scanned, kept):
+    # the search cuts off exactly the scan's tables that fail associativity
+    labels = tuple(str(i) for i in range(order))
+    zero_mul = {k: 0 for k in multisets(order, 2)}
+
+    def associative(add):
+        probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
+        return AXIOMS["add-associativity"].scan(probe) is None
+
+    reference = list(reference_add_candidates(order, m))
+    expected = [add for add in reference if associative(add)]
+    found = list(_add_candidates(order, m))
+    assert [add.cells for add in found] == [add.cells for add in expected]
+    assert (len(reference), len(found)) == (scanned, kept)
 
 
 @pytest.mark.parametrize("m,n,order", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 3)])

@@ -100,8 +100,20 @@ def _doc(b24):
 def test_missing_g_entry_names_the_multiset(b24):
     doc = _doc(b24)
     removed = doc["g"].pop(3)
-    with pytest.raises(ParseError, match="incomplete g table"):
+    with pytest.raises(ParseError, match="incomplete g table") as caught:
         parse_structure(json.dumps(doc))
+    assert str(caught.value).endswith(f"missing multiset {removed['args']}")
+
+
+def test_missing_keys_of_a_huge_arity_cost_the_document_size():
+    # an empty f of arity 10**6: neither the parse nor its message grows
+    # with the arity
+    doc = {"name": "s", "m": 10**6, "n": 2, "elements": ["0"], "zero": "0", "f": [], "g": []}
+    text = json.dumps(doc)
+    assert len(text) < 100
+    with pytest.raises(ParseError, match="incomplete f table") as caught:
+        parse_structure(text)
+    assert len(str(caught.value)) < 1000
 
 
 def test_g_entry_error_comes_before_a_missing_f_key(b24):
