@@ -24,6 +24,11 @@ verified again.  A plain product-scan strategy exists as a cross-check
 oracle for the hyperaddition candidates.  Candidates are ranked cell tables
 (``core.TableView``), and classes are keyed by their least relabeled cells,
 from which the outputs are built; relabelings act through ``carrier_map``.
+Both candidate sets are closed under the relabelings that fix the zero, and
+the key of a class minimises its hyperaddition cells first, so only a
+hyperaddition that is the least of its class is verified and paired; a
+pair's key is its own hyperaddition cells with the least products over the
+hyperaddition's automorphisms.
 """
 
 from __future__ import annotations
@@ -209,16 +214,26 @@ def _relabeled_sets(size: int, perm: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _relabeled(S: FiniteStructure, perm: tuple[int, ...], inverse: tuple[int, ...]) -> tuple:
-    """S's cells under a relabeling, in rank order: hyperaddition values as
-    their positions in ``_set_order``, then the products.  The relabeled
+def _relabel(cells: tuple, arity: int, inverse: tuple[int, ...], values: tuple) -> tuple:
+    """One table's cells under a relabeling, in rank order: the relabeled
     cell at rank r is the old cell at the rank the inverse relabeling takes
-    r's key to."""
-    size, sets = S.size, _relabeled_sets(S.size, perm)
-    add, mul = S.add_cells, S.mul_cells
+    r's key to, passed through ``values``."""
+    size = len(inverse)
+    return tuple(values[cells[r]] for r in carrier_map(inverse, arity, size, size)[1])
+
+
+def _relabeled_add(cells: tuple, m: int, perm: tuple[int, ...], inverse: tuple[int, ...]) -> tuple:
+    """Hyperaddition cells under a relabeling, each value set as its
+    position in ``_set_order``."""
+    return _relabel(cells, m, inverse, _relabeled_sets(len(perm), perm))
+
+
+def _relabeled(S: FiniteStructure, perm: tuple[int, ...], inverse: tuple[int, ...]) -> tuple:
+    """S's cells under a relabeling: the hyperaddition's, then the
+    products."""
     return (
-        tuple(sets[add[r]] for r in carrier_map(inverse, S.m, size, size)[1]),
-        tuple(perm[mul[r]] for r in carrier_map(inverse, S.n, size, size)[1]),
+        _relabeled_add(S.add_cells, S.m, perm, inverse),
+        _relabel(S.mul_cells, S.n, inverse, perm),
     )
 
 
@@ -234,6 +249,25 @@ def _zero_fixing_perms(size: int, zero: int) -> tuple:
             perm[src], inverse[dst] = dst, src
         out.append((tuple(perm), tuple(inverse)))
     return tuple(out)
+
+
+def _least_add(add: TableView) -> Optional[tuple[tuple, list]]:
+    """(own cells, automorphisms) of a hyperaddition with zero at element 0
+    whose cells, in ``canonical_key``'s order, are the least over the
+    relabelings that fix the zero; None if some relabeling gives less.  The
+    automorphisms are the (relabeling, inverse) pairs that reproduce the
+    own cells."""
+    size, m = add.shape.size, add.shape.arity
+    identity = tuple(range(size))
+    own = _relabeled_add(add.cells, m, identity, identity)
+    automorphisms = []
+    for perm, inverse in _zero_fixing_perms(size, 0):
+        cells = _relabeled_add(add.cells, m, perm, inverse)
+        if cells < own:
+            return None
+        if cells == own:
+            automorphisms.append((perm, inverse))
+    return own, automorphisms
 
 
 def _canonical_perm(S: FiniteStructure) -> tuple:
@@ -526,8 +560,11 @@ def enumerate_structures(
     """All verified Krasner (m,n)-hyperrings of the given order with zero at
     element 0, one per relabeling class: built from the distinct
     ``canonical_key``s in sorted order, so canonical forms in canonical
-    order.  ``strategy="raw"`` generates the hyperadditions by the plain
-    product scan, the oracle for the default orbit search."""
+    order.  Each class is reached through its least hyperaddition, which
+    alone is verified and paired with the distributive multiplications; the
+    key of a pair is computed there, not through ``canonical_key``.
+    ``strategy="raw"`` generates the hyperadditions by the plain product
+    scan, the oracle for the default orbit search."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
@@ -565,12 +602,16 @@ def enumerate_structures(
         candidates += 1
         if candidates > ENUM_CANDIDATE_CAP:
             raise CapExceeded(f"enumeration candidate cap {ENUM_CANDIDATE_CAP} exceeded")
+        least = _least_add(add)
+        if least is None:
+            continue
         probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
+        own, automorphisms = least
         for mul in _distributive_muls(order, m, add, muls):
-            S = FiniteStructure("candidate", m, n, labels, add, mul, 0)
-            seen_keys.add(canonical_key(S))
+            products = min(_relabel(mul.cells, n, inverse, perm) for perm, inverse in automorphisms)
+            seen_keys.add((own, products))
     return [
         _from_key(f"enum-m{m}n{n}-o{order}-{i:03d}", m, n, labels, key, 0)
         for i, key in enumerate(sorted(seen_keys))

@@ -150,9 +150,11 @@ def table_shape(size: int, arity: int) -> Shape:
     rank = {key: r for r, key in enumerate(keys)}
     if arity == 0:
         return Shape(size, arity, keys, rank, {}, ())
-    lower = table_shape(size, arity - 1)
-    ext = tuple(tuple(rank[msort(rest + (x,))] for x in range(size)) for rest in lower.keys)
-    return Shape(size, arity, keys, rank, lower.rank, ext)
+    # ranked in place, not through table_shape(size, arity - 1), so a large
+    # arity costs no recursion depth
+    rest_rank = {rest: r for r, rest in enumerate(multisets(size, arity - 1))}
+    ext = tuple(tuple(rank[msort(rest + (x,))] for x in range(size)) for rest in rest_rank)
+    return Shape(size, arity, keys, rank, rest_rank, ext)
 
 
 class _Memo(dict):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -22,10 +23,14 @@ from hyperring.catalog import (
     _add_candidates,
     _distributive_muls,
     _involutions,
+    _least_add,
     _membership_orbits,
     _mul_candidates,
     _parse_predicate,
+    _raw_add_candidates,
+    _relabeled_add,
     _translation_maps,
+    _zero_fixing_perms,
 )
 from hyperring.core import (
     CapExceeded,
@@ -228,6 +233,57 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
         assert accepted == expected
         kept += len(accepted)
     assert hypergroups > 0 and kept > 0
+
+
+def hypergroups(order, m, strategy="orbit"):
+    """The candidate hyperadditions that pass the hypergroup check."""
+    labels = tuple(str(i) for i in range(order))
+    zero_mul = {k: 0 for k in multisets(order, 2)}
+    source = _add_candidates if strategy == "orbit" else _raw_add_candidates
+    for add in source(order, m):
+        probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
+        if verify_canonical_hypergroup(probe, fail_fast=True).ok:
+            yield add
+
+
+def reference_pairing_keys(m, n, order, strategy="orbit"):
+    """The pairing before least hyperadditions: every hypergroup with every
+    distributive multiplication, each pair keyed by ``canonical_key``;
+    the distinct keys, sorted."""
+    labels = tuple(str(i) for i in range(order))
+    paired = [(mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)]
+    keys = set()
+    for add in hypergroups(order, m, strategy):
+        for mul in _distributive_muls(order, m, add, paired):
+            keys.add(canonical_key(FiniteStructure("pair", m, n, labels, add, mul, 0)))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "m,n,order,strategy",
+    [(m, n, o, "orbit") for (m, n) in sorted(FROZEN_COUNTS) for o in (1, 2, 3)]
+    + [(2, 4, 3, "orbit"), (2, 2, 4, "orbit"), (2, 2, 3, "raw")],
+)
+def test_least_hyperaddition_pairing_matches_the_full_pairing(m, n, order, strategy):
+    found = [canonical_key(S) for S in enumerate_structures(m, n, order, strategy)]
+    assert found == reference_pairing_keys(m, n, order, strategy)
+
+
+def test_hypergroup_relabeling_classes_are_pinned():
+    def classes(order):
+        adds = list(hypergroups(order, 2))
+        perms = _zero_fixing_perms(order, 0)
+        # each class once, by its least cells over every relabeling
+        least_cells = {min(_relabeled_add(add.cells, 2, *p) for p in perms) for add in adds}
+        kept = [found for found in map(_least_add, adds) if found is not None]
+        assert {own for own, _ in kept} == least_cells and len(kept) == len(least_cells)
+        # orbit and stabilizer: a class has |perms| / |automorphisms| members
+        assert sum(len(perms) // len(autos) for _, autos in kept) == len(adds)
+        return len(adds), Counter(len(autos) for _, autos in kept)
+
+    assert classes(4) == (390, {1: 37, 2: 53, 3: 2, 6: 5})
+    count, automorphism_counts = classes(3)
+    assert (count, sum(automorphism_counts.values())) == (15, 10)
 
 
 def test_two_element_field_analog_enumerated():

@@ -90,6 +90,35 @@ def test_oversize_structure_is_exit_two(runner, nine_element_file, command):
     assert "verify --allow-large" in res.output
 
 
+def _one_element_text(m, n):
+    # one key per table, so a large arity costs a line per factor, not a
+    # table blow-up
+    doc = {"name": "wide", "m": m, "n": n, "elements": ["0"], "zero": "0", "one": None}
+    doc["f"] = [{"args": ["0"] * m, "value": ["0"]}]
+    doc["g"] = [{"args": ["0"] * n, "value": "0"}]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("m,n", [(2000, 2), (2, 2000)])
+@pytest.mark.parametrize(
+    "command,code,expected",
+    [
+        ("verify", 2, "exceed the exhaustive verification guard"),
+        ("audit", 2, "exceed the exhaustive verification guard"),
+        ("ideals", 0, "{0}"),
+        ("jacobson", 0, "{0}"),
+    ],
+)
+def test_large_arity_exits_without_a_traceback(runner, tmp_path, m, n, command, code, expected):
+    path = tmp_path / "wide.kmn"
+    path.write_text(_one_element_text(m, n), encoding="utf-8")
+    res = runner.invoke(main, [command, str(path)])
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.exit_code == code
+    assert "Traceback" not in res.output
+    assert expected in res.output
+
+
 def test_verify_allow_large_runs_past_the_guard(runner, nine_element_file):
     res = invoke(runner, "verify", nine_element_file, "--allow-large")
     assert res.exit_code == 1
