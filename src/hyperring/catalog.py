@@ -7,28 +7,31 @@ Mace4.  For the hyperaddition, neutrality, inverse uniqueness and
 reversibility link individual memberships x in f(..) into closed orbits;
 the orbits forced in are set, and each level of the search leaves one free
 orbit out, then takes it in.  For the multiplication, zero-absorbing by
-construction, each level gives one cell without a zero factor its values
-in ascending order.  Either way the leaves come in the order of a product
-scan over the choices.  Each associativity row of ``ranked_plan``, and for
-the hyperaddition each "cell is not empty" test, runs at the first level
-where every cell it can read is final, and a failing one cuts off the
-branch.  Every hyperaddition leaf still gets the hypergroup axiom check,
-and every multiplication leaf the full associativity check.
-Distributivity is then decided through translation maps: g distributes over
-f exactly when every map x -> g(a_1..a_{n-1}, x) is an endomorphism of f.
-The distinct maps of all candidate multiplications are far fewer than the
-multiplications, so each is tested once per hypergroup, and a pair is kept
-only if all of its multiplication's maps pass.  Each clause of
-``verify_krasner`` is thus decided once per table, and kept pairs are not
-verified again.  A plain product-scan strategy exists as a cross-check
-oracle for the hyperaddition candidates.  Candidates are ranked cell tables
-(``core.TableView``), and classes are keyed by their least relabeled cells,
-from which the outputs are built; relabelings act through ``carrier_map``.
-Both candidate sets are closed under the relabelings that fix the zero, and
-the key of a class minimises its hyperaddition cells first, so only a
-hyperaddition that is the least of its class is verified and paired; a
-pair's key is its own hyperaddition cells with the least products over the
-hyperaddition's automorphisms.
+construction, each level gives one cell without a zero factor its values in
+ascending order.  Either way the leaves come in the order of a product scan
+over the choices.  The search is one loop over a per-level count of the
+options tried, with no generator frame per level.  Each associativity row
+of ``ranked_plan``, and for the hyperaddition each "cell is not empty"
+test, runs at the first level where every cell it can read is final, and a
+failing one cuts off the branch.  Every hyperaddition leaf still gets the
+hypergroup axiom check, and every multiplication leaf the full
+associativity check.  Distributivity is then decided through translation
+maps: g distributes over f exactly when every map x -> g(a_1..a_{n-1}, x)
+is an endomorphism of f.  The distinct maps of all candidate
+multiplications are far fewer than the multiplications, so ``_map_masks``
+lists them once per enumeration and gives each multiplication the bitmask
+of its maps; each hypergroup tests every distinct map once, for the mask of
+its endomorphisms, and keeps the multiplications whose mask lies inside
+that one.  Each clause of ``verify_krasner`` is thus decided once per
+table, and kept pairs are not verified again.  A plain product-scan
+strategy exists as a cross-check oracle for the hyperaddition candidates.
+Candidates are ranked cell tables (``core.TableView``), and classes are
+keyed by their least relabeled cells, from which the outputs are built;
+relabelings act through ``carrier_map``.  Both candidate sets are closed
+under the relabelings that fix the zero, and the key of a class minimises
+its hyperaddition cells first, so only a hyperaddition that is the least of
+its class is verified and paired; a pair's key is its own hyperaddition
+cells with the least products over the hyperaddition's automorphisms.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import permutations, product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     BITS,
@@ -52,7 +55,6 @@ from .core import (
     mask_of,
     msort,
     mul_associativity_violation,
-    multiset_minus,
     multisets,
     ranked_plan,
     table_shape,
@@ -320,11 +322,12 @@ def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
     """Depth-first over the choices of ``levels``, yielding at each leaf
     with ``cells`` holding its table, in the order of a ``product`` over
     the levels' options.  An option is a tuple of (rank, bits) that is
-    XORed into ``cells`` and back out on the way up, and a cell is final
-    after the last level that can change it.  ``checks`` pairs the cells
-    a check can read with the check; each runs at the first level where
-    all of them are final, and one that returns a truthy value cuts off
-    the branch."""
+    XORed into ``cells``, and back out before the next option of its level
+    is tried or the level is left, so an exhausted search leaves ``cells``
+    as it found them; a cell is final after the last level that can change
+    it.  ``checks`` pairs the cells a check can read with the check; each
+    runs at the first level where all of them are final, and one that
+    returns a truthy value cuts off the branch."""
     position = [-1] * len(cells)
     for i, options in enumerate(levels):
         for option in options:
@@ -336,24 +339,34 @@ def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
         ready[max(position[r] for r in reads) + 1].append(check)
     if any(check(cells) for check in ready[0]):
         return
-
-    def descend(i: int) -> Iterator[None]:
-        if i == len(levels):
-            yield
-            return
-        decided = ready[i + 1]
-        for option in levels[i]:
-            for r, bits in option:
+    last = len(levels) - 1
+    if last < 0:
+        yield
+        return
+    # tried[i] counts the options of level i taken so far; the last of them
+    # is the one XORed into ``cells``
+    tried = [0] * len(levels)
+    i = 0
+    while i >= 0:
+        options, k = levels[i], tried[i]
+        if k:
+            for r, bits in options[k - 1]:
                 cells[r] ^= bits
-            for check in decided:
-                if check(cells):
-                    break
+        if k == len(options):
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = k + 1
+        for r, bits in options[k]:
+            cells[r] ^= bits
+        for check in ready[i + 1]:
+            if check(cells):
+                break
+        else:
+            if i == last:
+                yield
             else:
-                yield from descend(i + 1)
-            for r, bits in option:
-                cells[r] ^= bits
-
-    yield from descend(0)
+                i += 1
 
 
 def _involutions(elems: list[int]) -> list[dict]:
@@ -378,7 +391,8 @@ def _orbit_of(atom, iota, m):
     while frontier:
         key, x = frontier.pop()
         for a in sorted(set(key)):
-            others = multiset_minus(key, (a,))
+            i = key.index(a)
+            others = key[:i] + key[i + 1 :]
             new = (msort((x,) + tuple(iota[o] for o in others)), a)
             if new not in seen:
                 seen.add(new)
@@ -492,33 +506,41 @@ def _mul_candidates(order: int, n: int) -> Iterator[TableView]:
             yield TableView(shape, tuple(cells), False)
 
 
-def _translation_maps(order: int, n: int, mul: TableView) -> tuple[tuple[int, ...], ...]:
-    """The distinct translations x -> g(a, x) of a multiplication, for a over
-    the (n-1)-multisets, each as the tuple of its images."""
-    cells = mul.cells
-    maps = (tuple(cells[r] for r in row) for row in table_shape(order, n).ext)
-    return tuple(dict.fromkeys(maps))
+def _map_masks(muls: Iterable[TableView]) -> tuple[tuple, list[tuple[TableView, int]]]:
+    """(maps, masked) for multiplications of one shape: ``maps`` the
+    distinct translations x -> g(a, x) over all of them, for a over the
+    (n-1)-multisets, each as the tuple of its images, in first-seen order;
+    ``masked`` pairs each multiplication with the bitmask of its maps,
+    bit i for ``maps[i]``."""
+    index: dict[tuple[int, ...], int] = {}
+    masked = []
+    for mul in muls:
+        cells, mask = mul.cells, 0
+        for row in mul.shape.ext:
+            mask |= 1 << index.setdefault(tuple(cells[r] for r in row), len(index))
+        masked.append((mul, mask))
+    return tuple(index), masked
 
 
 def _distributive_muls(
-    order: int, m: int, add: TableView, muls: list[tuple[TableView, tuple]]
+    add: TableView, map_masks: tuple[tuple, list[tuple[TableView, int]]]
 ) -> Iterator[TableView]:
     """The multiplications that distribute over ``add``, in the given order.
 
     g distributes over f exactly when every translation map of g is an
-    endomorphism of f.  ``muls`` pairs each multiplication with its
-    translation maps; many multiplications share maps, so each distinct map
-    is tested at most once per hyperaddition (through image and target
-    tables that all hyperadditions of the shape share).
+    endomorphism of f.  ``map_masks`` is ``_map_masks`` of the
+    multiplications; many of them share maps, so each distinct map is
+    tested once per hyperaddition (through image and target tables that all
+    hyperadditions of the shape share), and a multiplication is kept when
+    its map mask lies inside the mask of the endomorphisms.
     """
-    endo: dict[tuple[int, ...], bool] = {}
-    for mul, maps in muls:
-        for phi in maps:
-            if phi not in endo:
-                endo[phi] = map_violation(phi, add, add) is None
-            if not endo[phi]:
-                break
-        else:
+    maps, masked = map_masks
+    endo = 0
+    for i, phi in enumerate(maps):
+        if map_violation(phi, add, add) is None:
+            endo |= 1 << i
+    for mul, mask in masked:
+        if not mask & ~endo:
             yield mul
 
 
@@ -588,9 +610,7 @@ def enumerate_structures(
             f"search over {order}^{n_free_mul} multiplication tables"
             f" exceeds cap {ENUM_CANDIDATE_CAP}"
         )
-    muls = [
-        (mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)
-    ]
+    map_masks = _map_masks(_mul_candidates(order, n))
     labels = tuple(str(i) for i in range(order))
     # probes and candidates use the plain constructor: their identity is
     # never read
@@ -609,7 +629,7 @@ def enumerate_structures(
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
         own, automorphisms = least
-        for mul in _distributive_muls(order, m, add, muls):
+        for mul in _distributive_muls(add, map_masks):
             products = min(_relabel(mul.cells, n, inverse, perm) for perm, inverse in automorphisms)
             seen_keys.add((own, products))
     return [

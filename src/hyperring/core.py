@@ -703,34 +703,46 @@ def solvability_violation(S: FiniteStructure, pool, rest: Multiset) -> Optional[
     return None
 
 
-def _first_disagreement(row: tuple, bracket: Callable) -> Optional[tuple]:
-    """(whole, A, B) for the first sub-multiset B of a ``ranked_plan`` row
-    whose ``bracket(rank of B, rank of its remainder)`` differs from that of
-    the row's first, A."""
-    whole, ((first_sub, a, rest), *others) = row
-    first = bracket(a, rest)
-    for B, b, rest in others:
-        if bracket(b, rest) != first:
-            return whole, first_sub, B
-    return None
-
-
 def add_associativity_violation(cells: Sequence[int], ext: tuple, row: tuple) -> Optional[tuple]:
     """The add-associativity clause on one ``ranked_plan`` row of bare
-    hyperaddition cells with the shape's ``ext`` table.
+    hyperaddition cells with the shape's ``ext`` table: (whole, A, B) for
+    the row's first sub-multiset A and the first B whose bracket differs
+    from A's, or None.
 
     With multiset-keyed (commutative) tables, m-ary associativity over all
     (2m-1)-tuples is equivalent to: for every (2m-1)-multiset, the value of
     f(f(A), rest), the union of f(s, rest) over s in f(A), does not depend
     on the chosen m-sub-multiset A."""
-    return _first_disagreement(row, lambda a, rest: _union(cells, ext[rest], cells[a]))
+    whole, splits = row
+    splits = iter(splits)
+    A, a, rest = next(splits)
+    line = ext[rest]
+    first = 0
+    for s in BITS[cells[a]]:
+        first |= cells[line[s]]
+    for B, b, rest in splits:
+        line = ext[rest]
+        value = 0
+        for s in BITS[cells[b]]:
+            value |= cells[line[s]]
+        if value != first:
+            return whole, A, B
+    return None
 
 
 def mul_associativity_violation(cells: Sequence[int], ext: tuple, row: tuple) -> Optional[tuple]:
     """The mul-associativity clause on one ``ranked_plan`` row of bare
-    multiplication cells with the shape's ``ext`` table: g(g(A), rest) must
-    not depend on the n-sub-multiset A."""
-    return _first_disagreement(row, lambda a, rest: cells[ext[rest][cells[a]]])
+    multiplication cells with the shape's ``ext`` table: (whole, A, B) for
+    the row's first sub-multiset A and the first B with g(g(B), rest) other
+    than g(g(A), rest), or None."""
+    whole, splits = row
+    splits = iter(splits)
+    A, a, rest = next(splits)
+    first = cells[ext[rest][cells[a]]]
+    for B, b, rest in splits:
+        if cells[ext[rest][cells[b]]] != first:
+            return whole, A, B
+    return None
 
 
 @lru_cache(maxsize=1024)

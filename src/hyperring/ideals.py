@@ -247,8 +247,11 @@ class IdealLattice:
 
     @cached_property
     def jacobson(self) -> Hyperideal:
-        """Intersection of the maximal hyperideals; the whole carrier if none."""
-        return self.by_members(self.meet(self.maximal))
+        """Intersection of the maximal hyperideals; the whole carrier if none.
+        On a table that is not a hyperring the intersection need not be a
+        member of the lattice, and is returned as a bare ``Hyperideal``."""
+        meet = self.meet(self.maximal)
+        return self._index[meet] if meet in self._index else Hyperideal(self.parent, meet)
 
     @cached_property
     def primes(self) -> tuple[Hyperideal, ...]:

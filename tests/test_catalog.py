@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import random
 from collections import Counter
 from itertools import product
 
@@ -24,12 +25,13 @@ from hyperring.catalog import (
     _distributive_muls,
     _involutions,
     _least_add,
+    _map_masks,
     _membership_orbits,
     _mul_candidates,
     _parse_predicate,
     _raw_add_candidates,
     _relabeled_add,
-    _translation_maps,
+    _search,
     _zero_fixing_perms,
 )
 from hyperring.core import (
@@ -182,6 +184,94 @@ def reference_add_candidates(order, m):
             yield TableView(shape, tuple(cells), True)
 
 
+def search_leaves(cells, levels, checks):
+    """The cells at each leaf of ``_search``, and the cells after it."""
+    leaves = [tuple(cells) for _ in _search(cells, levels, checks)]
+    return leaves, tuple(cells)
+
+
+def reference_leaves(start, levels, checks):
+    """The filtered product scan ``_search`` stands for: every choice of one
+    option per level, XORed into a copy of ``start``, kept if no check
+    fails on the finished table."""
+    leaves = []
+    for choice in product(*levels):
+        cells = list(start)
+        for option in choice:
+            for r, bits in option:
+                cells[r] ^= bits
+        if not any(check(cells) for _, check in checks):
+            leaves.append(tuple(cells))
+    return leaves
+
+
+# six cells; cell 5 is set by no level.  Options leave cells alone (the
+# empty option), touch one cell or several, and a cell may be touched by
+# several levels, so it is final only after the last of them.
+SEARCH_START = (1, 0, 2, 0, 4, 7)
+SEARCH_LEVELS = [
+    ((), ((0, 2),), ((0, 4), (1, 1))),
+    (((1, 2),), ((2, 1), (3, 8))),
+    ((), ((3, 1),)),
+    (((4, 3),), (), ((1, 4), (4, 1))),
+]
+SEARCH_CHECKS = [
+    ({0}, lambda cells: cells[0] == 5),
+    ({2, 3}, lambda cells: cells[2] == 3 and cells[3] & 1),
+    ({1, 4}, lambda cells: cells[1] == cells[4] - 1),
+    ({0, 3}, lambda cells: cells[0] + cells[3] == 12),
+    ({5}, lambda cells: cells[5] != 7),
+]
+
+
+def test_search_matches_a_filtered_product():
+    cells = list(SEARCH_START)
+    leaves, after = search_leaves(cells, SEARCH_LEVELS, SEARCH_CHECKS)
+    expected = reference_leaves(SEARCH_START, SEARCH_LEVELS, SEARCH_CHECKS)
+    assert leaves == expected
+    assert 0 < len(leaves) < len(list(product(*SEARCH_LEVELS)))
+    assert after == SEARCH_START
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_search_matches_a_filtered_product_on_seeded_levels(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 5)
+    start = tuple(rng.randrange(4) for _ in range(size))
+
+    def option():
+        return tuple((rng.randrange(size), rng.randint(1, 3)) for _ in range(rng.randrange(3)))
+
+    levels = [
+        tuple(option() for _ in range(rng.randrange(4))) for _ in range(rng.randrange(5))
+    ]
+
+    def check(reads, target):
+        return set(reads), lambda cells: sum(cells[r] for r in reads) % 5 == target
+
+    checks = [
+        check(rng.sample(range(size), rng.randint(1, size)), rng.randrange(5))
+        for _ in range(rng.randrange(4))
+    ]
+    cells = list(start)
+    leaves, after = search_leaves(cells, levels, checks)
+    assert leaves == reference_leaves(start, levels, checks)
+    assert after == start
+
+
+def test_search_with_a_failing_check_on_unset_cells_yields_nothing():
+    failing = ({5}, lambda cells: cells[5] == 7)
+    cells = list(SEARCH_START)
+    assert search_leaves(cells, SEARCH_LEVELS, SEARCH_CHECKS + [failing]) == ([], SEARCH_START)
+    assert search_leaves(cells, [], [failing]) == ([], SEARCH_START)
+
+
+def test_search_over_zero_levels_yields_one_leaf():
+    cells = list(SEARCH_START)
+    assert search_leaves(cells, [], []) == ([SEARCH_START], SEARCH_START)
+    assert search_leaves(cells, [], SEARCH_CHECKS) == ([SEARCH_START], SEARCH_START)
+
+
 @pytest.mark.parametrize(
     "order,n", [(o, 2) for o in (1, 2, 3, 4)] + [(o, n) for n in (3, 4) for o in (1, 2, 3)]
 )
@@ -215,7 +305,7 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
     # translation-map filter keeps exactly the pairs the axiom check passes
     labels = tuple(str(i) for i in range(order))
     muls = list(_mul_candidates(order, n))
-    paired = [(mul, _translation_maps(order, n, mul)) for mul in muls]
+    paired = _map_masks(muls)
     zero_mul = {k: 0 for k in multisets(order, n)}
     hypergroups = 0
     kept = 0
@@ -224,7 +314,7 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
         hypergroups += 1
-        accepted = [id(mul) for mul in _distributive_muls(order, m, add, paired)]
+        accepted = [id(mul) for mul in _distributive_muls(add, paired)]
         expected = []
         for mul in muls:
             S = FiniteStructure("pair", m, n, labels, add, mul, 0)
@@ -251,10 +341,10 @@ def reference_pairing_keys(m, n, order, strategy="orbit"):
     distributive multiplication, each pair keyed by ``canonical_key``;
     the distinct keys, sorted."""
     labels = tuple(str(i) for i in range(order))
-    paired = [(mul, _translation_maps(order, n, mul)) for mul in _mul_candidates(order, n)]
+    paired = _map_masks(_mul_candidates(order, n))
     keys = set()
     for add in hypergroups(order, m, strategy):
-        for mul in _distributive_muls(order, m, add, paired):
+        for mul in _distributive_muls(add, paired):
             keys.add(canonical_key(FiniteStructure("pair", m, n, labels, add, mul, 0)))
     return sorted(keys)
 

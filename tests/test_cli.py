@@ -7,7 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from hyperring import export_structure
+from hyperring import FiniteStructure, export_structure
 from hyperring.cli import main
 
 
@@ -135,6 +135,18 @@ def test_ideals_listing(runner, kmn_file, b24):
 def test_jacobson(runner, kmn_file, b24):
     res = invoke(runner, "jacobson", kmn_file(b24.structure))
     assert res.output.strip() == "{0}"
+
+
+def test_jacobson_of_a_table_without_hyperideals(runner, kmn_file):
+    # f = {0} everywhere and g(0, 1) = 1: no subset is a hyperideal, so
+    # there is no maximal one and the radical is the whole carrier
+    add = {key: frozenset({0}) for key in ((0, 0), (0, 1), (1, 1))}
+    mul = {(0, 0): 0, (0, 1): 1, (1, 1): 0}
+    S = FiniteStructure.build("no-ideal", 2, 2, ("0", "1"), add, mul, 0)
+    res = runner.invoke(main, ["jacobson", kmn_file(S)])
+    assert res.exception is None
+    assert res.exit_code == 0
+    assert res.output.strip() == "{0,1}"
 
 
 def test_radical(runner, kmn_file, b24):

@@ -29,7 +29,9 @@ from hyperring import (
 )
 from hyperring.core import (
     CapExceeded,
+    add_associativity_violation,
     msort,
+    mul_associativity_violation,
     multiset_minus,
     multisets,
     ranked_plan,
@@ -480,6 +482,56 @@ def _seeded_tables(count: int, seed: int):
         mul = {key: rng.randrange(size) for key in multisets(size, n)}
         labels = tuple(str(x) for x in range(size))
         yield FiniteStructure.build(f"seeded-{i}", m, n, labels, add, mul, 0)
+
+
+def reference_associativity_witnesses(S, arity, bracket):
+    """Per (2k-1)-multiset, k the arity, in ``multisets`` order: (whole, A,
+    B) for its first k-sub-multiset A and the first B whose bracket, read
+    off the table through the public operations, differs from A's, or
+    None."""
+    out = []
+    for whole in multisets(S.size, 2 * arity - 1):
+        subs = sub_multisets(whole, arity)
+        first = bracket(S, subs[0], multiset_minus(whole, subs[0]))
+        out.append(
+            next(
+                (
+                    (whole, subs[0], B)
+                    for B in subs
+                    if bracket(S, B, multiset_minus(whole, B)) != first
+                ),
+                None,
+            )
+        )
+    return out
+
+
+def _add_bracket(S, B, rest):
+    # f(f(B), rest)
+    return S.hyperadd_subsets([S.hyperadd(B)] + [{x} for x in rest])
+
+
+def _mul_bracket(S, B, rest):
+    # g(g(B), rest)
+    return S.multiply((S.multiply(B),) + rest)
+
+
+def test_associativity_witnesses_match_a_literal_reference():
+    witnesses = {"add": [], "mul": []}
+    for S in _seeded_tables(300, 11):
+        for side, arity, shape, cells, violation, bracket in (
+            ("add", S.m, S.add_shape, S.add_cells, add_associativity_violation, _add_bracket),
+            ("mul", S.n, S.mul_shape, S.mul_cells, mul_associativity_violation, _mul_bracket),
+        ):
+            found = [
+                violation(cells, shape.ext, row)
+                for row in ranked_plan(S.size, 2 * arity - 1, arity)
+            ]
+            assert found == reference_associativity_witnesses(S, arity, bracket)
+            witnesses[side] += [(arity, w is None) for w in found]
+    # both arities, with rows that hold and rows that fail, on both sides
+    for found in witnesses.values():
+        assert set(found) == {(2, True), (2, False), (3, True), (3, False)}
 
 
 # sha256 of the reports and witnesses below, as computed before the tables

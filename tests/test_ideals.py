@@ -463,3 +463,16 @@ def test_an_empty_lattice_is_not_enumerated_again(monkeypatch):
     monkeypatch.setattr("hyperring.ideals.enumerate_hyperideals", no_enumeration)
     assert maximal_hyperideals(S, L) == ()
     assert not is_local(S, L)
+
+
+def test_jacobson_of_a_table_without_hyperideals_is_the_carrier():
+    # an unverified (2,2) table on {0, 1} with f = {0} everywhere and
+    # g(0, 1) = 1: {0} does not absorb, {0, 1} is not solvable
+    add = {key: frozenset({0}) for key in multisets(2, 2)}
+    mul = {(0, 0): 0, (0, 1): 1, (1, 1): 0}
+    S = FiniteStructure.build("no-ideal", 2, 2, ("0", "1"), add, mul, 0)
+    L = enumerate_hyperideals(S)
+    assert len(L) == 0 and L.maximal == ()
+    assert L.jacobson.members == frozenset(S.carrier)
+    assert L.jacobson.parent is S
+    assert jacobson_radical(S).labels() == ("0", "1")
