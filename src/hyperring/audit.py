@@ -50,14 +50,12 @@ from .classifiers import (
     delta_j_mixed_form,
     is_j_hyperideal,
     preserves_intersections,
-    standard_registry,
 )
 from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
     DROP,
     IdealLattice,
-    enumerate_hyperideals,
     is_hyperideal,
     is_local,
     prime_witness,
@@ -77,6 +75,8 @@ from .morphology import (
 
 PASS, FAIL, SKIP = "PASS", "FAIL", "SKIP"
 MONO_FIXTURE_MAX_ORDER = 3
+# one encoder for every JSONL record, as ``json.dumps(r, sort_keys=True)``
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -133,7 +133,7 @@ class AuditReport:
             *({"record": "discrepancy", **d.as_dict()} for d in self.discrepancies),
             {"record": "summary", **summary},
         ]
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in records)
 
     def summary_text(self) -> str:
         counts = self.counts()
@@ -225,7 +225,7 @@ class StructureContext:
             res = quotient(self.S, ideal.members)
             if res.ok and res.axiom_report.ok:
                 qs = res.quotient
-                qlat = enumerate_hyperideals(qs.structure)
+                qlat = qs.structure.lattice
                 induced = {
                     name: quotient_expansion(qs, delta, self.lattice, qlat)
                     for name, delta in self.registry.items()
@@ -239,23 +239,22 @@ class StructureContext:
         every registered (delta, gamma) pair that makes it an expansion-
         compatible homomorphism."""
         S = self.S
-        # (tag, hom, target lattice, target registry, induced expansions)
-        homs = [("identity", identity_hom(S), self.lattice, self.registry, {})]
+        # (tag, hom, target lattice, induced expansions)
+        homs = [("identity", identity_hom(S), self.lattice, {})]
         for quot in self.quotients:
             tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
-            registry = standard_registry(quot.q.structure, quot.lattice)
-            homs.append((tag, projection_hom(quot.q), quot.lattice, registry, quot.induced))
+            homs.append((tag, projection_hom(quot.q), quot.lattice, quot.induced))
         for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
             T = other.structure
             if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
                 for h in enumerate_homomorphisms(S, T, injective_only=True):
-                    homs.append((f"mono->{T.name}", h, other.lattice(), other.registry(), {}))
+                    homs.append((f"mono->{T.name}", h, other.lattice(), {}))
         fixtures = []
-        for tag, h, tl, treg, induced in homs:
+        for tag, h, tl, induced in homs:
             # a projection pairs every base expansion with its induced
             # quotient expansion first
             pairs = [(self.registry[name], dq) for name, dq in induced.items()]
-            pairs += product(self.registry.values(), treg.values())
+            pairs += product(self.registry.values(), tl.registry.values())
             fixture = dict(tag=tag, hom=h, target_lattice=tl)
             for delta, gamma in pairs:
                 if is_delta_gamma_hom(h, delta, gamma, self.lattice, tl)[0]:

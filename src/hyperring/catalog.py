@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import permutations, product
 from typing import Iterable, Iterator, Optional
 
@@ -67,9 +67,8 @@ from .classifiers import (
     Predicate,
     PredicateResult,
     Verdict,
-    standard_registry,
 )
-from .ideals import IdealLattice, enumerate_hyperideals
+from .ideals import IdealLattice
 
 DEFAULT_ARITIES = ((2, 2), (3, 2), (2, 3), (3, 3))
 ENUM_CANDIDATE_CAP = 2_000_000
@@ -90,8 +89,8 @@ class Claim:
 @dataclass
 class CatalogEntry:
     """A structure with its provenance and shipped claims.  The axiom report
-    is computed at construction, where the size guard raises, the lattice
-    and registry on first call; none of them takes part in equality."""
+    is computed at construction, where the size guard raises; the lattice
+    and registry are the structure's own, built on first call."""
 
     structure: FiniteStructure
     provenance: str  # builtin | enumerated | file
@@ -105,18 +104,10 @@ class CatalogEntry:
         return self.report.ok
 
     def lattice(self) -> IdealLattice:
-        return self._lattice
+        return self.structure.lattice
 
     def registry(self) -> dict:
-        return self._registry
-
-    @cached_property
-    def _lattice(self) -> IdealLattice:
-        return enumerate_hyperideals(self.structure)
-
-    @cached_property
-    def _registry(self) -> dict:
-        return standard_registry(self.structure, self._lattice)
+        return self.structure.lattice.registry
 
 
 # -- built-in structures -----------------------------------------------------
@@ -642,7 +633,7 @@ def _representative_slice(structures: list[FiniteStructure], k: int):
     """Deterministic order-4 sample: leading structures plus, when present,
     one with a scalar identity and one non-local one with identity, so the
     identity-gated predicates see real instances at order 4."""
-    from .ideals import enumerate_hyperideals, is_local
+    from .ideals import is_local
 
     picks = list(structures[: max(0, k - 2)])
 
@@ -653,7 +644,7 @@ def _representative_slice(structures: list[FiniteStructure], k: int):
                 return
 
     add_first(lambda S: S.one is not None)
-    add_first(lambda S: S.one is not None and not is_local(S, enumerate_hyperideals(S)))
+    add_first(lambda S: S.one is not None and not is_local(S))
     return picks[:k] if len(picks) > k else picks
 
 

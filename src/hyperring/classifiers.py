@@ -52,7 +52,6 @@ from .ideals import (
     IdealLattice,
     _primary_pair,
     _set_product,
-    enumerate_hyperideals,
     is_hyperideal,
     is_primary,
     prime_witness,
@@ -596,11 +595,12 @@ def classify(
 
     Non-ideals and the whole carrier get IMPROPER verdicts across the board;
     identity-dependent predicates report NOT_APPLICABLE when the structure
-    has no scalar identity.
+    has no scalar identity.  The lattice defaults to ``S.lattice`` and the
+    registry to the lattice's ``registry``.
     """
     members = frozenset(subset)
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
-    registry = registry if registry is not None else standard_registry(S, lattice)
+    lattice = S.lattice if lattice is None else lattice
+    registry = lattice.registry if registry is None else registry
     check = is_hyperideal(S, members)
     proper = members != frozenset(S.carrier)
     report = ClassificationReport(

@@ -26,7 +26,7 @@ from .catalog import (
 from .classifiers import Verdict, classify
 from .core import CapExceeded, verify_krasner
 from .fileformat import ParseError, load_structure, save_structure
-from .ideals import enumerate_hyperideals, radical_by_powers, radical_by_primes
+from .ideals import radical_by_powers, radical_by_primes
 from .morphology import quotient
 
 def _load(path) -> object:
@@ -92,8 +92,7 @@ def verify(file, as_json, allow_large):
 def ideals(file):
     """List every hyperideal of a structure."""
     S = _load(file)
-    lattice = enumerate_hyperideals(S)
-    for ideal in lattice:
+    for ideal in S.lattice:
         click.echo("{" + ",".join(ideal.labels()) + "}")
     sys.exit(0)
 
@@ -103,8 +102,7 @@ def ideals(file):
 def jacobson(file):
     """Print the Jacobson radical (intersection of maximal hyperideals)."""
     S = _load(file)
-    lattice = enumerate_hyperideals(S)
-    click.echo("{" + ",".join(lattice.jacobson.labels()) + "}")
+    click.echo("{" + ",".join(S.lattice.jacobson.labels()) + "}")
     sys.exit(0)
 
 
@@ -116,11 +114,10 @@ def radical(file, ideal):
     form when a scalar identity exists)."""
     S = _load(file)
     members = _ideal_members(S, ideal)
-    lattice = enumerate_hyperideals(S)
-    if members not in lattice:
+    if members not in S.lattice:
         click.echo("not a hyperideal")
         sys.exit(1)
-    by_primes = radical_by_primes(S, members, lattice)
+    by_primes = radical_by_primes(S, members)
     click.echo("by-primes: {" + ",".join(by_primes.labels()) + "}")
     if S.one is not None:
         by_powers = radical_by_powers(S, members)
@@ -139,16 +136,13 @@ def classify_cmd(file, ideal, deltas, kmax):
     """Classify one subset against every predicate."""
     S = _load(file)
     members = _ideal_members(S, ideal)
-    lattice = enumerate_hyperideals(S)
-    from .classifiers import standard_registry
-
-    registry = standard_registry(S, lattice)
+    registry = S.lattice.registry
     if deltas:
         unknown = [d for d in deltas if d not in registry]
         if unknown:
             raise click.UsageError(f"unknown expansion(s): {', '.join(unknown)}")
         registry = {k: v for k, v in registry.items() if k in deltas}
-    report = classify(S, members, registry, kmax, lattice)
+    report = classify(S, members, registry, kmax)
     _echo_json(report.as_dict())
     negative = (
         not report.is_ideal

@@ -277,10 +277,11 @@ class FiniteStructure:
     ``TableView``s over the ranked cells ``add_cells`` (bitmasks) and
     ``mul_cells`` (elements) of the shapes ``add_shape`` and ``mul_shape``.
     ``zero`` is the declared additive neutral element.  Values derived from
-    the tables, such as the scalar identity ``one``, are computed on first
-    read and take no part in equality or hashing.  Construction checks
-    well-formedness only; the algebraic axioms are the verifiers' job, so
-    deliberately broken tables can be built and audited.
+    the tables, such as the scalar identity ``one`` and the hyperideal
+    ``lattice`` (with its ``registry`` of standard expansions), are computed
+    on first read and take no part in equality, hashing or export.
+    Construction checks well-formedness only; the algebraic axioms are the
+    verifiers' job, so deliberately broken tables can be built and audited.
     """
 
     name: str
@@ -462,6 +463,13 @@ class FiniteStructure:
                 for key in table_shape(self.size, t).keys
             )
         return tables[t]
+
+    @cached_property
+    def lattice(self) -> IdealLattice:
+        """``enumerate_hyperideals`` by its ``auto`` strategy; kept unless it raises."""
+        from .ideals import enumerate_hyperideals  # ideals imports core
+
+        return enumerate_hyperideals(self)
 
     @cached_property
     def one(self) -> Optional[int]:

@@ -203,8 +203,8 @@ class IdealLattice:
     """All hyperideals of a structure, sorted by (size, member ids).
 
     A lattice compares and hashes by identity, so it can key a memo.  Its
-    maximal hyperideals, Jacobson radical and primes are computed on first
-    read and kept.
+    maximal hyperideals, Jacobson radical, primes and standard expansion
+    ``registry`` are computed on first read and kept.
     """
 
     parent: FiniteStructure
@@ -257,9 +257,16 @@ class IdealLattice:
     def primes(self) -> tuple[Hyperideal, ...]:
         return tuple(p for p in self.proper() if is_prime(self.parent, p.members))
 
+    @cached_property
+    def registry(self) -> dict:
+        """``standard_registry`` of this lattice; kept unless it raises."""
+        from .classifiers import standard_registry  # classifiers imports ideals
+
+        return standard_registry(self.parent, self)
+
 
 def enumerate_hyperideals(S: FiniteStructure, strategy: str = "auto") -> IdealLattice:
-    """Compute the full hyperideal lattice.
+    """Compute the full hyperideal lattice afresh; ``S.lattice`` keeps one.
 
     ``scan`` filters all zero-containing subsets, ``closure`` grows ideals
     from generator closures (breadth-first over single-element extensions).
@@ -358,8 +365,7 @@ def principal_ideal(
     row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
-    if lattice is None:
-        lattice = enumerate_hyperideals(S)
+    lattice = S.lattice if lattice is None else lattice
     if check.ok:
         return PrincipalIdeal(lattice.by_members(raw), x, raw, True)
     enclosing = frozenset(S.carrier)
@@ -370,18 +376,18 @@ def principal_ideal(
 
 
 def maximal_hyperideals(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    lattice = S.lattice if lattice is None else lattice
     return lattice.maximal
 
 
 def jacobson_radical(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    lattice = S.lattice if lattice is None else lattice
     return lattice.jacobson
 
 
 def is_local(S: FiniteStructure, lattice: Optional[IdealLattice] = None) -> bool:
     """Exactly one maximal hyperideal.  A one-element structure has none."""
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    lattice = S.lattice if lattice is None else lattice
     return len(lattice.maximal) == 1
 
 
@@ -442,7 +448,7 @@ def radical_by_primes(
     """Intersection of the prime hyperideals containing I (the reference
     definition); the whole carrier when no prime contains I."""
     members = frozenset(I)
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    lattice = S.lattice if lattice is None else lattice
     return lattice.by_members(lattice.meet(p for p in lattice.primes if members <= p.members))
 
 
@@ -507,7 +513,7 @@ def is_primary(
         raise ValueError("primary test requires a proper hyperideal")
     if S.one is None:
         return None, None
-    lattice = enumerate_hyperideals(S) if lattice is None else lattice
+    lattice = S.lattice if lattice is None else lattice
     hit = DROP.scan(S, members, *_primary_pair(S, members, lattice, None))
     if hit is None:
         return True, None

@@ -23,7 +23,7 @@ from .core import (
     verify_krasner,
 )
 from .classifiers import ExpansionFunction, table_expansion
-from .ideals import IdealLattice, enumerate_hyperideals, is_hyperideal
+from .ideals import IdealLattice, is_hyperideal
 
 MAP_ENUMERATION_CAP = 1_000_000
 
@@ -280,7 +280,7 @@ def quotient_expansion(
     for well-defined quotients and is asserted here.
     """
     if quotient_lattice is None:
-        quotient_lattice = enumerate_hyperideals(q.structure)
+        quotient_lattice = q.structure.lattice
     table = {}
     for K in quotient_lattice:
         pulled = q.unproject(K.members)

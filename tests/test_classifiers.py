@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import json
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 
 from hyperring import (
     FiniteStructure,
+    MissingIdentityError,
     Verdict,
     classify,
     compose_expansions,
@@ -21,8 +23,15 @@ from hyperring import (
     is_delta_j,
     is_delta_primary,
     is_j_hyperideal,
+    is_local,
     is_primary,
+    jacobson_radical,
+    maximal_hyperideals,
     preserves_intersections,
+    principal_ideal,
+    quotient,
+    quotient_expansion,
+    radical_by_primes,
     radical_expansion,
     replay_witness,
     standard_registry,
@@ -366,9 +375,16 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
         enumerate_hyperideals(T)
         assert "_ideal_masks" in vars(T)
 
-    # each per-structure table, the absorbing signatures and the hyperideal
-    # masks, is filled in on a fresh structure without changing it
-    for fill, cache in ((absorbing, "_absorbing"), (ideal_masks, "_ideal_masks")):
+    def lattice(T):
+        assert T.lattice.registry is T.lattice.registry
+        assert set(T.lattice.registry) == {"delta0", "delta1", "deltaR"}
+        assert "lattice" in vars(T)
+
+    # each per-structure value, the absorbing signatures, the hyperideal
+    # masks and the lattice with its registry, is filled in on a fresh
+    # structure without changing it
+    fills = ((absorbing, "_absorbing"), (ideal_masks, "_ideal_masks"), (lattice, "lattice"))
+    for fill, cache in fills:
         scanned = dataclasses.replace(S)  # a fresh structure, without cached tables
         text = export_structure(scanned)
         fill(scanned)
@@ -376,6 +392,61 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
         assert cache not in {f.name for f in dataclasses.fields(FiniteStructure)}
         assert scanned == S and hash(scanned) == hash(S)
         assert export_structure(scanned) == text
+
+
+def _outcome(call):
+    """A call's value, or the type and text of the error it raises."""
+    try:
+        return "value", call()
+    except (KeyError, ValueError, MissingIdentityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _lattice_calls(S, fresh):
+    """(name, owner, call) for every public call whose lattice is optional,
+    over the proper members of ``fresh`` and the quotient by each: ``call``
+    takes a lattice of ``owner`` or None for the default."""
+    calls = [
+        ("maximal_hyperideals", S, partial(maximal_hyperideals, S)),
+        ("jacobson_radical", S, partial(jacobson_radical, S)),
+        ("is_local", S, partial(is_local, S)),
+    ]
+    calls += [(f"principal_ideal {x}", S, partial(principal_ideal, S, x)) for x in S.carrier]
+    for Q in (i.members for i in fresh.proper()):
+        calls += [
+            (f"classify {sorted(Q)}", S, lambda L, Q=Q: classify(S, Q, lattice=L)),
+            (f"radical_by_primes {sorted(Q)}", S, partial(radical_by_primes, S, Q)),
+            (f"is_primary {sorted(Q)}", S, partial(is_primary, S, Q)),
+        ]
+        res = quotient(S, Q)
+        if res.ok:
+            q = res.quotient
+            call = partial(quotient_expansion, q, identity_expansion(fresh), fresh)
+            calls.append((f"quotient_expansion {sorted(Q)}", q.structure, call))
+    return calls
+
+
+def test_default_lattice_calls_match_a_freshly_enumerated_lattice(small_catalog):
+    structures = [e.structure for e in small_catalog] + list(_seeded_zero_row_tables(300, 5))
+    faulty = 0
+    for S in structures:
+        fresh = enumerate_hyperideals(S)
+        try:
+            radical_expansion(S, fresh)
+            known_fault = False
+        except KeyError:
+            known_fault = True  # a radical outside the lattice of an unverified table
+            faulty += 1
+        for name, owner, call in _lattice_calls(S, fresh):
+            lattice = fresh if owner is S else enumerate_hyperideals(owner)
+            expected = _outcome(lambda: call(lattice))
+            # the default lattice, its registry and its primes are kept; a
+            # call that raised must raise the same again when repeated
+            for _ in range(2):
+                assert _outcome(lambda: call(None)) == expected, (S.name, name)
+            if known_fault and name.startswith("classify"):
+                assert expected[0] == "KeyError", (S.name, name)
+    assert faulty > 0
 
 
 def test_absorbing_signatures_are_kept_per_total_and_part():

@@ -4,6 +4,7 @@ The oracles here are deliberately independent of the library internals:
 literal tuple-level quantifier loops over raw table lookups.
 """
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -13,7 +14,9 @@ import pytest
 from hyperring import (
     FiniteStructure,
     MissingIdentityError,
+    classify,
     enumerate_hyperideals,
+    enumerate_structures,
     is_hyperideal,
     is_local,
     is_primary,
@@ -27,6 +30,7 @@ from hyperring import (
     replay_ideal_check,
     residual,
 )
+from hyperring import classifiers, ideals
 from hyperring.core import msort, multisets
 from hyperring.ideals import power_exponents
 
@@ -447,6 +451,42 @@ def test_lattice_views_are_cached_and_lattices_key_by_identity(b24):
     assert L.meet(L.maximal) == L.jacobson.members
     assert L.meet(()) == frozenset(S.carrier)
     assert len({L: 1, enumerate_hyperideals(S): 2}) == 2
+
+
+def test_default_lattice_calls_build_one_lattice_and_one_registry(monkeypatch):
+    # a non-local order-4 (2,2) hyperring with an identity, rebuilt so that
+    # nothing is cached on it yet
+    T = next(
+        R for R in enumerate_structures(2, 2, 4)
+        if R.one is not None and len(enumerate_hyperideals(R).maximal) > 1
+    )
+    proper = [i.members for i in enumerate_hyperideals(T).proper()]
+    assert len(proper) >= 3
+    S = dataclasses.replace(T)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        ideals, "enumerate_hyperideals", counting("lattice", ideals.enumerate_hyperideals)
+    )
+    monkeypatch.setattr(
+        classifiers, "standard_registry", counting("registry", classifiers.standard_registry)
+    )
+    jacobson_radical(S)
+    for Q in proper:
+        classify(S, Q)
+        radical_by_primes(S, Q)
+        assert is_primary(S, Q)[0] is not None
+    assert not is_local(S)
+    for x in S.carrier:
+        principal_ideal(S, x)
+    assert calls == {"lattice": 1, "registry": 1}
 
 
 def test_an_empty_lattice_is_not_enumerated_again(monkeypatch):
