@@ -2,7 +2,9 @@
 
 Each registered check T01..T27 is one ``Implication`` about J-family
 hyperideals, quantified over a structure's lattice (and, for the transfer
-checks, over homomorphism fixtures and quotients):
+checks, over quotients and homomorphism fixtures: one ``HomFixture`` per
+homomorphism, with its compatible (delta, gamma) pairs and the preimages
+and images it carries):
 
 * ``gate(ctx)`` returns a skip reason when the check is out of scope;
 * ``domain(ctx)`` yields the instances, as tuples, in a fixed order;
@@ -63,10 +65,10 @@ from .ideals import (
     residual,
 )
 from .morphology import (
+    Homomorphism,
     QuotientStructure,
     enumerate_homomorphisms,
     identity_hom,
-    is_delta_gamma_hom,
     kernel,
     projection_hom,
     quotient,
@@ -171,6 +173,19 @@ class Quotient(NamedTuple):
     induced: dict  # base expansion name -> induced quotient expansion
 
 
+class HomFixture(NamedTuple):
+    """A homomorphism out of the audited structure with the (delta, gamma)
+    pairs that make it expansion-compatible, in registry order, and the
+    hyperideals the transfer checks move along it."""
+
+    tag: str
+    hom: Homomorphism
+    target_lattice: IdealLattice
+    pairs: list  # (delta, gamma)
+    preimages: dict  # proper target ideal -> preimage, when injective
+    images: dict  # proper source ideal over the kernel -> image, when surjective
+
+
 class StructureContext:
     """Everything the theorem checks need about one catalog entry, with the
     verdicts they share computed once."""
@@ -234,10 +249,11 @@ class StructureContext:
         return out
 
     @cached_property
-    def hom_fixtures(self) -> list[dict]:
-        """Identity, quotient projections and small monomorphisms, each with
-        every registered (delta, gamma) pair that makes it an expansion-
-        compatible homomorphism."""
+    def hom_fixtures(self) -> list[HomFixture]:
+        """One record per homomorphism out of the structure (the identity,
+        the quotient projections and small monomorphisms) that some
+        registered (delta, gamma) pair makes expansion-compatible, with
+        every such pair."""
         S = self.S
         # (tag, hom, target lattice, induced expansions)
         homs = [("identity", identity_hom(S), self.lattice, {})]
@@ -251,14 +267,32 @@ class StructureContext:
                     homs.append((f"mono->{T.name}", h, other.lattice(), {}))
         fixtures = []
         for tag, h, tl, induced in homs:
+            pre = {I.members: h.preimage(I.members) for I in tl}
+            if not all(p in self.lattice for p in pre.values()):
+                continue  # no expansion is defined on such a preimage
+            # (delta, gamma) is compatible iff delta(h^-1(I)) == h^-1(gamma(I))
+            # for every target hyperideal I: one side per delta, one per gamma
+            lhs = {name: [delta(p) for p in pre.values()] for name, delta in self.registry.items()}
+
+            def rhs(gamma):
+                return [h.preimage(gamma(I)) for I in pre]
+
             # a projection pairs every base expansion with its induced
             # quotient expansion first
-            pairs = [(self.registry[name], dq) for name, dq in induced.items()]
-            pairs += product(self.registry.values(), tl.registry.values())
-            fixture = dict(tag=tag, hom=h, target_lattice=tl)
-            for delta, gamma in pairs:
-                if is_delta_gamma_hom(h, delta, gamma, self.lattice, tl)[0]:
-                    fixtures.append(dict(fixture, delta=delta, gamma=gamma))
+            pairs = [(self.registry[n], dq) for n, dq in induced.items() if lhs[n] == rhs(dq)]
+            gammas = [(gamma, rhs(gamma)) for gamma in tl.registry.values()]
+            pairs += [
+                (self.registry[n], gamma)
+                for n, side in lhs.items()
+                for gamma, other in gammas
+                if side == other
+            ]
+            if not pairs:
+                continue
+            preimages = {I.members: pre[I.members] for I in tl.proper()} if h.injective else {}
+            ker = kernel(h)
+            images = {Q: h.image(Q) for Q in self.proper if ker <= Q} if h.surjective else {}
+            fixtures.append(HomFixture(tag, h, tl, pairs, preimages, images))
         return fixtures
 
 
@@ -426,51 +460,51 @@ def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
 
 
 def _transfers(ctx, row, ks) -> Iterable[tuple]:
-    """(fixture, row, k, side, Q): per fixture whose target has a scalar
-    identity, the target ideals to pull back along a monomorphism, then the
-    source ideals over the kernel to push along an epimorphism; ``row`` is
-    the predicate that transfers."""
+    """(fixture, delta, gamma, row, k, side, Q, mapped): per fixture whose
+    target has a scalar identity and per compatible pair, the target ideals
+    pulled back along a monomorphism, then the source ideals over the kernel
+    pushed along an epimorphism, each with where it lands; ``row`` is the
+    predicate that transfers."""
     for fix in ctx.hom_fixtures:
-        h = fix["hom"]
-        for k in ks if h.target.one is not None else ():
-            if h.injective:
-                for i2 in fix["target_lattice"].proper():
-                    yield fix, row, k, "preimage", i2.members
-            if h.surjective:
-                ker = kernel(h)
-                for i1 in ctx.proper:
-                    if ker <= i1:
-                        yield fix, row, k, "image", i1
+        if fix.hom.target.one is None:
+            continue
+        for delta, gamma in fix.pairs:
+            for k in ks:
+                for Q, mapped in fix.preimages.items():
+                    yield fix, delta, gamma, row, k, "preimage", Q, mapped
+                for Q, mapped in fix.images.items():
+                    yield fix, delta, gamma, row, k, "image", Q, mapped
 
 
-def _transfer_hypothesis(ctx, fix, row, k, side, Q):
+def _transfer_hypothesis(ctx, fix, delta, gamma, row, k, side, Q, mapped):
     if side == "preimage":
-        return ctx.verdict(row, Q, fix["gamma"], k, fix["target_lattice"])
-    return ctx.verdict(row, Q, fix["delta"], k)
+        return ctx.verdict(row, Q, gamma, k, fix.target_lattice)
+    return ctx.verdict(row, Q, delta, k)
 
 
-def _transfer_holds(ctx, fix, row, k, side, Q) -> Optional[dict]:
-    h = fix["hom"]
-    wit = dict(fixture=fix["tag"]) if k is None else dict(fixture=fix["tag"], k=k)
+def _transfer_holds(ctx, fix, delta, gamma, row, k, side, Q, mapped) -> Optional[dict]:
+    lattice, expansion = (ctx.lattice, delta) if side == "preimage" else (fix.target_lattice, gamma)
+    # a preimage or image is a subset of its carrier: proper when smaller
+    res = None
+    if len(mapped) < lattice.parent.size and mapped in lattice:
+        res = ctx.verdict(row, mapped, expansion, k, lattice)
+        # delta-J must hold; an absorbing verdict fails only when it is FALSE
+        holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
+        if holds:
+            return None
+    T = fix.hom.target
+    wit = dict(fixture=fix.tag) if k is None else dict(fixture=fix.tag, k=k)
     if side == "preimage":
         if k is None:
-            wit["target_ideal"] = sorted(h.target.labels_of(Q))
-        mapped, top, lattice, delta = h.preimage(Q), ctx.top, ctx.lattice, fix["delta"]
+            wit["target_ideal"] = sorted(T.labels_of(Q))
     else:
         wit["ideal"] = Q
-        mapped, top = h.image(Q), frozenset(h.target.carrier)
-        lattice, delta = fix["target_lattice"], fix["gamma"]
-    if mapped == top or mapped not in lattice:
+    if res is None:
         return wit
-    res = ctx.verdict(row, mapped, delta, k, lattice)
-    # delta-J must hold; an absorbing verdict fails only when it is FALSE
-    holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
-    if holds:
-        return None
     if side == "preimage":
         wit["preimage"] = mapped
     else:
-        wit["image"] = sorted(h.target.labels_of(mapped))
+        wit["image"] = sorted(T.labels_of(mapped))
     return wit if k is None else dict(wit, witness=res.witness.as_dict())
 
 

@@ -225,6 +225,14 @@ class IdealLattice:
     def by_members(self, members) -> Hyperideal:
         return self._index[frozenset(members)]
 
+    def member_or_bare(self, members: frozenset) -> Hyperideal:
+        """The member with these members, else a bare ``Hyperideal``: on a
+        table that is not a hyperring, a meet or the carrier need not be a
+        member of the lattice."""
+        if members in self._index:
+            return self._index[members]
+        return Hyperideal(self.parent, members)
+
     def proper(self) -> tuple[Hyperideal, ...]:
         return tuple(i for i in self.ideals if i.proper)
 
@@ -247,11 +255,8 @@ class IdealLattice:
 
     @cached_property
     def jacobson(self) -> Hyperideal:
-        """Intersection of the maximal hyperideals; the whole carrier if none.
-        On a table that is not a hyperring the intersection need not be a
-        member of the lattice, and is returned as a bare ``Hyperideal``."""
-        meet = self.meet(self.maximal)
-        return self._index[meet] if meet in self._index else Hyperideal(self.parent, meet)
+        """Intersection of the maximal hyperideals; the whole carrier if none."""
+        return self.member_or_bare(self.meet(self.maximal))
 
     @cached_property
     def primes(self) -> tuple[Hyperideal, ...]:
@@ -372,7 +377,7 @@ def principal_ideal(
     for cand in lattice:
         if raw <= cand.members and len(cand.members) < len(enclosing):
             enclosing = cand.members
-    return PrincipalIdeal(lattice.by_members(enclosing), x, raw, False)
+    return PrincipalIdeal(lattice.member_or_bare(enclosing), x, raw, False)
 
 
 def maximal_hyperideals(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
@@ -498,8 +503,9 @@ DROP = Clause("drop", lambda S, Q, trigger, target: multisets(S.size, S.n), _dro
 
 def _primary_pair(S: FiniteStructure, Q: frozenset, lattice: IdealLattice, delta):
     # the primary drop clause: factors outside Q trigger it, and their
-    # co-products must land in the radical of Q (``delta`` is unused)
-    return Q, radical_by_primes(S, Q, lattice).members
+    # co-products must land in the radical of Q, the meet of the primes over
+    # Q (``delta`` is unused)
+    return Q, lattice.meet(p for p in lattice.primes if Q <= p.members)
 
 
 def is_primary(

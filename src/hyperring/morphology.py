@@ -9,7 +9,8 @@ yields a structured ill-defined-quotient result instead of a crash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from functools import cached_property
+from itertools import permutations, product as iproduct
 from typing import Iterable, Optional
 
 from .core import (
@@ -168,11 +169,11 @@ class Homomorphism:
         keep = frozenset(members)
         return frozenset(x for x in self.source.carrier if self.mapping[x] in keep)
 
-    @property
+    @cached_property
     def injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
-    @property
+    @cached_property
     def surjective(self) -> bool:
         return set(self.mapping) == set(self.target.carrier)
 
@@ -190,12 +191,18 @@ def is_homomorphism(h: Homomorphism):
     S, T = h.source, h.target
     if (S.m, S.n) != (T.m, T.n):
         return False, ("arity", (S.m, S.n), (T.m, T.n))
-    phi = tuple(h.mapping)
+    witness = _violation(tuple(h.mapping), S, T)
+    return witness is None, witness
+
+
+def _violation(phi: tuple, S: FiniteStructure, T: FiniteStructure):
+    # (table, first key) of the first cell of S that phi does not carry over
+    # to T, hyperaddition first; None for a homomorphism
     for kind, table, into in (("add", S.add, T.add), ("mul", S.mul, T.mul)):
         key = map_violation(phi, table, into)
         if key is not None:
-            return False, (kind, key)
-    return True, None
+            return kind, key
+    return None
 
 
 def is_delta_gamma_hom(
@@ -256,15 +263,11 @@ def enumerate_homomorphisms(
         raise ValueError(
             f"map space {T.size}^{S.size} exceeds cap {MAP_ENUMERATION_CAP}; not enumerating"
         )
-    out = []
-    for mapping in iproduct(range(T.size), repeat=S.size):
-        if injective_only and len(set(mapping)) != len(mapping):
-            continue
-        h = Homomorphism(S, T, mapping)
-        ok, _ = is_homomorphism(h)
-        if ok:
-            out.append(h)
-    return out
+    if injective_only:
+        maps = permutations(range(T.size), S.size)  # the injective maps, in order
+    else:
+        maps = iproduct(range(T.size), repeat=S.size)
+    return [Homomorphism(S, T, phi) for phi in maps if _violation(phi, S, T) is None]
 
 
 def quotient_expansion(

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -10,11 +11,24 @@ from hyperring import (
     CatalogEntry,
     THEOREMS,
     builtin_examples,
+    enumerate_homomorphisms,
     enumerate_structures,
+    identity_hom,
+    is_delta_gamma_hom,
+    kernel,
+    projection_hom,
     replay_axiom_check,
     run_audit,
 )
-from hyperring.audit import FAIL, PASS, SKIP, StructureContext, catalog_hash, replay_cell
+from hyperring.audit import (
+    FAIL,
+    MONO_FIXTURE_MAX_ORDER,
+    PASS,
+    SKIP,
+    StructureContext,
+    catalog_hash,
+    replay_cell,
+)
 from hyperring.classifiers import PREDICATES
 
 
@@ -209,9 +223,61 @@ def test_hom_fixture_population(small_catalog):
     # structures with well-defined quotients
     entries = [e for e in small_catalog if e.verified and e.structure.size == 3]
     ctx = StructureContext(entries[0], entries, k_max=3)
-    tags = {f["tag"] for f in ctx.hom_fixtures}
+    tags = {f.tag for f in ctx.hom_fixtures}
     assert "identity" in tags
     assert any(t.startswith("projection/") for t in tags)
+
+
+def _per_pair_hom_fixtures(ctx):
+    """(tag, mapping, delta, gamma) of every compatible pair of every hom
+    fixture, each pair decided on its own by ``is_delta_gamma_hom``."""
+    S = ctx.S
+    homs = [("identity", identity_hom(S), ctx.lattice, {})]
+    for quot in ctx.quotients:
+        tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
+        homs.append((tag, projection_hom(quot.q), quot.lattice, quot.induced))
+    for other in ctx.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
+        T = other.structure
+        if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
+            for h in enumerate_homomorphisms(S, T):
+                if h.injective:
+                    homs.append((f"mono->{T.name}", h, other.lattice(), {}))
+    out = []
+    for tag, h, tl, induced in homs:
+        pairs = [(ctx.registry[name], dq) for name, dq in induced.items()]
+        pairs += product(ctx.registry.values(), tl.registry.values())
+        for delta, gamma in pairs:
+            if is_delta_gamma_hom(h, delta, gamma, ctx.lattice, tl)[0]:
+                out.append((tag, h.mapping, delta.name, gamma.name))
+    return out
+
+
+def test_hom_fixtures_match_the_per_pair_reference(full_catalog):
+    # one record per hom gives the pairs, in order, that deciding each
+    # (delta, gamma) pair on its own gives; fixture order is the T20 and
+    # T27 instance order, so it must not depend on the hash seed
+    ordered = sorted(full_catalog, key=lambda e: e.structure.name)
+    records = pairs = 0
+    for entry in ordered:
+        if not entry.verified or entry.structure.one is None:
+            continue
+        ctx = StructureContext(entry, ordered, k_max=3)
+        got = [
+            (f.tag, f.hom.mapping, delta.name, gamma.name)
+            for f in ctx.hom_fixtures
+            for delta, gamma in f.pairs
+        ]
+        assert got == _per_pair_hom_fixtures(ctx), entry.structure.name
+        pairs += len(got)
+        for f in ctx.hom_fixtures:
+            h, tl = f.hom, f.target_lattice
+            preimages = {I.members: h.preimage(I.members) for I in tl.proper()}
+            assert f.preimages == (preimages if h.injective else {})
+            ker = kernel(h)
+            images = {Q: h.image(Q) for Q in ctx.proper if ker <= Q}
+            assert f.images == (images if h.surjective else {})
+            records += 1
+    assert (records, pairs) == (206, 1678)
 
 
 def test_no_theorem_is_vacuous_over_the_catalog(audit_report):

@@ -449,6 +449,53 @@ def test_default_lattice_calls_match_a_freshly_enumerated_lattice(small_catalog)
     assert faulty > 0
 
 
+def test_principal_ideal_is_bare_when_only_the_carrier_encloses():
+    # on a table whose carrier is not a hyperideal, the smallest enclosing
+    # set of a principal formula set may be the carrier: it comes back as a
+    # bare hyperideal
+    bare = 0
+    for S in _seeded_zero_row_tables(300, 5):
+        for x in S.carrier if S.one is not None else ():
+            p = principal_ideal(S, x)
+            if p.ideal.members not in S.lattice:
+                assert p.ideal.members == frozenset(S.carrier) and not p.formula_closed
+                bare += 1
+    assert bare == 19
+
+
+def test_is_primary_holds_when_no_prime_lies_over_q():
+    # the radical of Q is then the carrier, a member or not, and every
+    # co-product lands in it
+    cases = 0
+    for S in _seeded_zero_row_tables(300, 5):
+        if S.one is None or frozenset(S.carrier) in S.lattice:
+            continue
+        for Q in (i.members for i in S.lattice.proper()):
+            if not any(Q <= p.members for p in S.lattice.primes):
+                assert is_primary(S, Q) == (True, None)
+                cases += 1
+    assert cases == 2
+
+
+# sha256 of the principal ideals and primary verdicts below, as computed when
+# both read the enclosing member and the radical through ``by_members``
+PINNED_PRINCIPAL_PRIMARY_DIGEST = "fd9f31cc3c994ebd9836b26c1f17ab0278a07d7f59d95b186b1ca8ccd29ac499"
+
+
+def test_principal_ideals_and_primary_verdicts_are_pinned(small_catalog):
+    rows = []
+    for S in (e.structure for e in small_catalog):
+        for x in S.carrier if S.one is not None else ():
+            p = principal_ideal(S, x)
+            assert p.ideal is S.lattice.by_members(p.ideal.members)
+            ideal, formula = sorted(p.ideal.members), sorted(p.formula_set)
+            rows.append((S.name, x, ideal, p.generator, formula, p.formula_closed))
+        for Q in S.lattice.proper():
+            rows.append((S.name, sorted(Q.members), *is_primary(S, Q.members)))
+    assert len(rows) == 64
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == PINNED_PRINCIPAL_PRIMARY_DIGEST
+
+
 def test_absorbing_signatures_are_kept_per_total_and_part():
     for S in _seeded_zero_row_tables(1000, 11):
         lat = enumerate_hyperideals(S)

@@ -266,6 +266,22 @@ def test_enumerate_monomorphisms_small(small_catalog):
         assert ok
 
 
+def test_monomorphisms_match_the_injective_homomorphisms(full_catalog):
+    # the permutation walk gives exactly the injective homomorphisms of the
+    # full map walk, in the same order
+    entries = [e for e in full_catalog if e.verified and e.structure.size <= 3]
+    total = 0
+    for src in entries:
+        for dst in entries:
+            S, T = src.structure, dst.structure
+            if (S.m, S.n) != (T.m, T.n):
+                continue
+            monos = enumerate_homomorphisms(S, T, injective_only=True)
+            assert monos == [h for h in enumerate_homomorphisms(S, T) if h.injective]
+            total += len(monos)
+    assert total == 254
+
+
 def test_delta_gamma_identity_hom(b33):
     S = b33.structure
     lat = enumerate_hyperideals(S)
