@@ -242,7 +242,7 @@ class StructureContext:
                 qs = res.quotient
                 qlat = qs.structure.lattice
                 induced = {
-                    name: quotient_expansion(qs, delta, self.lattice, qlat)
+                    name: quotient_expansion(qs, delta, self.lattice)
                     for name, delta in self.registry.items()
                 }
                 out.append(Quotient(qs, qlat, induced))
@@ -380,7 +380,7 @@ def _absorbing_fails(ctx, Q, expansion, degree, **context) -> Optional[dict]:
 
 def _local_iff_all_j(ctx) -> Optional[dict]:
     bad = next((q for q in ctx.proper if not ctx.verdict("J", q)), None)
-    local = is_local(ctx.S, ctx.lattice)
+    local = is_local(ctx.S)
     return _agree(dict(ideal=bad or frozenset()), local=local, all_proper_are_j=bad is None)
 
 
@@ -450,10 +450,10 @@ def _maximal_relative_drops(ctx, q, delta) -> bool:
 
 
 def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
-    principals = [principal_ideal(ctx.S, x, ctx.lattice).ideal for x in ctx.S.carrier]
+    principals = [principal_ideal(ctx.S, x).ideal for x in ctx.S.carrier]
     return _agree(
         dict(delta=delta.name),
-        local=is_local(ctx.S, ctx.lattice),
+        local=is_local(ctx.S),
         principal_all=all(ctx.verdict("delta-J", p.members, delta) for p in principals if p.proper),
         proper_all=all(ctx.verdict("delta-J", q, delta) for q in ctx.proper),
     )

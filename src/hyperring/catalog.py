@@ -23,9 +23,7 @@ lists them once per enumeration and gives each multiplication the bitmask
 of its maps; each hypergroup tests every distinct map once, for the mask of
 its endomorphisms, and keeps the multiplications whose mask lies inside
 that one.  Each clause of ``verify_krasner`` is thus decided once per
-table, and kept pairs are not verified again.  A plain product-scan
-strategy exists as a cross-check oracle for the hyperaddition candidates.
-Candidates are ranked cell tables (``core.TableView``), and classes are
+table, and kept pairs are not verified again.  Candidates are ranked cell tables (``core.TableView``), and classes are
 keyed by their least relabeled cells, from which the outputs are built;
 relabelings act through ``carrier_map``.  Both candidate sets are closed
 under the relabelings that fix the zero, and the key of a class minimises
@@ -39,7 +37,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -50,7 +48,6 @@ from .core import (
     TableView,
     add_associativity_violation,
     carrier_map,
-    inverse_candidates,
     map_violation,
     mask_of,
     msort,
@@ -535,66 +532,18 @@ def _distributive_muls(
             yield mul
 
 
-def _raw_add_candidates(order: int, m: int) -> Iterator[TableView]:
-    """Plain product scan over all free value assignments (cross-check
-    oracle for the orbit strategy).  Zero's neutral row is forced; the
-    inverse-uniqueness constraint prunes early."""
-    shape = table_shape(order, m)
-    forced = {shape.rank[msort((0,) * (m - 1) + (y,))]: 1 << y for y in range(order)}
-    inv_ranks = sorted(
-        {
-            shape.rank[msort((0,) * (m - 2) + (a, b))]
-            for a in range(1, order)
-            for b in range(1, order)
-        }
-        - set(forced)
-    )
-    other_ranks = [r for r in range(len(shape.keys)) if r not in forced and r not in inv_ranks]
-    # every nonempty value set, by size and then by its element tuple
-    values = sorted(range(1, 1 << order), key=lambda s: (len(BITS[s]), BITS[s]))
-    cells = [0] * len(shape.keys)
-    for r, mask in forced.items():
-        cells[r] = mask
-    for inv_vals in product(values, repeat=len(inv_ranks)):
-        for r, mask in zip(inv_ranks, inv_vals):
-            cells[r] = mask
-        # the cells of every key of the form (0, .., 0, x, y) are set now
-        if any(len(c) != 1 for c in inverse_candidates(order, m, 0, cells)):
-            continue
-        for other_vals in product(values, repeat=len(other_ranks)):
-            for r, mask in zip(other_ranks, other_vals):
-                cells[r] = mask
-            yield TableView(shape, tuple(cells), True)
-
-
-def enumerate_structures(
-    m: int, n: int, order: int, strategy: str = "orbit"
-) -> list[FiniteStructure]:
+def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     """All verified Krasner (m,n)-hyperrings of the given order with zero at
     element 0, one per relabeling class: built from the distinct
     ``canonical_key``s in sorted order, so canonical forms in canonical
     order.  Each class is reached through its least hyperaddition, which
     alone is verified and paired with the distributive multiplications; the
-    key of a pair is computed there, not through ``canonical_key``.
-    ``strategy="raw"`` generates the hyperadditions by the plain product
-    scan, the oracle for the default orbit search."""
+    key of a pair is computed there, not through ``canonical_key``.  The
+    hyperadditions come from the orbit search of ``_add_candidates``."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
         raise ValueError("order must be positive")
-    if strategy == "orbit":
-        add_source = _add_candidates(order, m)
-    elif strategy == "raw":
-        n_free_keys = len(list(multisets(order, m))) - order
-        if (2**order - 1) ** n_free_keys > ENUM_CANDIDATE_CAP:
-            raise CapExceeded(
-                f"raw scan of (2^{order}-1)^{n_free_keys} hyperaddition tables"
-                f" exceeds cap {ENUM_CANDIDATE_CAP}"
-            )
-        add_source = _raw_add_candidates(order, m)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
     n_free_mul = len([k for k in multisets(order, n) if 0 not in k])
     if order**n_free_mul > ENUM_CANDIDATE_CAP:
         raise CapExceeded(
@@ -609,7 +558,7 @@ def enumerate_structures(
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     seen_keys = set()
     candidates = 0
-    for add in add_source:
+    for add in _add_candidates(order, m):
         candidates += 1
         if candidates > ENUM_CANDIDATE_CAP:
             raise CapExceeded(f"enumeration candidate cap {ENUM_CANDIDATE_CAP} exceeded")

@@ -55,7 +55,6 @@ from .ideals import (
     is_hyperideal,
     is_primary,
     prime_witness,
-    radical_by_primes,
 )
 
 ABSORBING_TUPLE_CAP = 10_000_000
@@ -122,9 +121,10 @@ def identity_expansion(lattice: IdealLattice) -> ExpansionFunction:
 
 
 def radical_expansion(S: FiniteStructure, lattice: IdealLattice) -> ExpansionFunction:
+    # by_members raises KeyError for a radical outside the lattice
     return ExpansionFunction(
         "delta1",
-        {i.members: radical_by_primes(S, i.members, lattice).members for i in lattice},
+        {i.members: lattice.by_members(lattice.radical(i.members)).members for i in lattice},
     )
 
 
@@ -491,7 +491,7 @@ def _prime(S, Q, lattice, delta, k) -> PredicateResult:
 
 
 def _primary(S, Q, lattice, delta, k) -> PredicateResult:
-    ok, hit = is_primary(S, Q, lattice)
+    ok, hit = is_primary(S, Q)
     if ok is None:
         return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
     witness = hit and Witness(PREDICATES["primary"].witness, tuple(sorted(Q)), *hit)
@@ -589,17 +589,16 @@ def classify(
     subset: Iterable[int],
     registry: Optional[Mapping[str, ExpansionFunction]] = None,
     k_max: int = 3,
-    lattice: Optional[IdealLattice] = None,
 ) -> ClassificationReport:
     """Run every row of ``PREDICATES`` on one subset, deterministically.
 
     Non-ideals and the whole carrier get IMPROPER verdicts across the board;
     identity-dependent predicates report NOT_APPLICABLE when the structure
-    has no scalar identity.  The lattice defaults to ``S.lattice`` and the
-    registry to the lattice's ``registry``.
+    has no scalar identity.  The rows read ``S.lattice``; the registry
+    defaults to that lattice's ``registry``.
     """
     members = frozenset(subset)
-    lattice = S.lattice if lattice is None else lattice
+    lattice = S.lattice
     registry = lattice.registry if registry is None else registry
     check = is_hyperideal(S, members)
     proper = members != frozenset(S.carrier)

@@ -2,7 +2,10 @@
 
 Exit codes: 0 clean, 1 negative verification/classification verdict,
 2 usage error, including a structure beyond the exhaustive-verification
-size guard (``CapExceeded``).  ``audit`` exits 0 even when cells fail or
+size guard (``CapExceeded``) and, for ``classify``, ``radical`` and
+``search``, a table on which a radical falls outside the hyperideal lattice
+(possible only when the tables fail the Krasner axioms; the library raises
+``KeyError`` there).  ``audit`` exits 0 even when cells fail or
 discrepancies are found: those are findings, not tool errors.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -47,7 +51,9 @@ def _echo_json(obj) -> None:
     click.echo(json.dumps(obj, indent=2, sort_keys=True))
 
 
-class _CapError(click.ClickException):
+class _ToolError(click.ClickException):
+    """A one-line error with exit code 2."""
+
     exit_code = 2
 
 
@@ -58,7 +64,36 @@ class _Workbench(click.Group):
         try:
             return super().invoke(ctx)
         except CapExceeded as e:
-            raise _CapError(str(e)) from None
+            raise _ToolError(str(e)) from None
+
+
+@contextmanager
+def _radical_outside_lattice():
+    """Reports the ``KeyError`` of a radical that is not a hyperideal as a
+    one-line error; only tables that fail the Krasner axioms have one."""
+    try:
+        yield
+    except KeyError as e:
+        raise _ToolError(
+            f"a radical is not a hyperideal ({e}): the tables are not a Krasner hyperring"
+        ) from None
+
+
+def _catalog(fallback, use_default, use_builtin, files, seed=None, enum_spec=None) -> list:
+    """Catalog entries from the source flags, in this order: the default
+    catalog (or else the built-ins), the structures of one enumerated
+    shape, then the files; ``fallback()`` when no source is given."""
+    if not (use_default or use_builtin or enum_spec or files):
+        return fallback()
+    entries = default_catalog(seed=seed) if use_default else builtin_examples() if use_builtin else []
+    if enum_spec:
+        try:
+            entries += [CatalogEntry(S, "enumerated") for S in enumerate_structures(*enum_spec)]
+        except CapExceeded as e:
+            click.echo(f"enumeration truncated: {e}", err=True)
+        except ValueError as e:
+            raise click.UsageError(f"--enumerate: {e}")
+    return entries + [CatalogEntry(_load(path), "file") for path in files]
 
 
 @click.group(cls=_Workbench)
@@ -117,7 +152,8 @@ def radical(file, ideal):
     if members not in S.lattice:
         click.echo("not a hyperideal")
         sys.exit(1)
-    by_primes = radical_by_primes(S, members)
+    with _radical_outside_lattice():
+        by_primes = radical_by_primes(S, members)
     click.echo("by-primes: {" + ",".join(by_primes.labels()) + "}")
     if S.one is not None:
         by_powers = radical_by_powers(S, members)
@@ -136,7 +172,8 @@ def classify_cmd(file, ideal, deltas, kmax):
     """Classify one subset against every predicate."""
     S = _load(file)
     members = _ideal_members(S, ideal)
-    registry = S.lattice.registry
+    with _radical_outside_lattice():
+        registry = S.lattice.registry
     if deltas:
         unknown = [d for d in deltas if d not in registry]
         if unknown:
@@ -199,23 +236,7 @@ def audit(files, use_builtin, enum_spec, use_default, theorems, out, kmax, seed)
     With no source options, audits the built-in structures.  Exit code 0
     even with FAIL cells or discrepancies; nonzero only on tool error.
     """
-    entries: list[CatalogEntry] = []
-    if use_default:
-        entries.extend(default_catalog(seed=seed))
-    if use_builtin and not use_default:
-        entries.extend(builtin_examples())
-    if enum_spec:
-        try:
-            for S in enumerate_structures(*enum_spec):
-                entries.append(CatalogEntry(S, "enumerated"))
-        except CapExceeded as e:
-            click.echo(f"enumeration truncated: {e}", err=True)
-        except ValueError as e:
-            raise click.UsageError(f"--enumerate: {e}")
-    for path in files:
-        entries.append(CatalogEntry(_load(path), "file"))
-    if not (use_default or use_builtin or enum_spec or files):
-        entries = builtin_examples()
+    entries = _catalog(builtin_examples, use_default, use_builtin, files, seed, enum_spec)
     ids = None
     if theorems:
         ids = [t.strip() for t in theorems.split(",") if t.strip()]
@@ -257,17 +278,10 @@ def export(directory, max_order, seed):
 @click.argument("files", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 def search(implication, use_builtin, use_default, files):
     """Search the catalog for a counterexample to an implication."""
-    entries: list[CatalogEntry] = []
-    if use_default:
-        entries.extend(default_catalog())
-    if use_builtin and not use_default:
-        entries.extend(builtin_examples())
-    for path in files:
-        entries.append(CatalogEntry(_load(path), "file"))
-    if not entries:
-        entries = default_catalog()
+    entries = _catalog(default_catalog, use_default, use_builtin, files)
     try:
-        hit = search_counterexample(implication, entries)
+        with _radical_outside_lattice():
+            hit = search_counterexample(implication, entries)
     except ValueError as e:
         raise click.UsageError(str(e))
     if hit is None:

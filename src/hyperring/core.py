@@ -466,7 +466,7 @@ class FiniteStructure:
 
     @cached_property
     def lattice(self) -> IdealLattice:
-        """``enumerate_hyperideals`` by its ``auto`` strategy; kept unless it raises."""
+        """``enumerate_hyperideals`` of the structure; kept unless it raises."""
         from .ideals import enumerate_hyperideals  # ideals imports core
 
         return enumerate_hyperideals(self)

@@ -1,10 +1,10 @@
 """Hyperideal lattice and the classical predicates over a finite structure.
 
 Everything here is exhaustive set arithmetic on small carriers: hyperideal
-recognition with witnesses, lattice enumeration (two cross-checkable
-strategies), generated ideals, maximal ideals and the Jacobson radical,
-primality in both element and subset form, the two radical definitions,
-primariness, residuals and locality.
+recognition with witnesses, lattice enumeration (a subset scan up to
+``SCAN_LIMIT`` elements, a closure search above), generated ideals, maximal
+ideals and the Jacobson radical, primality in both element and subset form,
+the two radical definitions, primariness, residuals and locality.
 
 Each hyperideal clause, the prime clause and the J-family drop clause is
 one ``core.Clause``, shared by its scan and its replay.  The hyperideal test
@@ -32,7 +32,7 @@ from .core import (
     solvability_violation,
 )
 
-# Raw subset scans are 2^(size-1); beyond this the closure strategy takes over.
+# Raw subset scans are 2^(size-1); beyond this the closure search takes over.
 SCAN_LIMIT = 12
 ENUM_SIZE_CAP = 20
 
@@ -244,6 +244,11 @@ class IdealLattice:
             inter &= i.members
         return inter
 
+    def radical(self, members: frozenset) -> frozenset:
+        """The meet of the primes over ``members``: the radical by the prime
+        definition; the carrier when no prime lies over it."""
+        return self.meet(p for p in self.primes if members <= p.members)
+
     @cached_property
     def maximal(self) -> tuple[Hyperideal, ...]:
         prop = self.proper()
@@ -270,23 +275,15 @@ class IdealLattice:
         return standard_registry(self.parent, self)
 
 
-def enumerate_hyperideals(S: FiniteStructure, strategy: str = "auto") -> IdealLattice:
+def enumerate_hyperideals(S: FiniteStructure) -> IdealLattice:
     """Compute the full hyperideal lattice afresh; ``S.lattice`` keeps one.
 
-    ``scan`` filters all zero-containing subsets, ``closure`` grows ideals
-    from generator closures (breadth-first over single-element extensions).
-    Both agree on small carriers; ``auto`` picks by size.
+    Up to ``SCAN_LIMIT`` elements every subset is tested; above it ideals
+    are grown from generator closures (over single-element extensions).
     """
     if S.size > ENUM_SIZE_CAP:
         raise CapExceeded(f"{S.name}: carrier size {S.size} exceeds cap {ENUM_SIZE_CAP}")
-    if strategy == "auto":
-        strategy = "scan" if S.size <= SCAN_LIMIT else "closure"
-    if strategy == "scan":
-        found = _enumerate_scan(S)
-    elif strategy == "closure":
-        found = _enumerate_closure(S)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    found = _enumerate_scan(S) if S.size <= SCAN_LIMIT else _enumerate_closure(S)
     ideals = tuple(
         Hyperideal(S, members)
         for members in sorted(found, key=lambda ms: (len(ms), sorted(ms)))
@@ -362,15 +359,13 @@ class PrincipalIdeal:
     formula_closed: bool
 
 
-def principal_ideal(
-    S: FiniteStructure, x: int, lattice: Optional[IdealLattice] = None
-) -> PrincipalIdeal:
+def principal_ideal(S: FiniteStructure, x: int) -> PrincipalIdeal:
     if S.one is None:
         raise MissingIdentityError(f"{S.name} has no scalar identity")
     row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
-    lattice = S.lattice if lattice is None else lattice
+    lattice = S.lattice
     if check.ok:
         return PrincipalIdeal(lattice.by_members(raw), x, raw, True)
     enclosing = frozenset(S.carrier)
@@ -380,20 +375,17 @@ def principal_ideal(
     return PrincipalIdeal(lattice.member_or_bare(enclosing), x, raw, False)
 
 
-def maximal_hyperideals(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = S.lattice if lattice is None else lattice
-    return lattice.maximal
+def maximal_hyperideals(S: FiniteStructure) -> tuple[Hyperideal, ...]:
+    return S.lattice.maximal
 
 
-def jacobson_radical(S: FiniteStructure, lattice: Optional[IdealLattice] = None):
-    lattice = S.lattice if lattice is None else lattice
-    return lattice.jacobson
+def jacobson_radical(S: FiniteStructure) -> Hyperideal:
+    return S.lattice.jacobson
 
 
-def is_local(S: FiniteStructure, lattice: Optional[IdealLattice] = None) -> bool:
+def is_local(S: FiniteStructure) -> bool:
     """Exactly one maximal hyperideal.  A one-element structure has none."""
-    lattice = S.lattice if lattice is None else lattice
-    return len(lattice.maximal) == 1
+    return len(S.lattice.maximal) == 1
 
 
 def is_prime(S: FiniteStructure, P: Iterable[int]) -> bool:
@@ -447,14 +439,11 @@ def _set_product(S: FiniteStructure, sets) -> frozenset:
     return frozenset(cells[rank[msort(c)]] for c in product(*sets))
 
 
-def radical_by_primes(
-    S: FiniteStructure, I: Iterable[int], lattice: Optional[IdealLattice] = None
-) -> Hyperideal:
+def radical_by_primes(S: FiniteStructure, I: Iterable[int]) -> Hyperideal:
     """Intersection of the prime hyperideals containing I (the reference
     definition); the whole carrier when no prime contains I."""
-    members = frozenset(I)
-    lattice = S.lattice if lattice is None else lattice
-    return lattice.by_members(lattice.meet(p for p in lattice.primes if members <= p.members))
+    lattice = S.lattice
+    return lattice.by_members(lattice.radical(frozenset(I)))
 
 
 def power_exponents(S: FiniteStructure) -> list[int]:
@@ -503,14 +492,11 @@ DROP = Clause("drop", lambda S, Q, trigger, target: multisets(S.size, S.n), _dro
 
 def _primary_pair(S: FiniteStructure, Q: frozenset, lattice: IdealLattice, delta):
     # the primary drop clause: factors outside Q trigger it, and their
-    # co-products must land in the radical of Q, the meet of the primes over
-    # Q (``delta`` is unused)
-    return Q, lattice.meet(p for p in lattice.primes if Q <= p.members)
+    # co-products must land in the radical of Q (``delta`` is unused)
+    return Q, lattice.radical(Q)
 
 
-def is_primary(
-    S: FiniteStructure, Q: Iterable[int], lattice: Optional[IdealLattice] = None
-):
+def is_primary(S: FiniteStructure, Q: Iterable[int]):
     """Primary test: whenever a product lands in Q, every factor outside Q
     must leave its identity-substituted co-product inside the radical of Q.
     Returns (verdict, witness); verdict None when no identity exists."""
@@ -519,8 +505,7 @@ def is_primary(
         raise ValueError("primary test requires a proper hyperideal")
     if S.one is None:
         return None, None
-    lattice = S.lattice if lattice is None else lattice
-    hit = DROP.scan(S, members, *_primary_pair(S, members, lattice, None))
+    hit = DROP.scan(S, members, *_primary_pair(S, members, S.lattice, None))
     if hit is None:
         return True, None
     key, v = hit

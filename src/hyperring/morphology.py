@@ -274,18 +274,16 @@ def quotient_expansion(
     q: QuotientStructure,
     base_delta: ExpansionFunction,
     base_lattice: IdealLattice,
-    quotient_lattice: Optional[IdealLattice] = None,
 ) -> ExpansionFunction:
-    """The induced expansion on a quotient lattice: K/I maps to delta(K)/I.
+    """The induced expansion on the quotient's lattice: K/I maps to
+    delta(K)/I.
 
     Every quotient hyperideal is pulled back along the projection; the
     pullback must be a base hyperideal containing the modulus, which holds
     for well-defined quotients and is asserted here.
     """
-    if quotient_lattice is None:
-        quotient_lattice = q.structure.lattice
     table = {}
-    for K in quotient_lattice:
+    for K in q.structure.lattice:
         pulled = q.unproject(K.members)
         if pulled not in base_lattice:
             raise ValueError(

@@ -13,7 +13,6 @@ import pytest
 from hyperring import (
     Verdict,
     classify,
-    enumerate_hyperideals,
     is_absorbing_delta_j,
     is_delta_j,
     is_j_hyperideal,
@@ -69,20 +68,19 @@ def test_criterion_2_builtin_classification(b33, b24):
     discrepancy records with replayable witnesses."""
     t0 = time.time()
     S = b33.structure
-    lat = enumerate_hyperideals(S)
-    report0 = classify(S, {0}, b33.registry(), 3, lat)
+    report0 = classify(S, {0}, b33.registry(), 3)
     ok = report0.verdicts["J"] is Verdict.TRUE  # matches the shipped claim
     # {0,x} is claimed a J-hyperideal but is not even a hyperideal: the
     # discrepancy must carry the violated clause and a replayable witness
     check = is_hyperideal(S, {0, 2})
     ok = ok and not check.ok and check.clause == "solvability"
     ok = ok and replay_ideal_check(S, {0, 2}, check)
-    report_improper = classify(S, {0, 2}, b33.registry(), 3, lat)
+    report_improper = classify(S, {0, 2}, b33.registry(), 3)
     ok = ok and report_improper.verdicts["J"] is Verdict.IMPROPER
     # the (2,4) builtin has no scalar identity: the claim for {0} reports
     # not-applicable rather than a fabricated boolean
     T = b24.structure
-    report24 = classify(T, {0}, b24.registry(), 3, b24.lattice())
+    report24 = classify(T, {0}, b24.registry(), 3)
     ok = ok and report24.verdicts["J"] is Verdict.NOT_APPLICABLE
     elapsed = time.time() - t0
     ok = ok and elapsed < 1.0
@@ -108,7 +106,7 @@ def test_criterion_3_radical_dual_oracle(full_catalog):
         lat = entry.lattice()
         for ideal in lat:
             checked += 1
-            if radical_by_primes(S, ideal.members, lat).members != radical_by_powers(
+            if radical_by_primes(S, ideal.members).members != radical_by_powers(
                 S, ideal.members
             ):
                 mismatches += 1

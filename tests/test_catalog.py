@@ -23,22 +23,24 @@ from hyperring import (
 from hyperring.catalog import (
     _add_candidates,
     _distributive_muls,
+    _from_key,
     _involutions,
     _least_add,
     _map_masks,
     _membership_orbits,
     _mul_candidates,
     _parse_predicate,
-    _raw_add_candidates,
     _relabeled_add,
     _search,
     _zero_fixing_perms,
 )
 from hyperring.core import (
-    CapExceeded,
+    BITS,
     AXIOMS,
     FiniteStructure,
     TableView,
+    inverse_candidates,
+    msort,
     mul_associativity_violation,
     multisets,
     ranked_plan,
@@ -130,12 +132,17 @@ def test_enumeration_counts_beyond_order3(m, n, order, count):
 
 
 def test_enumeration_exports_are_pinned():
-    # every output of both strategies, byte for byte: tables, names, order
-    # and detected identities
+    # every output of the enumerator, then the raw-scan reference's (2,2,3)
+    # classes built as the enumerator names them, byte for byte: tables,
+    # names, order and detected identities
     shapes = [(m, n, o) for (m, n) in ((2, 2), (3, 2), (2, 3), (3, 3)) for o in (1, 2, 3)]
     digest = hashlib.sha256()
     structures = [S for s in shapes + [(2, 4, 3), (2, 2, 4)] for S in enumerate_structures(*s)]
-    structures += enumerate_structures(2, 2, 3, strategy="raw")
+    labels = ("0", "1", "2")
+    structures += [
+        _from_key(f"enum-m2n2-o3-{i:03d}", 2, 2, labels, key, 0)
+        for i, key in enumerate(reference_pairing_keys(2, 2, 3, "raw"))
+    ]
     for S in structures:
         digest.update(export_structure(S).encode())
     assert len(structures) == 269
@@ -325,11 +332,44 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
     assert hypergroups > 0 and kept > 0
 
 
+def raw_add_candidates(order: int, m: int):
+    """Plain product scan over all free value assignments, the reference
+    for the orbit search.  Zero's neutral row is forced; the
+    inverse-uniqueness constraint prunes early."""
+    shape = table_shape(order, m)
+    forced = {shape.rank[msort((0,) * (m - 1) + (y,))]: 1 << y for y in range(order)}
+    inv_ranks = sorted(
+        {
+            shape.rank[msort((0,) * (m - 2) + (a, b))]
+            for a in range(1, order)
+            for b in range(1, order)
+        }
+        - set(forced)
+    )
+    other_ranks = [r for r in range(len(shape.keys)) if r not in forced and r not in inv_ranks]
+    # every nonempty value set, by size and then by its element tuple
+    values = sorted(range(1, 1 << order), key=lambda s: (len(BITS[s]), BITS[s]))
+    cells = [0] * len(shape.keys)
+    for r, mask in forced.items():
+        cells[r] = mask
+    for inv_vals in product(values, repeat=len(inv_ranks)):
+        for r, mask in zip(inv_ranks, inv_vals):
+            cells[r] = mask
+        # the cells of every key of the form (0, .., 0, x, y) are set now
+        if any(len(c) != 1 for c in inverse_candidates(order, m, 0, cells)):
+            continue
+        for other_vals in product(values, repeat=len(other_ranks)):
+            for r, mask in zip(other_ranks, other_vals):
+                cells[r] = mask
+            yield TableView(shape, tuple(cells), True)
+
+
 def hypergroups(order, m, strategy="orbit"):
-    """The candidate hyperadditions that pass the hypergroup check."""
+    """The candidate hyperadditions that pass the hypergroup check, from
+    the enumerator's orbit search or from the raw scan."""
     labels = tuple(str(i) for i in range(order))
     zero_mul = {k: 0 for k in multisets(order, 2)}
-    source = _add_candidates if strategy == "orbit" else _raw_add_candidates
+    source = _add_candidates if strategy == "orbit" else raw_add_candidates
     for add in source(order, m):
         probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
         if verify_canonical_hypergroup(probe, fail_fast=True).ok:
@@ -355,7 +395,8 @@ def reference_pairing_keys(m, n, order, strategy="orbit"):
     + [(2, 4, 3, "orbit"), (2, 2, 4, "orbit"), (2, 2, 3, "raw")],
 )
 def test_least_hyperaddition_pairing_matches_the_full_pairing(m, n, order, strategy):
-    found = [canonical_key(S) for S in enumerate_structures(m, n, order, strategy)]
+    # ``strategy`` picks the reference's hyperaddition source
+    found = [canonical_key(S) for S in enumerate_structures(m, n, order)]
     assert found == reference_pairing_keys(m, n, order, strategy)
 
 
@@ -426,19 +467,20 @@ def test_canonical_key_invariant_under_relabeling(data):
 
 
 def test_raw_and_orbit_strategies_agree_small():
+    # the enumerator against every hypergroup of the raw scan paired with
+    # every distributive multiplication, independent of the least-class
+    # pairing
     for m, n, order in ((2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 3, 2)):
-        orbit = {canonical_key(S) for S in enumerate_structures(m, n, order, strategy="orbit")}
-        raw = {canonical_key(S) for S in enumerate_structures(m, n, order, strategy="raw")}
-        assert orbit == raw
+        orbit = [canonical_key(S) for S in enumerate_structures(m, n, order)]
+        assert orbit == reference_pairing_keys(m, n, order, "raw")
 
 
 @pytest.mark.slow
 def test_raw_and_orbit_strategies_agree_order3_ternary():
-    # the raw product scan is the independent oracle; ~20s per shape
+    # the raw product scan is the independent oracle; ~8s per shape
     for m, n in ((3, 2), (3, 3)):
-        orbit = {canonical_key(S) for S in enumerate_structures(m, n, 3, strategy="orbit")}
-        raw = {canonical_key(S) for S in enumerate_structures(m, n, 3, strategy="raw")}
-        assert orbit == raw
+        orbit = [canonical_key(S) for S in enumerate_structures(m, n, 3)]
+        assert orbit == reference_pairing_keys(m, n, 3, "raw")
 
 
 def test_builtin33_not_rediscovered_because_unverified(b33):
@@ -470,8 +512,6 @@ def test_involutions_counts():
 
 
 def test_enumeration_caps():
-    with pytest.raises(CapExceeded):
-        enumerate_structures(2, 2, 4, strategy="raw")
     with pytest.raises(ValueError):
         enumerate_structures(5, 2, 2)
 
@@ -584,7 +624,7 @@ def test_search_and_classify_agree(small_catalog):
     for entry in small_catalog:
         S, lattice, registry = entry.structure, entry.lattice(), entry.registry()
         for ideal in lattice.proper():
-            report = classify(S, ideal.members, registry, 3, lattice)
+            report = classify(S, ideal.members, registry, 3)
             assert set(report.verdicts) == set(specs.values())
             for spec, key in specs.items():
                 assert runs[spec](S, lattice, registry, ideal.members) is report.verdicts[key]

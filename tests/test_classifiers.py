@@ -40,6 +40,7 @@ from hyperring import (
 )
 from hyperring.classifiers import PredicateResult, Witness, absorbing_arity
 from hyperring.core import msort, multisets, ranked_plan, table_shape
+from hyperring.ideals import DROP, Hyperideal
 
 
 def ctx(entry):
@@ -203,7 +204,7 @@ def test_delta1_primary_equals_primary(full_catalog):
             continue
         for q in lat.proper():
             via_delta = is_delta_primary(S, q.members, registry["delta1"], lat)
-            direct, _ = is_primary(S, q.members, lat)
+            direct, _ = is_primary(S, q.members)
             assert (via_delta.verdict is Verdict.TRUE) == direct
 
 
@@ -403,26 +404,60 @@ def _outcome(call):
 
 
 def _lattice_calls(S, fresh):
-    """(name, owner, call) for every public call whose lattice is optional,
-    over the proper members of ``fresh`` and the quotient by each: ``call``
-    takes a lattice of ``owner`` or None for the default."""
+    """(name, call, reference) for every public call that reads the
+    structure's lattice, over the proper members of ``fresh``, a freshly
+    enumerated lattice of S, and the quotient by each: ``reference`` answers
+    from ``fresh``'s own maximal members, Jacobson radical and prime meets,
+    and for a quotient from a fresh copy of the quotient structure."""
+    carrier = frozenset(S.carrier)
+
+    def principal(x):
+        # the least member of ``fresh`` over the formula set, else the carrier
+        p = principal_ideal(S, x)
+        ideal = next((i for i in fresh if p.formula_set <= i.members), Hyperideal(S, carrier))
+        return dataclasses.replace(p, ideal=ideal)
+
+    def primary(Q, rad):
+        if S.one is None:
+            return None, None
+        hit = DROP.scan(S, Q, Q, rad)
+        return (True, None) if hit is None else (False, (hit[0], hit[0].index(hit[1])))
+
     calls = [
-        ("maximal_hyperideals", S, partial(maximal_hyperideals, S)),
-        ("jacobson_radical", S, partial(jacobson_radical, S)),
-        ("is_local", S, partial(is_local, S)),
+        ("maximal_hyperideals", partial(maximal_hyperideals, S), lambda: fresh.maximal),
+        ("jacobson_radical", partial(jacobson_radical, S), lambda: fresh.jacobson),
+        ("is_local", partial(is_local, S), lambda: len(fresh.maximal) == 1),
     ]
-    calls += [(f"principal_ideal {x}", S, partial(principal_ideal, S, x)) for x in S.carrier]
+    calls += [
+        (f"principal_ideal {x}", partial(principal_ideal, S, x), partial(principal, x))
+        for x in S.carrier
+    ]
     for Q in (i.members for i in fresh.proper()):
+        rad = fresh.meet(p for p in fresh.primes if Q <= p.members)
         calls += [
-            (f"classify {sorted(Q)}", S, lambda L, Q=Q: classify(S, Q, lattice=L)),
-            (f"radical_by_primes {sorted(Q)}", S, partial(radical_by_primes, S, Q)),
-            (f"is_primary {sorted(Q)}", S, partial(is_primary, S, Q)),
+            (
+                f"classify {sorted(Q)}",
+                partial(classify, S, Q),
+                lambda Q=Q: classify(S, Q, standard_registry(S, fresh)),
+            ),
+            (
+                f"radical_by_primes {sorted(Q)}",
+                partial(radical_by_primes, S, Q),
+                partial(fresh.by_members, rad),
+            ),
+            (f"is_primary {sorted(Q)}", partial(is_primary, S, Q), partial(primary, Q, rad)),
         ]
         res = quotient(S, Q)
         if res.ok:
-            q = res.quotient
-            call = partial(quotient_expansion, q, identity_expansion(fresh), fresh)
-            calls.append((f"quotient_expansion {sorted(Q)}", q.structure, call))
+            q, delta = res.quotient, identity_expansion(fresh)
+            copy = dataclasses.replace(q, structure=dataclasses.replace(q.structure))
+            calls.append(
+                (
+                    f"quotient_expansion {sorted(Q)}",
+                    partial(quotient_expansion, q, delta, fresh),
+                    partial(quotient_expansion, copy, delta, fresh),
+                )
+            )
     return calls
 
 
@@ -437,13 +472,12 @@ def test_default_lattice_calls_match_a_freshly_enumerated_lattice(small_catalog)
         except KeyError:
             known_fault = True  # a radical outside the lattice of an unverified table
             faulty += 1
-        for name, owner, call in _lattice_calls(S, fresh):
-            lattice = fresh if owner is S else enumerate_hyperideals(owner)
-            expected = _outcome(lambda: call(lattice))
+        for name, call, reference in _lattice_calls(S, fresh):
+            expected = _outcome(reference)
             # the default lattice, its registry and its primes are kept; a
             # call that raised must raise the same again when repeated
             for _ in range(2):
-                assert _outcome(lambda: call(None)) == expected, (S.name, name)
+                assert _outcome(call) == expected, (S.name, name)
             if known_fault and name.startswith("classify"):
                 assert expected[0] == "KeyError", (S.name, name)
     assert faulty > 0
@@ -581,7 +615,7 @@ def test_classify_negative_witnesses_replay(full_catalog):
         lat = entry.lattice()
         registry = entry.registry()
         for q in lat.proper():
-            report = classify(S, q.members, registry, 3, lat)
+            report = classify(S, q.members, registry, 3)
             for key, witness in report.witnesses.items():
                 if key in ("prime", "primary"):
                     continue  # replayed via their own predicates elsewhere
@@ -646,7 +680,7 @@ def test_prime_and_primary_witnesses_replay(full_catalog):
                 assert replay_witness(S, lat, registry, w)
                 replayed_prime += 1
             if S.one is not None:
-                verdict, pw = is_primary(S, q.members, lat)
+                verdict, pw = is_primary(S, q.members)
                 if verdict is False:
                     w = Witness(
                         "primary", tuple(sorted(q.members)), pw[0], index=pw[1]

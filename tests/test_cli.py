@@ -149,6 +149,39 @@ def test_jacobson_of_a_table_without_hyperideals(runner, kmn_file):
     assert res.output.strip() == "{0,1}"
 
 
+@pytest.fixture()
+def carrier_not_an_ideal_file(kmn_file):
+    # f(0,0) = {0}, f(0,1) = f(1,1) = {1}, g = 0: {0} is the only hyperideal
+    # and no prime lies over it, so its radical is the carrier, which is not
+    # a hyperideal
+    add = {(0, 0): frozenset({0}), (0, 1): frozenset({1}), (1, 1): frozenset({1})}
+    mul = {(0, 0): 0, (0, 1): 0, (1, 1): 0}
+    return kmn_file(FiniteStructure.build("two", 2, 2, ("0", "1"), add, mul, 0))
+
+
+def _one_line_exit_two(res):
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert res.output.count("\n") == 1
+    assert "a radical is not a hyperideal" in res.output
+
+
+def test_classify_on_a_radical_outside_the_lattice_is_exit_two(runner, carrier_not_an_ideal_file):
+    res = runner.invoke(main, ["classify", carrier_not_an_ideal_file, "--ideal", "0"])
+    _one_line_exit_two(res)
+
+
+def test_radical_outside_the_lattice_is_exit_two(runner, carrier_not_an_ideal_file):
+    res = runner.invoke(main, ["radical", carrier_not_an_ideal_file, "--ideal", "0"])
+    _one_line_exit_two(res)
+
+
+def test_search_on_a_radical_outside_the_lattice_is_exit_two(runner, carrier_not_an_ideal_file):
+    res = runner.invoke(main, ["search", "--implication", "J => prime", carrier_not_an_ideal_file])
+    _one_line_exit_two(res)
+
+
 def test_radical(runner, kmn_file, b24):
     res = invoke(runner, "radical", kmn_file(b24.structure), "--ideal", "0")
     assert res.exit_code == 0

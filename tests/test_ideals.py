@@ -177,9 +177,36 @@ def test_scan_and_closure_strategies_agree(small_catalog, b24):
         if not entry.verified:
             continue  # the closure operations lean on canonical axioms
         S = entry.structure
-        scan = {i.members for i in enumerate_hyperideals(S, strategy="scan")}
-        closure = {i.members for i in enumerate_hyperideals(S, strategy="closure")}
-        assert scan == closure
+        assert ideals._enumerate_scan(S) == ideals._enumerate_closure(S)
+
+
+def _direct_product(A, B):
+    """The componentwise product of two (2,2) structures, element (a, b)
+    numbered a * B.size + b."""
+    size = A.size * B.size
+    add, mul = {}, {}
+    for key in multisets(size, 2):
+        (a1, b1), (a2, b2) = (divmod(x, B.size) for x in key)
+        sums = product(A.hyperadd((a1, a2)), B.hyperadd((b1, b2)))
+        add[key] = frozenset(a * B.size + b for a, b in sums)
+        mul[key] = A.multiply((a1, a2)) * B.size + B.multiply((b1, b2))
+    labels = tuple(f"{a}{b}" for a in A.labels for b in B.labels)
+    return FiniteStructure.build(f"{A.name}x{B.name}", 2, 2, labels, add, mul, 0)
+
+
+def test_closure_lattice_above_the_scan_limit(monkeypatch):
+    # 16-element products of identity-bearing (2,2,4) structures: the kept
+    # lattice comes from the closure search, and the subset scan agrees
+    A, B = [R for R in enumerate_structures(2, 2, 4) if R.one is not None][:2]
+    sizes = []
+    for S in (_direct_product(A, A), _direct_product(A, B)):
+        assert S.size > ideals.SCAN_LIMIT
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_enumerate_scan", None)  # not taken at this size
+            found = {i.members for i in S.lattice}
+        assert found == ideals._enumerate_scan(S) == ideals._enumerate_closure(S)
+        sizes.append(len(found))
+    assert sizes == [16, 12]
 
 
 def test_one_element_structure_lattice():
@@ -190,7 +217,7 @@ def test_one_element_structure_lattice():
     assert [sorted(i.members) for i in lat] == [[0]]
     assert lat.maximal == ()
     assert sorted(lat.jacobson.members) == [0]
-    assert not is_local(S, lat)
+    assert not is_local(S)
 
 
 def test_enumeration_size_cap():
@@ -227,7 +254,7 @@ def test_builtin24_two_maximal_ideals(b24):
     lat = enumerate_hyperideals(S)
     assert [i.labels() for i in lat.maximal] == [("0", "1"), ("0", "a")]
     assert lat.jacobson.labels() == ("0",)
-    assert not is_local(S, lat)
+    assert not is_local(S)
 
 
 def test_jacobson_is_intersection_of_maximal(full_catalog):
@@ -293,11 +320,10 @@ def test_power_exponents_shape(b33, b24):
 
 def test_radical_examples(b33):
     S = b33.structure
-    lat = enumerate_hyperideals(S)
-    assert sorted(radical_by_primes(S, {0}, lat).members) == [0]
+    assert sorted(radical_by_primes(S, {0}).members) == [0]
     assert sorted(radical_by_powers(S, {0})) == [0]
     top = frozenset(S.carrier)
-    assert radical_by_primes(S, top, lat).members == top
+    assert radical_by_primes(S, top).members == top
     assert radical_by_powers(S, top) == top
 
 
@@ -306,7 +332,7 @@ def test_radical_contains_ideal(full_catalog):
         S = entry.structure
         lat = entry.lattice()
         for ideal in lat:
-            assert ideal.members <= radical_by_primes(S, ideal.members, lat).members
+            assert ideal.members <= radical_by_primes(S, ideal.members).members
 
 
 def test_radical_dual_definitions_agree(full_catalog):
@@ -317,7 +343,7 @@ def test_radical_dual_definitions_agree(full_catalog):
         lat = entry.lattice()
         for ideal in lat:
             assert (
-                radical_by_primes(S, ideal.members, lat).members
+                radical_by_primes(S, ideal.members).members
                 == radical_by_powers(S, ideal.members)
             )
 
@@ -337,7 +363,7 @@ def test_primes_are_primary(full_catalog):
             continue
         lat = entry.lattice()
         for p in lat.primes:
-            verdict, _ = is_primary(S, p.members, lat)
+            verdict, _ = is_primary(S, p.members)
             assert verdict is True
 
 
@@ -348,9 +374,9 @@ def test_primary_radical_is_prime(full_catalog):
             continue
         lat = entry.lattice()
         for q in lat.proper():
-            verdict, _ = is_primary(S, q.members, lat)
+            verdict, _ = is_primary(S, q.members)
             if verdict:
-                rad = radical_by_primes(S, q.members, lat)
+                rad = radical_by_primes(S, q.members)
                 if rad.proper:
                     assert is_prime(S, rad.members)
 
@@ -392,14 +418,13 @@ def test_residual_requires_identity(b24):
 
 def test_principal_ideals_of_builtin33(b33):
     S = b33.structure
-    lat = enumerate_hyperideals(S)
-    p0 = principal_ideal(S, 0, lat)
+    p0 = principal_ideal(S, 0)
     assert sorted(p0.ideal.members) == [0] and p0.formula_closed
-    p1 = principal_ideal(S, 1, lat)
+    p1 = principal_ideal(S, 1)
     assert p1.ideal.members == frozenset(S.carrier) and p1.formula_closed
     # the product set {g(r,x,1)} = {0,x} is not itself a hyperideal here
     # (solvability), so the smallest enclosing hyperideal is the carrier
-    px = principal_ideal(S, 2, lat)
+    px = principal_ideal(S, 2)
     assert sorted(px.formula_set) == [0, 2]
     assert not px.formula_closed
     assert px.ideal.members == frozenset(S.carrier)
@@ -412,7 +437,7 @@ def test_principal_ideal_is_smallest_containing(full_catalog):
             continue
         lat = entry.lattice()
         for x in S.carrier:
-            p = principal_ideal(S, x, lat)
+            p = principal_ideal(S, x)
             for ideal in lat:
                 # any hyperideal containing the generator swallows the
                 # whole generated ideal
@@ -429,9 +454,8 @@ def test_principal_formula_closed_on_verified(full_catalog):
         S = entry.structure
         if S.one is None or not entry.verified:
             continue
-        lat = entry.lattice()
         for x in S.carrier:
-            assert principal_ideal(S, x, lat).formula_closed
+            assert principal_ideal(S, x).formula_closed
 
 
 def test_principal_ideal_requires_identity(b24):
@@ -494,15 +518,14 @@ def test_an_empty_lattice_is_not_enumerated_again(monkeypatch):
     add = {(0, 0): frozenset({0, 1}), (0, 1): frozenset({1}), (1, 1): frozenset({1})}
     mul = {(0, 0): 0, (0, 1): 0, (1, 1): 0}
     S = FiniteStructure.build("bare", 2, 2, ("0", "1"), add, mul, 0)
-    L = enumerate_hyperideals(S)
-    assert len(L) == 0
+    assert len(S.lattice) == 0
 
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("the given lattice was enumerated again")
+        raise AssertionError("the kept lattice was enumerated again")
 
     monkeypatch.setattr("hyperring.ideals.enumerate_hyperideals", no_enumeration)
-    assert maximal_hyperideals(S, L) == ()
-    assert not is_local(S, L)
+    assert maximal_hyperideals(S) == ()
+    assert not is_local(S)
 
 
 def test_jacobson_of_a_table_without_hyperideals_is_the_carrier():

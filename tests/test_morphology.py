@@ -313,7 +313,7 @@ def test_projection_with_quotient_expansion(full_catalog):
             qlat = enumerate_hyperideals(res.quotient.structure)
             pi = projection_hom(res.quotient)
             for name, delta in registry.items():
-                dq = quotient_expansion(res.quotient, delta, lat, qlat)
+                dq = quotient_expansion(res.quotient, delta, lat)
                 from hyperring import validate_expansion
 
                 assert validate_expansion(res.quotient.structure, qlat, dq).ok
