@@ -20,13 +20,17 @@ agree.  A cell is SKIPped with a reason when the structure fails
 verification, lacks a scalar identity the check needs, or fails the gate.
 
 The checks share their verdicts through a ``StructureContext``: its
-``verdict`` evaluates a row of ``classifiers.PREDICATES`` once per lattice,
-row, member set, expansion name and k, and its radicals are read from the
-registry's delta1 expansion.  The key holds the lattice object itself (lattices hash by identity),
-so the memo keeps every lattice it names alive.  Within one lattice an
-expansion name names one expansion: a registered one, a composition
-``gammaodelta`` or an induced quotient expansion ``delta_q``; theorem
-instances carry the expansion and witnesses write its name.
+``verdict`` evaluates a row of ``classifiers.PREDICATES`` on a structure
+(the audited one, a quotient or a fixture's target) once per lattice, row,
+member set, expansion name and k, and its radicals are read from the
+registry's delta1 expansion.  The context, its quotients and its hom
+fixtures hold structures only; every lattice is read as ``S.lattice``.  The
+memo key holds ``S.lattice`` itself, which hashes by identity (a structure
+hashes by walking its tables), so the memo keeps every lattice it names
+alive.  Within one lattice an expansion name names one expansion: a
+registered one, a composition ``gammaodelta`` or an induced quotient
+expansion ``delta_q``; theorem instances carry the expansion and witnesses
+write its name.
 
 Built-in claims are compared against computed verdicts and mismatches are
 emitted as discrepancy records: auditing the claims is part of the job, so a
@@ -57,7 +61,6 @@ from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
     DROP,
-    IdealLattice,
     is_hyperideal,
     is_local,
     prime_witness,
@@ -166,21 +169,22 @@ def catalog_hash(entries: list[CatalogEntry]) -> str:
 
 
 class Quotient(NamedTuple):
-    """A well-defined quotient of the audited structure whose tables verify."""
+    """A well-defined quotient of the audited structure whose tables verify,
+    with the quotient expansions the registry induces; its lattice is
+    ``q.structure.lattice``."""
 
     q: QuotientStructure
-    lattice: IdealLattice
     induced: dict  # base expansion name -> induced quotient expansion
 
 
 class HomFixture(NamedTuple):
     """A homomorphism out of the audited structure with the (delta, gamma)
     pairs that make it expansion-compatible, in registry order, and the
-    hyperideals the transfer checks move along it."""
+    hyperideals the transfer checks move along it; gamma is an expansion on
+    ``hom.target.lattice``."""
 
     tag: str
     hom: Homomorphism
-    target_lattice: IdealLattice
     pairs: list  # (delta, gamma)
     preimages: dict  # proper target ideal -> preimage, when injective
     images: dict  # proper source ideal over the kernel -> image, when surjective
@@ -198,16 +202,12 @@ class StructureContext:
         self._verdicts: dict = {}
 
     @cached_property
-    def lattice(self) -> IdealLattice:
-        return self.entry.lattice()
-
-    @cached_property
     def registry(self) -> dict:
         return self.entry.registry()
 
     @cached_property
     def jac(self) -> frozenset:
-        return self.lattice.jacobson.members
+        return self.S.lattice.jacobson.members
 
     @cached_property
     def top(self) -> frozenset:
@@ -215,16 +215,15 @@ class StructureContext:
 
     @cached_property
     def proper(self) -> tuple[frozenset, ...]:
-        return tuple(i.members for i in self.lattice.proper())
+        return tuple(i.members for i in self.S.lattice.proper())
 
-    def verdict(self, row: str, Q: frozenset, delta=None, k=None, lattice=None):
-        """``PREDICATES[row]`` on Q against ``lattice`` (the structure's own
-        by default), with the expansion and k the row takes."""
-        lattice = self.lattice if lattice is None else lattice
-        key = (lattice, row, Q, None if delta is None else delta.name, k)
+    def verdict(self, row: str, Q: frozenset, delta=None, k=None, S=None):
+        """``PREDICATES[row]`` on Q in ``S`` (the audited structure by
+        default), with the expansion and k the row takes."""
+        S = self.S if S is None else S
+        key = (S.lattice, row, Q, None if delta is None else delta.name, k)
         if key not in self._verdicts:
-            evaluate = PREDICATES[row].evaluate
-            self._verdicts[key] = evaluate(lattice.parent, Q, lattice, delta, k)
+            self._verdicts[key] = PREDICATES[row].evaluate(S, Q, delta, k)
         return self._verdicts[key]
 
     def radical(self, Q: frozenset) -> frozenset:
@@ -233,19 +232,15 @@ class StructureContext:
 
     @cached_property
     def quotients(self) -> list[Quotient]:
-        """Every well-defined quotient whose tables verify, with its lattice
-        and the quotient expansions the registry induces."""
+        """Every well-defined quotient whose tables verify, with the
+        quotient expansions the registry induces."""
         out = []
-        for ideal in self.lattice:
+        for ideal in self.S.lattice:
             res = quotient(self.S, ideal.members)
             if res.ok and res.axiom_report.ok:
                 qs = res.quotient
-                qlat = qs.structure.lattice
-                induced = {
-                    name: quotient_expansion(qs, delta, self.lattice)
-                    for name, delta in self.registry.items()
-                }
-                out.append(Quotient(qs, qlat, induced))
+                induced = {name: quotient_expansion(qs, d) for name, d in self.registry.items()}
+                out.append(Quotient(qs, induced))
         return out
 
     @cached_property
@@ -255,20 +250,21 @@ class StructureContext:
         registered (delta, gamma) pair makes expansion-compatible, with
         every such pair."""
         S = self.S
-        # (tag, hom, target lattice, induced expansions)
-        homs = [("identity", identity_hom(S), self.lattice, {})]
+        # (tag, hom, induced expansions)
+        homs = [("identity", identity_hom(S), {})]
         for quot in self.quotients:
             tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
-            homs.append((tag, projection_hom(quot.q), quot.lattice, quot.induced))
+            homs.append((tag, projection_hom(quot.q), quot.induced))
         for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
             T = other.structure
             if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
                 for h in enumerate_homomorphisms(S, T, injective_only=True):
-                    homs.append((f"mono->{T.name}", h, other.lattice(), {}))
+                    homs.append((f"mono->{T.name}", h, {}))
         fixtures = []
-        for tag, h, tl, induced in homs:
+        for tag, h, induced in homs:
+            tl = h.target.lattice
             pre = {I.members: h.preimage(I.members) for I in tl}
-            if not all(p in self.lattice for p in pre.values()):
+            if not all(p in S.lattice for p in pre.values()):
                 continue  # no expansion is defined on such a preimage
             # (delta, gamma) is compatible iff delta(h^-1(I)) == h^-1(gamma(I))
             # for every target hyperideal I: one side per delta, one per gamma
@@ -292,7 +288,7 @@ class StructureContext:
             preimages = {I.members: pre[I.members] for I in tl.proper()} if h.injective else {}
             ker = kernel(h)
             images = {Q: h.image(Q) for Q in self.proper if ker <= Q} if h.surjective else {}
-            fixtures.append(HomFixture(tag, h, tl, pairs, preimages, images))
+            fixtures.append(HomFixture(tag, h, pairs, preimages, images))
         return fixtures
 
 
@@ -385,7 +381,7 @@ def _local_iff_all_j(ctx) -> Optional[dict]:
 
 
 def _meet_is_j(ctx, a, b) -> Optional[dict]:
-    if a & b not in ctx.lattice:
+    if a & b not in ctx.S.lattice:
         return dict(first=a, second=b)
     return None if ctx.verdict("J", a & b) else dict(first=a, second=b, meet=a & b)
 
@@ -427,14 +423,14 @@ def _meets(ctx) -> Iterable[tuple]:
     # the first instance is the leading check that delta1 preserves meets
     yield ctx.registry["delta1"], None, None
     for delta in ctx.registry.values():
-        if preserves_intersections(ctx.S, ctx.lattice, delta):
+        if preserves_intersections(ctx.S.lattice, delta):
             for a, b in product(ctx.proper, repeat=2):
                 yield delta, a, b
 
 
 def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
     if a is None:
-        if preserves_intersections(ctx.S, ctx.lattice, delta):
+        if preserves_intersections(ctx.S.lattice, delta):
             return None
         return dict(reason="delta1 does not preserve intersections")
     if ctx.verdict("delta-J", a & b, delta):
@@ -445,7 +441,8 @@ def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
 def _maximal_relative_drops(ctx, q, delta) -> bool:
     # the drop clause, triggered outside the intersection of the maximal
     # hyperideals over Q
-    m_q = ctx.lattice.meet(m for m in ctx.lattice.maximal if q <= m.members)
+    lattice = ctx.S.lattice
+    m_q = lattice.meet(m for m in lattice.maximal if q <= m.members)
     return q <= ctx.jac and DROP.scan(ctx.S, q, m_q, delta(q)) is None
 
 
@@ -478,21 +475,21 @@ def _transfers(ctx, row, ks) -> Iterable[tuple]:
 
 def _transfer_hypothesis(ctx, fix, delta, gamma, row, k, side, Q, mapped):
     if side == "preimage":
-        return ctx.verdict(row, Q, gamma, k, fix.target_lattice)
+        return ctx.verdict(row, Q, gamma, k, fix.hom.target)
     return ctx.verdict(row, Q, delta, k)
 
 
 def _transfer_holds(ctx, fix, delta, gamma, row, k, side, Q, mapped) -> Optional[dict]:
-    lattice, expansion = (ctx.lattice, delta) if side == "preimage" else (fix.target_lattice, gamma)
+    T = fix.hom.target
+    R, expansion = (ctx.S, delta) if side == "preimage" else (T, gamma)
     # a preimage or image is a subset of its carrier: proper when smaller
     res = None
-    if len(mapped) < lattice.parent.size and mapped in lattice:
-        res = ctx.verdict(row, mapped, expansion, k, lattice)
+    if len(mapped) < R.size and mapped in R.lattice:
+        res = ctx.verdict(row, mapped, expansion, k, R)
         # delta-J must hold; an absorbing verdict fails only when it is FALSE
         holds = bool(res) if k is None else res.verdict is not Verdict.FALSE
         if holds:
             return None
-    T = fix.hom.target
     wit = dict(fixture=fix.tag) if k is None else dict(fixture=fix.tag, k=k)
     if side == "preimage":
         if k is None:
@@ -520,9 +517,9 @@ def _quotient_is_delta_j(ctx, quot, delta, big) -> Optional[dict]:
     Qs = quot.q.structure
     img = quot.q.project(big)
     wit = dict(modulus=quot.q.modulus, ideal=big, delta=delta.name)
-    if img == frozenset(Qs.carrier) or img not in quot.lattice:
+    if img == frozenset(Qs.carrier) or img not in Qs.lattice:
         return wit
-    if ctx.verdict("delta-J", img, quot.induced[delta.name], lattice=quot.lattice):
+    if ctx.verdict("delta-J", img, quot.induced[delta.name], S=Qs):
         return None
     return dict(wit, quotient_ideal=sorted(Qs.labels_of(img)))
 
@@ -557,7 +554,7 @@ _IMPLICATIONS: list[Implication] = [
             residual_fixed=all(
                 residual(ctx.S, q, {x}) == q for x in ctx.S.carrier if x not in ctx.jac
             ),
-            tuple_form=delta_j_ideal_form(ctx.S, q, ctx.registry["delta0"], ctx.lattice),
+            tuple_form=delta_j_ideal_form(ctx.S, q, ctx.registry["delta0"]),
         ),
     ),
     Implication(
@@ -656,8 +653,8 @@ _IMPLICATIONS: list[Implication] = [
         lambda ctx, q, delta: _agree(
             dict(ideal=q, delta=delta.name),
             elementwise=bool(ctx.verdict("delta-J", q, delta)),
-            mixed_form=delta_j_mixed_form(ctx.S, q, delta, ctx.lattice),
-            tuple_form=delta_j_ideal_form(ctx.S, q, delta, ctx.lattice),
+            mixed_form=delta_j_mixed_form(ctx.S, q, delta),
+            tuple_form=delta_j_ideal_form(ctx.S, q, delta),
         ),
     ),
     Implication(
@@ -777,7 +774,7 @@ def _claim_finding(entry: CatalogEntry, claim: Claim) -> Optional[tuple]:
         return "subset is a hyperideal", f"clause {check.clause} fails", clause
     if not check.ok or members == frozenset(S.carrier):
         return "J-hyperideal", Verdict.IMPROPER.value, clause
-    result = is_j_hyperideal(S, members, entry.lattice())
+    result = is_j_hyperideal(S, members, S.lattice)
     if result.verdict is Verdict.TRUE:
         return None
     witness = result.witness.as_dict() if result.witness else None

@@ -627,8 +627,8 @@ class SearchHit:
         return {**asdict(self), "ideal": list(self.ideal)}
 
 
-def _in_jacobson(S, Q, lattice, delta, k) -> PredicateResult:
-    ok = Q <= lattice.jacobson.members
+def _in_jacobson(S, Q, delta, k) -> PredicateResult:
+    ok = Q <= S.lattice.jacobson.members
     return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE)
 
 
@@ -659,8 +659,8 @@ def _parse_predicate(spec: str):
     if row.params == 2 and (k is None or k < 2):
         raise ValueError(f"absorbing degree in {spec!r} must be an integer >= 2")
 
-    def run(S, lattice, registry, Q) -> Verdict:
-        return row.evaluate(S, Q, lattice, registry[delta] if delta else None, k).verdict
+    def run(S, registry, Q) -> Verdict:
+        return row.evaluate(S, Q, registry[delta] if delta else None, k).verdict
 
     return run
 
@@ -678,11 +678,10 @@ def search_counterexample(
     lhs, rhs = _parse_predicate(lhs_spec), _parse_predicate(rhs_spec)
     for entry in entries:
         S = entry.structure
-        lattice = entry.lattice()
         registry = entry.registry()
-        for ideal in lattice.proper():
-            a = lhs(S, lattice, registry, ideal.members)
-            b = rhs(S, lattice, registry, ideal.members)
+        for ideal in S.lattice.proper():
+            a = lhs(S, registry, ideal.members)
+            b = rhs(S, registry, ideal.members)
             if a is Verdict.TRUE and b is Verdict.FALSE:
                 return SearchHit(S.name, ideal.labels(), lhs_spec, rhs_spec)
     return None

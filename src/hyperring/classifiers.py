@@ -20,6 +20,15 @@ also holds its witness name and the ``(trigger, target)`` function that its
 scan and ``replay_witness`` both read.  ``classify`` and
 ``catalog.search_counterexample`` call the same evaluators.
 
+Each call takes one handle: a call about hyperideals takes the structure
+and reads ``S.lattice`` (the evaluators ``evaluate(S, Q, delta, k)``,
+``replay_witness``, the two delta-J forms), and a call about expansions
+takes the lattice and reads ``lattice.parent`` (the three standard
+expansions, ``standard_registry``, ``validate_expansion``,
+``preserves_intersections``).  The one exception is the four public
+J-family predicates, their ``_drop_row`` and the rows' ``pair``, which take
+the structure and a lattice.
+
 Scans run over multisets and per-length product tables (commutativity is
 structural) and report concrete tuples as witnesses.  The absorbing scan
 tests each distinct row signature (value bitmasks, built once per structure
@@ -120,7 +129,7 @@ def identity_expansion(lattice: IdealLattice) -> ExpansionFunction:
     return ExpansionFunction("delta0", {i.members: i.members for i in lattice})
 
 
-def radical_expansion(S: FiniteStructure, lattice: IdealLattice) -> ExpansionFunction:
+def radical_expansion(lattice: IdealLattice) -> ExpansionFunction:
     # by_members raises KeyError for a radical outside the lattice
     return ExpansionFunction(
         "delta1",
@@ -139,17 +148,17 @@ def table_expansion(name: str, table: Mapping) -> ExpansionFunction:
     )
 
 
-# the always-shipped expansions by name, each built per structure and lattice
+# the always-shipped expansions by name, each built per lattice
 STANDARD_EXPANSIONS = {
-    "delta0": lambda S, lattice: identity_expansion(lattice),
-    "delta1": lambda S, lattice: radical_expansion(S, lattice),
-    "deltaR": lambda S, lattice: constant_expansion(lattice),
+    "delta0": identity_expansion,
+    "delta1": radical_expansion,
+    "deltaR": constant_expansion,
 }
 
 
-def standard_registry(S: FiniteStructure, lattice: IdealLattice) -> dict:
+def standard_registry(lattice: IdealLattice) -> dict:
     """The always-shipped expansions, in deterministic order."""
-    return {name: make(S, lattice) for name, make in STANDARD_EXPANSIONS.items()}
+    return {name: make(lattice) for name, make in STANDARD_EXPANSIONS.items()}
 
 
 def compose_expansions(
@@ -164,9 +173,7 @@ def compose_expansions(
     return composed
 
 
-def validate_expansion(
-    S: FiniteStructure, lattice: IdealLattice, delta: ExpansionFunction
-) -> AxiomReport:
+def validate_expansion(lattice: IdealLattice, delta: ExpansionFunction) -> AxiomReport:
     """Check totality, inflationarity and monotonicity over the lattice."""
     checks = []
     missing = [i.members for i in lattice if i.members not in delta.table]
@@ -205,12 +212,10 @@ def validate_expansion(
         if done:
             break
     checks.append(mono)
-    return AxiomReport(f"{S.name}:{delta.name}", tuple(checks))
+    return AxiomReport(f"{lattice.parent.name}:{delta.name}", tuple(checks))
 
 
-def preserves_intersections(
-    S: FiniteStructure, lattice: IdealLattice, delta: ExpansionFunction
-) -> bool:
+def preserves_intersections(lattice: IdealLattice, delta: ExpansionFunction) -> bool:
     """delta(I & J) == delta(I) & delta(J) over all lattice pairs."""
     for i in lattice:
         for j in lattice:
@@ -284,14 +289,13 @@ def is_delta_primary(
     return _drop_row("delta-primary", S, Q, lattice, delta)
 
 
-def delta_j_ideal_form(
-    S: FiniteStructure, Q: frozenset, delta: ExpansionFunction, lattice: IdealLattice
-) -> bool:
-    """The delta-J property over hyperideals: for every n-multiset of lattice
-    members with product inside Q, each member not inside the Jacobson
-    radical leaves the identity-substituted product inside delta(Q)."""
-    jac, target = lattice.jacobson.members, delta(Q)
-    pool = [i.members for i in lattice]
+def delta_j_ideal_form(S: FiniteStructure, Q: frozenset, delta: ExpansionFunction) -> bool:
+    """The delta-J property over hyperideals: for every n-multiset of members
+    of ``S.lattice`` with product inside Q, each member not inside the
+    Jacobson radical leaves the identity-substituted product inside
+    delta(Q)."""
+    jac, target = S.lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in S.lattice]
     for combo in multisets(len(pool), S.n):
         sets = [pool[i] for i in combo]
         if not _set_product(S, sets) <= Q:
@@ -305,14 +309,12 @@ def delta_j_ideal_form(
     return True
 
 
-def delta_j_mixed_form(
-    S: FiniteStructure, Q: frozenset, delta: ExpansionFunction, lattice: IdealLattice
-) -> bool:
+def delta_j_mixed_form(S: FiniteStructure, Q: frozenset, delta: ExpansionFunction) -> bool:
     """The delta-J property over n-1 hyperideals and one element x: a
     product inside Q with x outside the Jacobson radical leaves the product
     with x replaced by the identity inside delta(Q)."""
-    jac, target = lattice.jacobson.members, delta(Q)
-    pool = [i.members for i in lattice]
+    jac, target = S.lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in S.lattice]
     for combo in multisets(len(pool), S.n - 1):
         sets = [pool[i] for i in combo]
         for x in S.carrier:
@@ -424,10 +426,7 @@ def is_absorbing_delta_j(
 
 
 def replay_witness(
-    S: FiniteStructure,
-    lattice: IdealLattice,
-    registry: Mapping[str, ExpansionFunction],
-    w: Witness,
+    S: FiniteStructure, registry: Mapping[str, ExpansionFunction], w: Witness
 ) -> bool:
     """Re-run the violated clause on the witness tuple; True means the
     violation reproduces.
@@ -449,7 +448,7 @@ def replay_witness(
         if S.multiply_iterated(args) not in Q:
             return False
         prefix = args[:part]
-        if S.multiply_iterated(prefix) in lattice.jacobson.members:
+        if S.multiply_iterated(prefix) in S.lattice.jacobson.members:
             return False
         prefix_ids = tuple(range(part))
         for ids in combinations(range(len(args)), part):
@@ -464,7 +463,7 @@ def replay_witness(
     if row is None:
         raise ValueError(f"no replay rule for predicate {w.predicate!r}")
     delta = registry[w.delta] if row.params else None
-    trigger, target = row.pair(S, Q, lattice, delta)
+    trigger, target = row.pair(S, Q, S.lattice, delta)
     return DROP.replays((msort(args), args[w.index]), S, Q, trigger, target)
 
 
@@ -473,9 +472,10 @@ def replay_witness(
 
 @dataclass(frozen=True)
 class Predicate:
-    """One row of the predicate table: ``evaluate(S, Q, lattice, delta, k)``
-    gives the row's result; a drop-clause row also names its witnesses and
-    gives ``pair(S, Q, lattice, delta) -> (trigger, target)``."""
+    """One row of the predicate table: ``evaluate(S, Q, delta, k)`` gives
+    the row's result on ``S.lattice``; a drop-clause row also names its
+    witnesses and gives ``pair(S, Q, lattice, delta) -> (trigger, target)``,
+    the lattice being the one the J-family predicates are given."""
 
     name: str
     params: int  # 0: none, 1: an expansion, 2: an expansion and k
@@ -484,13 +484,13 @@ class Predicate:
     pair: Optional[Callable] = None
 
 
-def _prime(S, Q, lattice, delta, k) -> PredicateResult:
+def _prime(S, Q, delta, k) -> PredicateResult:
     ok, args = prime_witness(S, Q)
     witness = args and Witness("prime", tuple(sorted(Q)), args)
     return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE, witness)
 
 
-def _primary(S, Q, lattice, delta, k) -> PredicateResult:
+def _primary(S, Q, delta, k) -> PredicateResult:
     ok, hit = is_primary(S, Q)
     if ok is None:
         return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
@@ -498,8 +498,8 @@ def _primary(S, Q, lattice, delta, k) -> PredicateResult:
     return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE, witness)
 
 
-def _maximal(S, Q, lattice, delta, k) -> PredicateResult:
-    ok = any(m.members == Q for m in lattice.maximal)
+def _maximal(S, Q, delta, k) -> PredicateResult:
+    ok = any(m.members == Q for m in S.lattice.maximal)
     return PredicateResult(Verdict.TRUE if ok else Verdict.FALSE)
 
 
@@ -512,28 +512,28 @@ PREDICATES = {
         Predicate(
             "J",
             0,
-            lambda S, Q, lattice, delta, k: is_j_hyperideal(S, Q, lattice),
+            lambda S, Q, delta, k: is_j_hyperideal(S, Q, S.lattice),
             "j-hyperideal",
             lambda S, Q, lattice, delta: (lattice.jacobson.members, Q),
         ),
         Predicate(
             "delta-J",
             1,
-            lambda S, Q, lattice, delta, k: is_delta_j(S, Q, delta, lattice),
+            lambda S, Q, delta, k: is_delta_j(S, Q, delta, S.lattice),
             "delta-j",
             lambda S, Q, lattice, delta: (lattice.jacobson.members, delta(Q)),
         ),
         Predicate(
             "delta-primary",
             1,
-            lambda S, Q, lattice, delta, k: is_delta_primary(S, Q, delta, lattice),
+            lambda S, Q, delta, k: is_delta_primary(S, Q, delta, S.lattice),
             "delta-primary",
             lambda S, Q, lattice, delta: (Q, delta(Q)),
         ),
         Predicate(
             "absorbing",
             2,
-            lambda S, Q, lattice, delta, k: is_absorbing_delta_j(S, Q, delta, k, lattice),
+            lambda S, Q, delta, k: is_absorbing_delta_j(S, Q, delta, k, S.lattice),
         ),
     )
 }
@@ -598,8 +598,7 @@ def classify(
     defaults to that lattice's ``registry``.
     """
     members = frozenset(subset)
-    lattice = S.lattice
-    registry = lattice.registry if registry is None else registry
+    registry = S.lattice.registry if registry is None else registry
     check = is_hyperideal(S, members)
     proper = members != frozenset(S.carrier)
     report = ClassificationReport(
@@ -616,7 +615,7 @@ def classify(
         if improper:
             report.verdicts[key] = Verdict.IMPROPER
             continue
-        res = row.evaluate(S, members, lattice, None if d is None else registry[d], k)
+        res = row.evaluate(S, members, None if d is None else registry[d], k)
         report.verdicts[key] = res.verdict
         if res.witness is not None:
             report.witnesses[key] = res.witness

@@ -272,7 +272,7 @@ class IdealLattice:
         """``standard_registry`` of this lattice; kept unless it raises."""
         from .classifiers import standard_registry  # classifiers imports ideals
 
-        return standard_registry(self.parent, self)
+        return standard_registry(self)
 
 
 def enumerate_hyperideals(S: FiniteStructure) -> IdealLattice:
@@ -362,6 +362,7 @@ class PrincipalIdeal:
 def principal_ideal(S: FiniteStructure, x: int) -> PrincipalIdeal:
     if S.one is None:
         raise MissingIdentityError(f"{S.name} has no scalar identity")
+    S._check_args((x,), 1)
     row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
@@ -418,14 +419,12 @@ def prime_witness(S: FiniteStructure, P: Iterable[int]):
     return witness is None, witness
 
 
-def is_prime_by_subsets(
-    S: FiniteStructure, P: Iterable[int], lattice: IdealLattice
-) -> bool:
-    """Subset form: quantifies over n-tuples of lattice members."""
+def is_prime_by_subsets(S: FiniteStructure, P: Iterable[int]) -> bool:
+    """Subset form: quantifies over n-tuples of members of ``S.lattice``."""
     members = frozenset(P)
     if members == frozenset(S.carrier):
         raise ValueError("prime test requires a proper hyperideal")
-    pool = [i.members for i in lattice]
+    pool = [i.members for i in S.lattice]
     for combo in multisets(len(pool), S.n):
         sets = [pool[i] for i in combo]
         prods = _set_product(S, sets)
@@ -521,6 +520,7 @@ def residual(S: FiniteStructure, Q: Iterable[int], T: Iterable[int]) -> frozense
     tset = frozenset(T)
     if not tset:
         raise ValueError("residual requires a nonempty subset")
+    S._check_args(sorted(tset), len(tset))
     pad = (S.one,) * (S.n - 2)
     rows = [S.mul_row(msort((s,) + pad)) for s in tset]
     return frozenset(

@@ -24,7 +24,7 @@ from .core import (
     verify_krasner,
 )
 from .classifiers import ExpansionFunction, table_expansion
-from .ideals import IdealLattice, is_hyperideal
+from .ideals import is_hyperideal
 
 MAP_ENUMERATION_CAP = 1_000_000
 
@@ -205,14 +205,9 @@ def _violation(phi: tuple, S: FiniteStructure, T: FiniteStructure):
     return None
 
 
-def is_delta_gamma_hom(
-    h: Homomorphism,
-    delta: ExpansionFunction,
-    gamma: ExpansionFunction,
-    source_lattice: IdealLattice,
-    target_lattice: IdealLattice,
-):
-    """delta(h^-1(I)) == h^-1(gamma(I)) for every target hyperideal I.
+def is_delta_gamma_hom(h: Homomorphism, delta: ExpansionFunction, gamma: ExpansionFunction):
+    """delta(h^-1(I)) == h^-1(gamma(I)) for every target hyperideal I, over
+    the lattices of ``h.source`` and ``h.target``.
 
     Returns (ok, witness).  A preimage that is not a source hyperideal makes
     the condition unevaluable and is reported as a witness.
@@ -220,9 +215,9 @@ def is_delta_gamma_hom(
     ok, w = is_homomorphism(h)
     if not ok:
         raise ValueError(f"not a homomorphism: {w}")
-    for I in target_lattice:
+    for I in h.target.lattice:
         pre = h.preimage(I.members)
-        if pre not in source_lattice:
+        if pre not in h.source.lattice:
             return False, ("preimage-not-ideal", tuple(sorted(I.members)))
         if delta(pre) != h.preimage(gamma(I.members)):
             return False, ("expansion-mismatch", tuple(sorted(I.members)))
@@ -270,11 +265,7 @@ def enumerate_homomorphisms(
     return [Homomorphism(S, T, phi) for phi in maps if _violation(phi, S, T) is None]
 
 
-def quotient_expansion(
-    q: QuotientStructure,
-    base_delta: ExpansionFunction,
-    base_lattice: IdealLattice,
-) -> ExpansionFunction:
+def quotient_expansion(q: QuotientStructure, base_delta: ExpansionFunction) -> ExpansionFunction:
     """The induced expansion on the quotient's lattice: K/I maps to
     delta(K)/I.
 
@@ -285,7 +276,7 @@ def quotient_expansion(
     table = {}
     for K in q.structure.lattice:
         pulled = q.unproject(K.members)
-        if pulled not in base_lattice:
+        if pulled not in q.base.lattice:
             raise ValueError(
                 f"pullback of {sorted(K.members)} is not a hyperideal of {q.base.name}"
             )

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from hyperring import (
     CatalogEntry,
     THEOREMS,
     builtin_examples,
+    default_catalog,
     enumerate_homomorphisms,
     enumerate_structures,
     identity_hom,
@@ -29,6 +31,8 @@ from hyperring.audit import (
     catalog_hash,
     replay_cell,
 )
+from hyperring import classifiers, ideals
+from hyperring.catalog import DEFAULT_ARITIES
 from hyperring.classifiers import PREDICATES
 
 
@@ -102,6 +106,49 @@ def test_default_catalog_audit_jsonl_is_pinned(audit_report):
     assert audit_report.counts() == {PASS: 944, FAIL: 4, SKIP: 1752}
 
 
+def test_order_le3_four_arity_audit_is_pinned():
+    # the construction: run_audit over CatalogEntry(S, "enumerated") for every
+    # S of enumerate_structures(m, n, order), (m, n) in DEFAULT_ARITIES and
+    # order 1..3, with no built-ins; it covers the quotient, projection and
+    # monomorphism fixtures of every small structure
+    entries = [
+        CatalogEntry(S, "enumerated")
+        for m, n in DEFAULT_ARITIES
+        for order in (1, 2, 3)
+        for S in enumerate_structures(m, n, order)
+    ]
+    assert len(entries) == 94
+    text = run_audit(entries).to_jsonl().encode()
+    assert len(text) == 367_709
+    assert hashlib.sha256(text).hexdigest().startswith("9fe83ce4acfe6fdc")
+
+
+def test_default_audit_builds_each_lattice_and_registry_once(monkeypatch):
+    # fixtures and quotients hold structures and read their lattices as
+    # S.lattice, so no record or call can rebuild one: building the default
+    # catalog enumerates 2 lattices (_representative_slice reads is_local on
+    # order-4 structures) and its audit 161 more, with 157 registries
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(
+        ideals, "enumerate_hyperideals", counting("lattice", ideals.enumerate_hyperideals)
+    )
+    monkeypatch.setattr(
+        classifiers, "standard_registry", counting("registry", classifiers.standard_registry)
+    )
+    entries = default_catalog()
+    assert calls == {"lattice": 2}
+    run_audit(entries)
+    assert calls == {"lattice": 163, "registry": 157}
+
+
 def test_replay_reproduces_every_cell(small_catalog):
     for cell in run_audit(small_catalog).cells:
         assert replay_cell(small_catalog, cell), (cell.structure, cell.theorem)
@@ -113,9 +160,9 @@ def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch
     seen = []
 
     def counting(row):
-        def evaluate(S, Q, lattice, delta, k):
-            seen.append((lattice, row.name, frozenset(Q), delta and delta.name, k))
-            return row.evaluate(S, Q, lattice, delta, k)
+        def evaluate(S, Q, delta, k):
+            seen.append((S.lattice, row.name, frozenset(Q), delta and delta.name, k))
+            return row.evaluate(S, Q, delta, k)
 
         return evaluate
 
@@ -232,22 +279,22 @@ def _per_pair_hom_fixtures(ctx):
     """(tag, mapping, delta, gamma) of every compatible pair of every hom
     fixture, each pair decided on its own by ``is_delta_gamma_hom``."""
     S = ctx.S
-    homs = [("identity", identity_hom(S), ctx.lattice, {})]
+    homs = [("identity", identity_hom(S), {})]
     for quot in ctx.quotients:
         tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
-        homs.append((tag, projection_hom(quot.q), quot.lattice, quot.induced))
+        homs.append((tag, projection_hom(quot.q), quot.induced))
     for other in ctx.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
         T = other.structure
         if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
             for h in enumerate_homomorphisms(S, T):
                 if h.injective:
-                    homs.append((f"mono->{T.name}", h, other.lattice(), {}))
+                    homs.append((f"mono->{T.name}", h, {}))
     out = []
-    for tag, h, tl, induced in homs:
+    for tag, h, induced in homs:
         pairs = [(ctx.registry[name], dq) for name, dq in induced.items()]
-        pairs += product(ctx.registry.values(), tl.registry.values())
+        pairs += product(ctx.registry.values(), h.target.lattice.registry.values())
         for delta, gamma in pairs:
-            if is_delta_gamma_hom(h, delta, gamma, ctx.lattice, tl)[0]:
+            if is_delta_gamma_hom(h, delta, gamma)[0]:
                 out.append((tag, h.mapping, delta.name, gamma.name))
     return out
 
@@ -270,7 +317,7 @@ def test_hom_fixtures_match_the_per_pair_reference(full_catalog):
         assert got == _per_pair_hom_fixtures(ctx), entry.structure.name
         pairs += len(got)
         for f in ctx.hom_fixtures:
-            h, tl = f.hom, f.target_lattice
+            h, tl = f.hom, f.hom.target.lattice
             preimages = {I.members: h.preimage(I.members) for I in tl.proper()}
             assert f.preimages == (preimages if h.injective else {})
             ker = kernel(h)

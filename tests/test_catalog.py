@@ -622,11 +622,11 @@ def test_search_and_classify_agree(small_catalog):
     runs = {spec: _parse_predicate(spec) for spec in specs}
     compared = 0
     for entry in small_catalog:
-        S, lattice, registry = entry.structure, entry.lattice(), entry.registry()
-        for ideal in lattice.proper():
+        S, registry = entry.structure, entry.registry()
+        for ideal in S.lattice.proper():
             report = classify(S, ideal.members, registry, 3)
             assert set(report.verdicts) == set(specs.values())
             for spec, key in specs.items():
-                assert runs[spec](S, lattice, registry, ideal.members) is report.verdicts[key]
+                assert runs[spec](S, registry, ideal.members) is report.verdicts[key]
                 compared += 1
     assert compared > 0

@@ -55,7 +55,7 @@ def test_builtin_expansions_validate(full_catalog):
     for entry in full_catalog:
         S, lat, registry = ctx(entry)
         for delta in registry.values():
-            assert validate_expansion(S, lat, delta).ok
+            assert validate_expansion(lat, delta).ok
 
 
 def test_broken_expansion_fails_validation(b24):
@@ -64,7 +64,7 @@ def test_broken_expansion_fails_validation(b24):
     table = {i.members: i.members for i in lat}
     table[frozenset({0, 1})] = frozenset({0})
     bad = table_expansion("bad", table)
-    rep = validate_expansion(S, lat, bad)
+    rep = validate_expansion(lat, bad)
     assert not rep.ok
     assert not rep.check("expansion-inflationary").passed
 
@@ -73,7 +73,7 @@ def test_partial_expansion_fails_totality(b24):
     S, lat, _ = ctx(b24)
     table = {i.members: i.members for i in lat}
     table.pop(frozenset({0}))
-    rep = validate_expansion(S, lat, table_expansion("partial", table))
+    rep = validate_expansion(lat, table_expansion("partial", table))
     assert not rep.check("expansion-total").passed
 
 
@@ -84,7 +84,7 @@ def test_non_monotone_expansion(b24):
     # inflationary but not monotone: {0} blows up to the carrier while the
     # larger {0,1} stays put
     table[frozenset({0, 1})] = frozenset({0, 1})
-    rep = validate_expansion(S, lat, table_expansion("zig", table))
+    rep = validate_expansion(lat, table_expansion("zig", table))
     assert rep.check("expansion-inflationary").passed
     assert not rep.check("expansion-monotone").passed
 
@@ -103,9 +103,9 @@ def test_compose_identity_and_constant(full_catalog):
 def test_preserves_intersections(full_catalog):
     for entry in full_catalog:
         S, lat, registry = ctx(entry)
-        assert preserves_intersections(S, lat, registry["delta0"])
-        assert preserves_intersections(S, lat, registry["delta1"])
-        assert preserves_intersections(S, lat, registry["deltaR"])
+        assert preserves_intersections(lat, registry["delta0"])
+        assert preserves_intersections(lat, registry["delta1"])
+        assert preserves_intersections(lat, registry["deltaR"])
 
 
 # -- J-hyperideals -------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_ideal_outside_jacobson_is_never_j(full_catalog):
             if not q.members <= jac:
                 res = is_j_hyperideal(S, q.members, lat)
                 assert res.verdict is Verdict.FALSE
-                assert replay_witness(S, lat, entry.registry(), res.witness)
+                assert replay_witness(S, entry.registry(), res.witness)
 
 
 def oracle_drop_scan(S, Q, trigger, target):
@@ -282,7 +282,7 @@ def test_absorbing_matches_tuple_oracle(small_catalog):
                     expected = oracle_absorbing(S, q.members, delta, k, lat)
                     assert (got.verdict is Verdict.TRUE) == expected
                     if got.witness is not None:
-                        assert replay_witness(S, lat, registry, got.witness)
+                        assert replay_witness(S, registry, got.witness)
 
 
 def test_absorbing_on_builtin24_matches_oracle(b24):
@@ -354,7 +354,7 @@ def test_absorbing_scan_equals_the_row_by_row_reference():
         lat = enumerate_hyperideals(S)
         deltas = [identity_expansion(lat), constant_expansion(lat)]
         try:
-            deltas.append(radical_expansion(S, lat))
+            deltas.append(radical_expansion(lat))
         except KeyError:
             pass  # a radical outside the lattice of an unverified table: known fault
         for q in lat.proper():
@@ -438,7 +438,7 @@ def _lattice_calls(S, fresh):
             (
                 f"classify {sorted(Q)}",
                 partial(classify, S, Q),
-                lambda Q=Q: classify(S, Q, standard_registry(S, fresh)),
+                lambda Q=Q: classify(S, Q, standard_registry(fresh)),
             ),
             (
                 f"radical_by_primes {sorted(Q)}",
@@ -454,8 +454,8 @@ def _lattice_calls(S, fresh):
             calls.append(
                 (
                     f"quotient_expansion {sorted(Q)}",
-                    partial(quotient_expansion, q, delta, fresh),
-                    partial(quotient_expansion, copy, delta, fresh),
+                    partial(quotient_expansion, q, delta),
+                    partial(quotient_expansion, copy, delta),
                 )
             )
     return calls
@@ -467,7 +467,7 @@ def test_default_lattice_calls_match_a_freshly_enumerated_lattice(small_catalog)
     for S in structures:
         fresh = enumerate_hyperideals(S)
         try:
-            radical_expansion(S, fresh)
+            radical_expansion(fresh)
             known_fault = False
         except KeyError:
             known_fault = True  # a radical outside the lattice of an unverified table
@@ -619,7 +619,7 @@ def test_classify_negative_witnesses_replay(full_catalog):
             for key, witness in report.witnesses.items():
                 if key in ("prime", "primary"):
                     continue  # replayed via their own predicates elsewhere
-                assert replay_witness(S, lat, registry, witness), (S.name, key)
+                assert replay_witness(S, registry, witness), (S.name, key)
 
 
 def test_classify_is_deterministic(b24):
@@ -677,7 +677,7 @@ def test_prime_and_primary_witnesses_replay(full_catalog):
             ok, args = prime_witness(S, q.members)
             if not ok:
                 w = Witness("prime", tuple(sorted(q.members)), args)
-                assert replay_witness(S, lat, registry, w)
+                assert replay_witness(S, registry, w)
                 replayed_prime += 1
             if S.one is not None:
                 verdict, pw = is_primary(S, q.members)
@@ -685,7 +685,7 @@ def test_prime_and_primary_witnesses_replay(full_catalog):
                     w = Witness(
                         "primary", tuple(sorted(q.members)), pw[0], index=pw[1]
                     )
-                    assert replay_witness(S, lat, registry, w)
+                    assert replay_witness(S, registry, w)
                     replayed_primary += 1
     assert replayed_prime > 0 and replayed_primary > 0
 
@@ -708,12 +708,12 @@ def test_witness_replay_detects_tampering(full_catalog):
             res = is_j_hyperideal(S, q.members, lat)
             assert res.verdict is Verdict.FALSE
             w = res.witness
-            assert replay_witness(S, lat, registry, w)
+            assert replay_witness(S, registry, w)
             # dropping a factor inside the trigger set cannot violate
             inside = sorted(jac)[0]
             tampered = dataclasses.replace(
                 w, args=tuple(inside for _ in w.args), index=0
             )
-            assert not replay_witness(S, lat, registry, tampered)
+            assert not replay_witness(S, registry, tampered)
             return
     pytest.skip("no negative J verdict with identity present in catalog")

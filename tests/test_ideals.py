@@ -13,6 +13,7 @@ import pytest
 
 from hyperring import (
     FiniteStructure,
+    ForeignElementError,
     MissingIdentityError,
     classify,
     enumerate_hyperideals,
@@ -300,7 +301,7 @@ def test_prime_matches_oracle_and_subset_variant(full_catalog):
         for ideal in lat.proper():
             element = is_prime(S, ideal.members)
             assert element == oracle_is_prime(S, ideal.members)
-            assert element == is_prime_by_subsets(S, ideal.members, lat)
+            assert element == is_prime_by_subsets(S, ideal.members)
 
 
 def test_prime_rejects_whole_carrier(b33):
@@ -461,6 +462,25 @@ def test_principal_formula_closed_on_verified(full_catalog):
 def test_principal_ideal_requires_identity(b24):
     with pytest.raises(MissingIdentityError):
         principal_ideal(b24.structure, 1)
+
+
+def test_foreign_elements_raise_foreign_element_error(b24, b33):
+    # an element outside the carrier is named, as mul_inverse names it,
+    # instead of surfacing as a KeyError from the product tables
+    S = b33.structure
+    for x in (7, -1):
+        for call in (
+            lambda: residual(S, {0}, {x}),
+            lambda: residual(S, {0}, {1, x}),
+            lambda: principal_ideal(S, x),
+        ):
+            with pytest.raises(ForeignElementError, match=f"element {x} outside carrier"):
+                call()
+    # the identity check comes first
+    with pytest.raises(MissingIdentityError):
+        residual(b24.structure, {0}, {7})
+    with pytest.raises(MissingIdentityError):
+        principal_ideal(b24.structure, 7)
 
 
 # -- cached views and passed-in lattices -------------------------------------

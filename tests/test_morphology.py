@@ -285,15 +285,13 @@ def test_monomorphisms_match_the_injective_homomorphisms(full_catalog):
 def test_delta_gamma_identity_hom(b33):
     S = b33.structure
     lat = enumerate_hyperideals(S)
-    registry = standard_registry(S, lat)
+    registry = standard_registry(lat)
     h = identity_hom(S)
     for name, delta in registry.items():
-        ok, _ = is_delta_gamma_hom(h, delta, delta, lat, lat)
+        ok, _ = is_delta_gamma_hom(h, delta, delta)
         assert ok
     # delta0 against deltaR cannot commute unless the lattice is trivial
-    ok, witness = is_delta_gamma_hom(
-        h, registry["delta0"], registry["deltaR"], lat, lat
-    )
+    ok, witness = is_delta_gamma_hom(h, registry["delta0"], registry["deltaR"])
     assert not ok and witness[0] == "expansion-mismatch"
 
 
@@ -313,11 +311,11 @@ def test_projection_with_quotient_expansion(full_catalog):
             qlat = enumerate_hyperideals(res.quotient.structure)
             pi = projection_hom(res.quotient)
             for name, delta in registry.items():
-                dq = quotient_expansion(res.quotient, delta, lat)
+                dq = quotient_expansion(res.quotient, delta)
                 from hyperring import validate_expansion
 
-                assert validate_expansion(res.quotient.structure, qlat, dq).ok
-                ok, witness = is_delta_gamma_hom(pi, delta, dq, lat, qlat)
+                assert validate_expansion(qlat, dq).ok
+                ok, witness = is_delta_gamma_hom(pi, delta, dq)
                 assert ok, (S.name, sorted(ideal.members), name, witness)
                 count += 1
     assert count > 50
@@ -330,11 +328,8 @@ def test_radical_commutes_with_preimage_along_monos(small_catalog):
     entries = [e for e in small_catalog if e.verified and e.structure.size <= 3]
     for entry in entries:
         S = entry.structure
-        lat = entry.lattice()
         registry = entry.registry()
-        ok, _ = is_delta_gamma_hom(
-            identity_hom(S), registry["delta1"], registry["delta1"], lat, lat
-        )
+        ok, _ = is_delta_gamma_hom(identity_hom(S), registry["delta1"], registry["delta1"])
         assert ok
         hits += 1
     assert hits == len(entries)
@@ -356,13 +351,7 @@ def test_delta1_compatibility_survey_over_monos(full_catalog):
                 continue
             for h in enumerate_homomorphisms(S, T, injective_only=True):
                 total += 1
-                ok, witness = is_delta_gamma_hom(
-                    h,
-                    src.registry()["delta1"],
-                    dst.registry()["delta1"],
-                    src.lattice(),
-                    dst.lattice(),
-                )
+                ok, witness = is_delta_gamma_hom(h, src.registry()["delta1"], dst.registry()["delta1"])
                 if ok:
                     compatible += 1
                 else:
