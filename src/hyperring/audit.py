@@ -17,7 +17,8 @@ One runner evaluates them all: the first failing conclusion makes the cell
 FAIL with a replayable witness, otherwise the cell PASSes.  An equivalence
 is an implication with a true hypothesis whose conclusion is that its sides
 agree.  A cell is SKIPped with a reason when the structure fails
-verification, lacks a scalar identity the check needs, or fails the gate.
+verification, lacks a scalar identity the check needs, fails the gate, or
+would take the check past the work budget.
 
 The checks share their verdicts through a ``StructureContext``: its
 ``verdict`` evaluates a row of ``classifiers.PREDICATES`` on a structure
@@ -46,7 +47,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from . import __version__
+from . import __version__, core
 from .catalog import CatalogEntry, Claim
 from .classifiers import (
     PREDICATES,
@@ -57,7 +58,7 @@ from .classifiers import (
     is_j_hyperideal,
     preserves_intersections,
 )
-from .core import FiniteStructure, _jsonable, verify_canonical_hypergroup
+from .core import CapExceeded, FiniteStructure, Meter, _jsonable, verify_canonical_hypergroup
 from .fileformat import export_structure
 from .ideals import (
     DROP,
@@ -321,27 +322,28 @@ class Implication:
     hypothesis: Callable[..., object]
     conclusion: Callable[..., Optional[dict]]
     gate: Callable[[StructureContext], Optional[str]] = lambda ctx: None
+    # (status, checked, reason or witness) of a context: ``evaluate`` unless
+    # a wrapper takes its place through ``dataclasses.replace(check, run=...)``
+    run: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    def run(self, ctx: StructureContext):
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "run", self.run or self.evaluate)
+
+    def evaluate(self, ctx: StructureContext):
+        """The runner; each domain instance counts against the work budget."""
         reason = self.gate(ctx)
         if reason:
             return SKIP, 0, reason
         checked = 0
-        for inst in self.domain(ctx):
+        for seen, inst in enumerate(self.domain(ctx), 1):
+            if seen > core.WORK_BUDGET:
+                Meter(f"{self.tid} on {ctx.S.name}: theorem instances").spend(seen)
             if self.hypothesis(ctx, *inst):
                 checked += 1
                 bad = self.conclusion(ctx, *inst)
                 if bad is not None:
                     return FAIL, checked, _wit(ctx, **bad)
         return PASS, checked, None
-
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    tid: str
-    statement: str
-    needs_identity: bool
-    run: Callable
 
 
 def _always(ctx, *inst) -> bool:
@@ -747,9 +749,7 @@ _IMPLICATIONS: list[Implication] = [
     ),
 ]
 
-THEOREMS: dict[str, TheoremCheck] = {
-    i.tid: TheoremCheck(i.tid, i.statement, i.needs_identity, i.run) for i in _IMPLICATIONS
-}
+THEOREMS: dict[str, Implication] = {i.tid: i for i in _IMPLICATIONS}
 
 
 def _claim_finding(entry: CatalogEntry, claim: Claim) -> Optional[tuple]:
@@ -787,7 +787,8 @@ def _claim_discrepancies(entry: CatalogEntry) -> list[Discrepancy]:
 
 
 def _cell(ctx: StructureContext, tid: str) -> AuditCell:
-    """One theorem on one entry, behind the verification and identity gates."""
+    """One theorem on one entry, behind the verification and identity gates;
+    a check that would pass the work budget is SKIPped with its message."""
     entry, name = ctx.entry, ctx.S.name
     if not entry.verified:
         failed = entry.report.failed()[0].axiom
@@ -795,7 +796,10 @@ def _cell(ctx: StructureContext, tid: str) -> AuditCell:
     check = THEOREMS[tid]
     if check.needs_identity and ctx.S.one is None:
         return AuditCell(name, tid, SKIP, reason="no scalar identity")
-    status, checked, extra = check.run(ctx)
+    try:
+        status, checked, extra = check.run(ctx)
+    except CapExceeded as e:
+        status, checked, extra = SKIP, 0, str(e)
     if status == SKIP:
         return AuditCell(name, tid, SKIP, reason=extra)
     return AuditCell(name, tid, status, checked=checked, witness=extra)

@@ -42,9 +42,9 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     BITS,
-    CapExceeded,
     FiniteStructure,
     AxiomReport,
+    Meter,
     TableView,
     add_associativity_violation,
     carrier_map,
@@ -68,8 +68,6 @@ from .classifiers import (
 from .ideals import IdealLattice
 
 DEFAULT_ARITIES = ((2, 2), (3, 2), (2, 3), (3, 3))
-ENUM_CANDIDATE_CAP = 2_000_000
-FREE_ORBIT_CAP = 22
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,9 @@ class Claim:
 @dataclass
 class CatalogEntry:
     """A structure with its provenance and shipped claims.  The axiom report
-    is computed at construction, where the size guard raises; the lattice
-    and registry are the structure's own, built on first call."""
+    is computed at construction, where a verification over the work budget
+    raises ``CapExceeded``; the lattice and registry are the structure's
+    own, built on first call."""
 
     structure: FiniteStructure
     provenance: str  # builtin | enumerated | file
@@ -306,7 +305,7 @@ def _row_check(violation, ext: tuple, row: tuple) -> tuple:
     return reads, partial(violation, ext=ext, row=row)
 
 
-def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
+def _search(cells: list, levels: list, checks: list, meter: Meter) -> Iterator[None]:
     """Depth-first over the choices of ``levels``, yielding at each leaf
     with ``cells`` holding its table, in the order of a ``product`` over
     the levels' options.  An option is a tuple of (rank, bits) that is
@@ -315,7 +314,8 @@ def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
     as it found them; a cell is final after the last level that can change
     it.  ``checks`` pairs the cells a check can read with the check; each
     runs at the first level where all of them are final, and one that
-    returns a truthy value cuts off the branch."""
+    returns a truthy value cuts off the branch.  Each pass of the loop, an
+    option taken or a level left, is a node spent on ``meter``."""
     position = [-1] * len(cells)
     for i, options in enumerate(levels):
         for option in options:
@@ -336,6 +336,7 @@ def _search(cells: list, levels: list, checks: list) -> Iterator[None]:
     tried = [0] * len(levels)
     i = 0
     while i >= 0:
+        meter.spend()
         options, k = levels[i], tried[i]
         if k:
             for r, bits in options[k - 1]:
@@ -441,10 +442,6 @@ def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
                 free.append(orb)
         if not feasible:
             continue
-        if len(free) > FREE_ORBIT_CAP:
-            raise CapExceeded(
-                f"{len(free)} free membership orbits exceed cap {FREE_ORBIT_CAP}"
-            )
         free.sort(key=lambda orb: min(orb))
         cells = [0] * len(keys)
         for orb in must:
@@ -460,7 +457,7 @@ def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
         yield cells, ranked
 
 
-def _add_candidates(order: int, m: int) -> Iterator[TableView]:
+def _add_candidates(order: int, m: int, meter: Meter) -> Iterator[TableView]:
     """Hyperaddition tables with neutral zero, unique inverses and
     reversibility built in by orbit construction, no empty cell and
     associative: each free orbit is a level of the search, first left out,
@@ -473,11 +470,11 @@ def _add_candidates(order: int, m: int) -> Iterator[TableView]:
         for row in ranked_plan(order, 2 * m - 1, m)
     ]
     for cells, free in _membership_orbits(order, m):
-        for _ in _search(cells, [((), orb) for orb in free], empty + rows):
+        for _ in _search(cells, [((), orb) for orb in free], empty + rows, meter):
             yield TableView(shape, tuple(cells), True)
 
 
-def _mul_candidates(order: int, n: int) -> Iterator[TableView]:
+def _mul_candidates(order: int, n: int, meter: Meter) -> Iterator[TableView]:
     """Zero-absorbing associative multiplication tables: the free cells,
     those without a zero factor, are the levels of the search, each taking
     its values in ascending order."""
@@ -489,7 +486,7 @@ def _mul_candidates(order: int, n: int) -> Iterator[TableView]:
     # cells hold, so only the leaf check reads it
     rows = [_row_check(mul_associativity_violation, ext, row) for row in plan if 0 not in row[0]]
     cells = [0] * len(shape.keys)
-    for _ in _search(cells, levels, rows):
+    for _ in _search(cells, levels, rows, meter):
         if not any(mul_associativity_violation(cells, ext, row) for row in plan):
             yield TableView(shape, tuple(cells), False)
 
@@ -539,29 +536,21 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     order.  Each class is reached through its least hyperaddition, which
     alone is verified and paired with the distributive multiplications; the
     key of a pair is computed there, not through ``canonical_key``.  The
-    hyperadditions come from the orbit search of ``_add_candidates``."""
+    hyperadditions come from the orbit search of ``_add_candidates``.  The
+    nodes of both searches count against the work budget."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
         raise ValueError("order must be positive")
-    n_free_mul = len([k for k in multisets(order, n) if 0 not in k])
-    if order**n_free_mul > ENUM_CANDIDATE_CAP:
-        raise CapExceeded(
-            f"search over {order}^{n_free_mul} multiplication tables"
-            f" exceeds cap {ENUM_CANDIDATE_CAP}"
-        )
-    map_masks = _map_masks(_mul_candidates(order, n))
+    meter = Meter(f"enumeration ({m},{n}) order {order}: search nodes")
+    map_masks = _map_masks(_mul_candidates(order, n, meter))
     labels = tuple(str(i) for i in range(order))
     # probes and candidates use the plain constructor: their identity is
     # never read
     mul_shape = table_shape(order, n)
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     seen_keys = set()
-    candidates = 0
-    for add in _add_candidates(order, m):
-        candidates += 1
-        if candidates > ENUM_CANDIDATE_CAP:
-            raise CapExceeded(f"enumeration candidate cap {ENUM_CANDIDATE_CAP} exceeded")
+    for add in _add_candidates(order, m, meter):
         least = _least_add(add)
         if least is None:
             continue

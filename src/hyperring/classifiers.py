@@ -49,9 +49,12 @@ from typing import Callable, Iterable, Mapping, Optional
 from .core import (
     AxiomCheck,
     AxiomReport,
+    CapExceeded,
     FiniteStructure,
+    Meter,
     msort,
     multisets,
+    plan_splits,
     ranked_plan,
     table_shape,
 )
@@ -66,13 +69,11 @@ from .ideals import (
     prime_witness,
 )
 
-ABSORBING_TUPLE_CAP = 10_000_000
-
 
 class Verdict(str, Enum):
     TRUE = "true"
     FALSE = "false"
-    NOT_APPLICABLE = "not_applicable"  # structure lacks a scalar identity
+    NOT_APPLICABLE = "not_applicable"  # no scalar identity, or over the work budget
     IMPROPER = "improper"  # subset is the whole carrier or not an ideal
 
     def __bool__(self) -> bool:
@@ -348,9 +349,11 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
     (total, part) absorbing scan, each with its first rank, in rank order.
     P is the bitmask of a row's sub-product values; single holds those that
     exactly one split gives, when that split has no repeat.  Built once per
-    structure and (total, part), kept out of equality and hashing."""
+    structure and (total, part), kept out of equality and hashing, after the
+    splits are counted against the work budget."""
     tables = vars(S).setdefault("_absorbing", {})
     if (total, part) not in tables:
+        Meter(f"{S.name}: absorbing signature splits").spend(plan_splits(S.size, total, part))
         wholes, parts = S.product_table(total), S.product_table(part)
         plan, repeats = ranked_plan(S.size, total, part), _repeats(S.size, total, part)
         first: dict = {}
@@ -381,7 +384,7 @@ def is_absorbing_delta_j(
     alternative sub-product exactly when some value of A has further copies
     in the remainder (then an index selection other than the prefix realises
     it).  This matches the tuple-level definition, which the witness replay
-    re-checks literally.
+    re-checks literally.  Over the work budget the verdict is NOT_APPLICABLE.
 
     A row's verdict depends only on its signature (``_signatures``): with
     its whole in Q, it fails when no sub-product lies in delta(Q) and some
@@ -396,14 +399,13 @@ def is_absorbing_delta_j(
     if k < 2:
         raise ValueError("absorbing degree k must be at least 2")
     total, part = absorbing_arity(S.n, k)
-    if S.size**total > ABSORBING_TUPLE_CAP:
-        return PredicateResult(
-            Verdict.NOT_APPLICABLE,
-            note=f"tuple space {S.size}^{total} exceeds cap {ABSORBING_TUPLE_CAP}",
-        )
+    try:
+        signatures = _signatures(S, total, part)
+    except CapExceeded as e:
+        return PredicateResult(Verdict.NOT_APPLICABLE, note=str(e))
     sets = (members, delta(members), lattice.jacobson.members)
     q, d, j = (sum(1 << x for x in s) for s in sets)
-    for whole, P, single, r in _signatures(S, total, part):
+    for whole, P, single, r in signatures:
         hit = P & d
         if not whole & q or hit & (hit - 1):  # two values in delta(Q) leave an alternative
             continue

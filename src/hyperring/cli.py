@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 clean, 1 negative verification/classification verdict,
-2 usage error, including a structure beyond the exhaustive-verification
-size guard (``CapExceeded``) and, for ``classify``, ``radical`` and
+2 usage error, including a call that would pass the work budget
+(``CapExceeded``, one line naming the stage and its step count; only
+``verify --allow-large`` lifts it) and, for ``classify``, ``radical`` and
 ``search``, a table on which a radical falls outside the hyperideal lattice
 (possible only when the tables fail the Krasner axioms; the library raises
 ``KeyError`` there).  ``audit`` exits 0 even when cells fail or
@@ -58,7 +59,7 @@ class _ToolError(click.ClickException):
 
 
 class _Workbench(click.Group):
-    """Reports a hit size guard as a one-line error, for every subcommand."""
+    """Reports a call over the work budget as a one-line error."""
 
     def invoke(self, ctx):
         try:
@@ -105,7 +106,7 @@ def main() -> None:
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True, help="emit the full report as JSON")
-@click.option("--allow-large", is_flag=True, help="disable the size guard")
+@click.option("--allow-large", is_flag=True, help="lift the work budget of verification")
 def verify(file, as_json, allow_large):
     """Check all Krasner axioms of a structure file."""
     S = _load(file)

@@ -28,10 +28,11 @@ witness's case, so a scan and its replay cannot drift apart.
 
 from __future__ import annotations
 
-from collections import Counter, abc
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, product
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -52,7 +53,7 @@ class MissingIdentityError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A configured enumeration/verification cap was hit."""
+    """A stage of a public call would pass ``WORK_BUDGET``; see ``Meter``."""
 
 
 Multiset = tuple  # sorted tuple of element ids
@@ -67,41 +68,22 @@ def multisets(size: int, length: int) -> Iterator[Multiset]:
     return combinations_with_replacement(range(size), length)
 
 
-def sub_multisets(ms: Multiset, length: int) -> list[Multiset]:
-    """Distinct sub-multisets of a sorted tuple, in lexicographic order."""
-    vals = sorted(Counter(ms).items())
-    out: list[Multiset] = []
-
-    def rec(i: int, remaining: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if i == len(vals):
-            return
-        v, c = vals[i]
-        # taking more copies of the smaller value first keeps lex order
-        for take in range(min(c, remaining), -1, -1):
-            if remaining - take > sum(n for _, n in vals[i + 1 :]):
-                continue
-            rec(i + 1, remaining - take, acc + [v] * take)
-
-    rec(0, length, [])
-    return out
+def count_multisets(size: int, length: int) -> int:
+    """The number of ``multisets(size, length)``."""
+    return comb(size + length - 1, length)
 
 
-def multiset_minus(ms: Multiset, sub: Multiset) -> Multiset:
-    left = Counter(ms)
-    left.subtract(Counter(sub))
-    if any(c < 0 for c in left.values()):
-        raise ValueError(f"{sub} is not a sub-multiset of {ms}")
-    return tuple(sorted(left.elements()))
+@lru_cache(maxsize=1024)
+def plan_splits(size: int, total: int, part: int) -> int:
+    """The splits of ``ranked_plan(size, total, part)``, counted unbuilt."""
+    return count_multisets(size, part) * count_multisets(size, total - part)
 
 
 @lru_cache(maxsize=128)
 def ranked_plan(size: int, total: int, part: int) -> tuple:
     """Every ``total``-multiset over {0..size-1}, in ``multisets`` order, with
-    each of its distinct ``part``-sub-multisets A, in the lexicographic order
-    of ``sub_multisets``, as (A, rank of A, rank of the remainder), each
+    each of its distinct ``part``-sub-multisets A, in lexicographic order,
+    as (A, rank of A, rank of the remainder), each
     ranked among the multisets of its length, so that a scan reads table
     cells without sorting or hashing.
 
@@ -110,16 +92,13 @@ def ranked_plan(size: int, total: int, part: int) -> tuple:
     (k,n)-absorbing scan) share one copy per shape.  Plans are built on first
     use and the cache is bounded.
     """
-    rank_a = table_shape(size, part).rank
-    rank_rest = table_shape(size, total - part).rank
-
-    def split(whole: Multiset, A: Multiset) -> tuple:
-        return A, rank_a[A], rank_rest[multiset_minus(whole, A)]
-
-    return tuple(
-        (whole, tuple(split(whole, A) for A in sub_multisets(whole, part)))
-        for whole in multisets(size, total)
-    )
+    rests = table_shape(size, total - part).keys
+    splits: dict = {whole: [] for whole in multisets(size, total)}
+    # each (A, remainder) pair is one split of one whole, reached in A's order
+    for a, A in enumerate(table_shape(size, part).keys):
+        for b, B in enumerate(rests):
+            splits[msort(A + B)].append((A, a, b))
+    return tuple((whole, tuple(row)) for whole, row in splits.items())
 
 
 # -- ranked table storage ----------------------------------------------------
@@ -262,10 +241,27 @@ def _ranked(table: Mapping, shape: Shape, sets: bool, what: str):
     return TableView(shape, tuple(cells), sets), error
 
 
-# Exhaustive verification gets expensive fast; these guards keep desk-scale
-# runs honest and are overridable where the caller knows what it is doing.
-MAX_VERIFY_SIZE = 8
-MAX_VERIFY_ARITY = 4
+# -- the work budget ----------------------------------------------------------
+
+# The one bound on the steps a public call may take in one stage: counted
+# before anything is built where the shape fixes them (plan splits, maps
+# tried), as the loop runs elsewhere (search nodes, closure steps, instances).
+WORK_BUDGET = 2_000_000
+
+
+class Meter:
+    """The steps of one stage of a public call; ``spend`` raises ``CapExceeded``
+    with the stage and the count once they pass the ``WORK_BUDGET`` read first."""
+
+    def __init__(self, stage: str) -> None:
+        self.stage, self.steps, self.limit = stage, 0, WORK_BUDGET
+
+    def spend(self, steps: int = 1) -> None:
+        self.steps += steps
+        if self.steps > self.limit:
+            raise CapExceeded(
+                f"{self.stage}: {self.steps:,} steps exceed the work budget of {self.limit:,}"
+            )
 
 
 @dataclass(frozen=True)
@@ -594,16 +590,16 @@ class AxiomReport:
         }
 
 
-def _guard_size(S: FiniteStructure, size_guard: bool) -> None:
-    if not size_guard:
-        return
-    if S.size > MAX_VERIFY_SIZE or S.m > MAX_VERIFY_ARITY or S.n > MAX_VERIFY_ARITY:
-        raise CapExceeded(
-            f"{S.name}: size {S.size} arities ({S.m},{S.n}) exceed the exhaustive"
-            f" verification guard (size<={MAX_VERIFY_SIZE},"
-            f" arity<={MAX_VERIFY_ARITY}); pass size_guard=False to override"
-            " (on the command line: verify --allow-large)"
-        )
+def _guard(S: FiniteStructure, ring: bool) -> None:
+    """Refuse, before any plan is built, a verification whose clauses read
+    more splits than the budget: the associativity and reversibility plans,
+    and for distributivity each (n-1)-multiset with each cell of f."""
+    size, m, n = S.size, S.m, S.n
+    steps = plan_splits(size, 2 * m - 1, m) + plan_splits(size, m, 1)
+    if ring:
+        steps += plan_splits(size, 2 * n - 1, n) + plan_splits(size, n - 1 + m, m)
+    override = "size_guard=False, on the command line verify --allow-large, lifts the budget"
+    Meter(f"{S.name}: verification plan splits ({override})").spend(steps)
 
 
 @dataclass(frozen=True)
@@ -847,9 +843,10 @@ def verify_canonical_hypergroup(
 
     Commutativity holds by multiset keying and is recorded informationally.
     Cheap local axioms run before the associativity sweep so that fail_fast
-    enumeration callers exit early.
+    enumeration callers exit early.  ``size_guard=False`` lifts the budget.
     """
-    _guard_size(S, size_guard)
+    if size_guard:
+        _guard(S, ring=False)
     checks = [AxiomCheck("add-commutativity", True, None, "by multiset keying")]
     for clause in HYPERGROUP_AXIOMS:
         c = _check(clause, S)
@@ -860,8 +857,10 @@ def verify_canonical_hypergroup(
 
 
 def verify_krasner(S: FiniteStructure, size_guard: bool = True) -> AxiomReport:
-    """Full Krasner (m,n)-hyperring verification with witnesses."""
-    checks = list(verify_canonical_hypergroup(S, size_guard=size_guard).checks)
+    """Full Krasner (m,n)-hyperring verification with witnesses, under the budget."""
+    if size_guard:
+        _guard(S, ring=True)
+    checks = list(verify_canonical_hypergroup(S, size_guard=False).checks)
     checks.append(AxiomCheck("mul-commutativity", True, None, "by multiset keying"))
     checks.extend(_check(clause, S) for clause in RING_AXIOMS)
     checks.append(_identity_info(S))

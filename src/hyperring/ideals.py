@@ -22,10 +22,11 @@ from typing import Iterable, Optional
 from .core import (
     BITS,
     SETS,
-    CapExceeded,
     Clause,
     FiniteStructure,
+    Meter,
     MissingIdentityError,
+    count_multisets,
     mask_of,
     msort,
     multisets,
@@ -34,7 +35,6 @@ from .core import (
 
 # Raw subset scans are 2^(size-1); beyond this the closure search takes over.
 SCAN_LIMIT = 12
-ENUM_SIZE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -279,10 +279,9 @@ def enumerate_hyperideals(S: FiniteStructure) -> IdealLattice:
     """Compute the full hyperideal lattice afresh; ``S.lattice`` keeps one.
 
     Up to ``SCAN_LIMIT`` elements every subset is tested; above it ideals
-    are grown from generator closures (over single-element extensions).
+    are grown from generator closures (over single-element extensions),
+    whose steps count against the work budget.
     """
-    if S.size > ENUM_SIZE_CAP:
-        raise CapExceeded(f"{S.name}: carrier size {S.size} exceeds cap {ENUM_SIZE_CAP}")
     found = _enumerate_scan(S) if S.size <= SCAN_LIMIT else _enumerate_closure(S)
     ideals = tuple(
         Hyperideal(S, members)
@@ -296,14 +295,16 @@ def _enumerate_scan(S: FiniteStructure) -> set:
     return {SETS[M] for M in range(1 << S.size) if _is_ideal_mask(masks, M)}
 
 
-def _close_under_ops(S: FiniteStructure, seed: frozenset) -> frozenset:
+def _close_under_ops(S: FiniteStructure, seed: frozenset, meter: Meter) -> frozenset:
     """Smallest superset closed under hyperaddition, additive inverses and
     multiplication absorption.  On a verified structure this is the
-    hyperideal generated by the seed."""
+    hyperideal generated by the seed.  Each pass spends one step per table
+    cell it reads."""
     add_rank, add_cells, mul_cells = S.add_shape.rank, S.add_cells, S.mul_cells
-    cur = set(seed) | {S.zero}
+    cur, rests = set(seed) | {S.zero}, count_multisets(S.size, S.n - 1)
     changed = True
     while changed:
+        meter.spend(count_multisets(len(cur), S.m) + len(cur) * (1 + rests))
         changed = False
         for key in combinations_with_replacement(sorted(cur), S.m):
             value = BITS[add_cells[add_rank[key]]]
@@ -326,7 +327,8 @@ def _close_under_ops(S: FiniteStructure, seed: frozenset) -> frozenset:
 
 
 def _enumerate_closure(S: FiniteStructure) -> set:
-    base = _close_under_ops(S, frozenset())
+    meter = Meter(f"{S.name}: hyperideal closure steps")
+    base = _close_under_ops(S, frozenset(), meter)
     found = set()
     queue = [base]
     while queue:
@@ -340,7 +342,7 @@ def _enumerate_closure(S: FiniteStructure) -> set:
         found.add(cur)
         for x in S.carrier:
             if x not in cur:
-                queue.append(_close_under_ops(S, cur | {x}))
+                queue.append(_close_under_ops(S, cur | {x}, meter))
     return found
 
 
@@ -413,6 +415,7 @@ PRIME = Clause("prime", lambda S, P: multisets(S.size, S.n - 1), _prime)
 def prime_witness(S: FiniteStructure, P: Iterable[int]):
     """(verdict, first n-multiset violating the prime clause or None)."""
     members = frozenset(P)
+    S._check_args(sorted(members), len(members))
     if members == frozenset(S.carrier):
         raise ValueError("prime test requires a proper hyperideal")
     witness = PRIME.scan(S, members)
@@ -441,8 +444,10 @@ def _set_product(S: FiniteStructure, sets) -> frozenset:
 def radical_by_primes(S: FiniteStructure, I: Iterable[int]) -> Hyperideal:
     """Intersection of the prime hyperideals containing I (the reference
     definition); the whole carrier when no prime contains I."""
+    members = frozenset(I)
+    S._check_args(sorted(members), len(members))
     lattice = S.lattice
-    return lattice.by_members(lattice.radical(frozenset(I)))
+    return lattice.by_members(lattice.radical(members))
 
 
 def power_exponents(S: FiniteStructure) -> list[int]:

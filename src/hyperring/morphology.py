@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product as iproduct
+from math import perm
 from typing import Iterable, Optional
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     AxiomCheck,
     AxiomReport,
     FiniteStructure,
+    Meter,
     map_violation,
     msort,
     multisets,
@@ -25,8 +27,6 @@ from .core import (
 )
 from .classifiers import ExpansionFunction, table_expansion
 from .ideals import is_hyperideal
-
-MAP_ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -251,13 +251,12 @@ def enumerate_homomorphisms(
     T: FiniteStructure,
     injective_only: bool = False,
 ) -> list[Homomorphism]:
-    """All (mono)morphisms S -> T by exhaustive map enumeration."""
+    """All (mono)morphisms S -> T by exhaustive map enumeration; the maps
+    it would try count against the work budget before the walk starts."""
     if (S.m, S.n) != (T.m, T.n):
         return []
-    if T.size**S.size > MAP_ENUMERATION_CAP:
-        raise ValueError(
-            f"map space {T.size}^{S.size} exceeds cap {MAP_ENUMERATION_CAP}; not enumerating"
-        )
+    tries = perm(T.size, S.size) if injective_only else T.size**S.size
+    Meter(f"{S.name} -> {T.name}: homomorphism maps").spend(tries)
     if injective_only:
         maps = permutations(range(T.size), S.size)  # the injective maps, in order
     else:

@@ -2,11 +2,13 @@ import pytest
 
 from hyperring import (
     CatalogEntry,
+    FiniteStructure,
     builtin_examples,
     default_catalog,
     enumerate_structures,
     export_structure,
 )
+from hyperring.core import multisets
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,18 @@ def b33():
 def b24():
     """Built-in four-element (2,4)-structure on {0, 1, a, b}."""
     return builtin_examples()[1]
+
+
+@pytest.fixture(scope="session")
+def cyclic():
+    """Z_N as a (2,2) hyperring: singleton sums and products mod N."""
+
+    def build(N: int) -> FiniteStructure:
+        add = {key: frozenset({sum(key) % N}) for key in multisets(N, 2)}
+        mul = {key: key[0] * key[1] % N for key in multisets(N, 2)}
+        return FiniteStructure.build(f"Z{N}", 2, 2, tuple(map(str, range(N))), add, mul, 0)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,28 @@ def test_every_skip_has_a_reason(audit_report):
             assert cell.reason
 
 
+def test_a_check_past_the_work_budget_is_skipped_with_its_message(monkeypatch, small_catalog):
+    from hyperring import core
+
+    # the entries are verified before the budget is lowered
+    entries = [e for e in small_catalog if e.provenance == "enumerated"]
+    monkeypatch.setattr(core, "WORK_BUDGET", 5)
+    cells = run_audit(entries, ["T06"]).cells
+    over = [c for c in cells if "work budget" in c.reason]
+    assert over and all(c.status == SKIP and c.checked == 0 for c in over)
+    for c in over:
+        assert c.reason == f"T06 on {c.structure}: theorem instances: 6 steps exceed the work budget of 5"
+
+
+@pytest.mark.slow
+def test_the_audit_of_z30_skips_only_t06_on_the_budget(cyclic):
+    # T06 walks every subset of the 30 elements for each proper hyperideal
+    cells = run_audit([CatalogEntry(cyclic(30), "file")]).cells
+    over = [c.theorem for c in cells if "work budget" in c.reason]
+    assert over == ["T06"]
+    assert sum(c.status != SKIP for c in cells) == 25
+
+
 def test_skip_reasons_for_builtins(audit_report):
     by_structure = {}
     for cell in audit_report.cells:

@@ -37,7 +37,9 @@ from hyperring.catalog import (
 from hyperring.core import (
     BITS,
     AXIOMS,
+    CapExceeded,
     FiniteStructure,
+    Meter,
     TableView,
     inverse_candidates,
     msort,
@@ -193,7 +195,7 @@ def reference_add_candidates(order, m):
 
 def search_leaves(cells, levels, checks):
     """The cells at each leaf of ``_search``, and the cells after it."""
-    leaves = [tuple(cells) for _ in _search(cells, levels, checks)]
+    leaves = [tuple(cells) for _ in _search(cells, levels, checks, Meter("search"))]
     return leaves, tuple(cells)
 
 
@@ -283,7 +285,8 @@ def test_search_over_zero_levels_yields_one_leaf():
     "order,n", [(o, 2) for o in (1, 2, 3, 4)] + [(o, n) for n in (3, 4) for o in (1, 2, 3)]
 )
 def test_mul_search_matches_the_product_scan(order, n):
-    assert list(_mul_candidates(order, n)) == list(reference_mul_candidates(order, n))
+    found = _mul_candidates(order, n, Meter("mul search"))
+    assert list(found) == list(reference_mul_candidates(order, n))
 
 
 @pytest.mark.parametrize(
@@ -301,7 +304,7 @@ def test_add_search_matches_the_product_scan(order, m, scanned, kept):
 
     reference = list(reference_add_candidates(order, m))
     expected = [add for add in reference if associative(add)]
-    found = list(_add_candidates(order, m))
+    found = list(_add_candidates(order, m, Meter("add search")))
     assert [add.cells for add in found] == [add.cells for add in expected]
     assert (len(reference), len(found)) == (scanned, kept)
 
@@ -311,12 +314,12 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
     # over every (verified hypergroup, associative multiplication) pair, the
     # translation-map filter keeps exactly the pairs the axiom check passes
     labels = tuple(str(i) for i in range(order))
-    muls = list(_mul_candidates(order, n))
+    muls = list(_mul_candidates(order, n, Meter("mul search")))
     paired = _map_masks(muls)
     zero_mul = {k: 0 for k in multisets(order, n)}
     hypergroups = 0
     kept = 0
-    for add in _add_candidates(order, m):
+    for add in _add_candidates(order, m, Meter("add search")):
         probe = FiniteStructure.build("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
@@ -369,8 +372,11 @@ def hypergroups(order, m, strategy="orbit"):
     the enumerator's orbit search or from the raw scan."""
     labels = tuple(str(i) for i in range(order))
     zero_mul = {k: 0 for k in multisets(order, 2)}
-    source = _add_candidates if strategy == "orbit" else raw_add_candidates
-    for add in source(order, m):
+    if strategy == "orbit":
+        candidates = _add_candidates(order, m, Meter("add search"))
+    else:
+        candidates = raw_add_candidates(order, m)
+    for add in candidates:
         probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
         if verify_canonical_hypergroup(probe, fail_fast=True).ok:
             yield add
@@ -381,7 +387,7 @@ def reference_pairing_keys(m, n, order, strategy="orbit"):
     distributive multiplication, each pair keyed by ``canonical_key``;
     the distinct keys, sorted."""
     labels = tuple(str(i) for i in range(order))
-    paired = _map_masks(_mul_candidates(order, n))
+    paired = _map_masks(_mul_candidates(order, n, Meter("mul search")))
     keys = set()
     for add in hypergroups(order, m, strategy):
         for mul in _distributive_muls(add, paired):
@@ -514,6 +520,21 @@ def test_involutions_counts():
 def test_enumeration_caps():
     with pytest.raises(ValueError):
         enumerate_structures(5, 2, 2)
+
+
+@pytest.mark.parametrize("m,n,classes,with_one", [(3, 2, 108, 12), (3, 3, 112, 8)])
+def test_ternary_hyperadditions_of_order_four_are_within_the_budget(m, n, classes, with_one):
+    # 392,385 and 444,425 search nodes
+    found = enumerate_structures(m, n, 4)
+    assert (len(found), sum(S.one is not None for S in found)) == (classes, with_one)
+
+
+@pytest.mark.slow
+def test_the_order_six_multiplication_search_ends_in_cap_exceeded():
+    # the (6,2) search does not end within 5,000,000 nodes; it stops at the
+    # budget, before any hyperaddition is searched
+    with pytest.raises(CapExceeded, match=r"enumeration \(2,2\) order 6: search nodes: 2,000,001"):
+        enumerate_structures(2, 2, 6)
 
 
 def test_default_catalog_composition(full_catalog):

@@ -301,12 +301,17 @@ def test_absorbing_rejects_degenerate_degree(b33):
 
 
 def test_absorbing_cap_reports_not_applicable(b24):
-    # k = 4 on the 4-ary builtin24: 4^13 product tuples pass the fixed cap
+    # k = 29 on the 4-ary builtin24: the 88-factor signatures would take
+    # C(88,3) * C(6,3) = 2,194,720 splits, past the work budget; the note is
+    # the budget message, and nothing is built
     S, lat, registry = ctx(b24)
-    res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 4, lat)
+    res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 29, lat)
     assert res.verdict is Verdict.NOT_APPLICABLE
-    assert "tuple space 4^13" in res.note
-    assert "cap" in res.note
+    assert res.note == (
+        "builtin24: absorbing signature splits: 2,194,720 steps exceed the work budget of 2,000,000"
+    )
+    assert (88, 85) not in vars(S).get("_absorbing", {})
+    assert 88 not in vars(S).get("_products", {})
 
 
 def _seeded_zero_row_tables(count: int, seed: int):

@@ -7,7 +7,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from hyperring import FiniteStructure, export_structure
+from hyperring import FiniteStructure, core, export_structure
 from hyperring.cli import main
 
 
@@ -69,8 +69,14 @@ def test_malformed_file_is_exit_two(runner, tmp_path, b33, kind, command):
 
 
 @pytest.fixture()
+def low_budget(monkeypatch):
+    # the nine-element file's verification reads 1,296 splits
+    monkeypatch.setattr(core, "WORK_BUDGET", 1000)
+
+
+@pytest.fixture()
 def nine_element_file(kmn_file):
-    # well-formed but past the size guard of exhaustive verification
+    # well-formed, within the work budget, and not a hyperring
     from hyperring import FiniteStructure
     from hyperring.core import multisets
 
@@ -81,13 +87,20 @@ def nine_element_file(kmn_file):
 
 
 @pytest.mark.parametrize("command", ["verify", "audit"])
-def test_oversize_structure_is_exit_two(runner, nine_element_file, command):
+def test_oversize_structure_is_exit_two(runner, nine_element_file, low_budget, command):
     res = runner.invoke(main, [command, nine_element_file])
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert res.output.strip().count("\n") == 0
-    assert "exceed the exhaustive verification guard" in res.output
+    assert res.output.startswith("Error: big9: verification plan splits (")
     assert "verify --allow-large" in res.output
+    assert res.output.endswith("): 1,296 steps exceed the work budget of 1,000\n")
+
+
+def test_nine_elements_get_their_verdict_with_no_flag(runner, nine_element_file):
+    res = runner.invoke(main, ["verify", nine_element_file])
+    assert res.exit_code == 1
+    assert "Krasner axioms: FAIL" in res.output
 
 
 def _one_element_text(m, n):
@@ -103,13 +116,18 @@ def _one_element_text(m, n):
 @pytest.mark.parametrize(
     "command,code,expected",
     [
-        ("verify", 2, "exceed the exhaustive verification guard"),
-        ("audit", 2, "exceed the exhaustive verification guard"),
+        ("verify", 2, "work budget of 1"),
+        ("audit", 2, "work budget of 1"),
         ("ideals", 0, "{0}"),
         ("jacobson", 0, "{0}"),
     ],
 )
-def test_large_arity_exits_without_a_traceback(runner, tmp_path, m, n, command, code, expected):
+def test_large_arity_exits_without_a_traceback(
+    runner, tmp_path, monkeypatch, m, n, command, code, expected
+):
+    # on one element each plan has one split whatever the arity, so a
+    # budget of 1 refuses verification; the lattice scan is not metered
+    monkeypatch.setattr(core, "WORK_BUDGET", 1)
     path = tmp_path / "wide.kmn"
     path.write_text(_one_element_text(m, n), encoding="utf-8")
     res = runner.invoke(main, [command, str(path)])
@@ -119,7 +137,7 @@ def test_large_arity_exits_without_a_traceback(runner, tmp_path, m, n, command, 
     assert expected in res.output
 
 
-def test_verify_allow_large_runs_past_the_guard(runner, nine_element_file):
+def test_verify_allow_large_runs_past_the_guard(runner, nine_element_file, low_budget):
     res = invoke(runner, "verify", nine_element_file, "--allow-large")
     assert res.exit_code == 1
     assert "Krasner axioms: FAIL" in res.output
@@ -291,15 +309,17 @@ def test_radical_on_non_ideal_exits_one(runner, kmn_file, b33):
     assert "not a hyperideal" in res.output
 
 
-def test_audit_enumeration_cap_notice(runner):
-    # 5^10 multiplication tables exceed the enumeration cap at once
+def test_audit_enumeration_cap_notice(runner, monkeypatch):
+    # the (5,3) multiplication search passes a budget of 10,000 nodes at
+    # once; under the real budget it stops after 2,000,000
+    monkeypatch.setattr(core, "WORK_BUDGET", 10_000)
     res = runner.invoke(
         main,
-        ["audit", "--enumerate", "2", "2", "5", "--theorems", "T01"],
+        ["audit", "--enumerate", "2", "3", "5", "--theorems", "T01"],
         catch_exceptions=False,
     )
     assert res.exit_code == 0
-    assert "enumeration truncated" in res.output
+    assert "enumeration truncated: enumeration (2,3) order 5: search nodes: 10,001 steps" in res.output
     # nothing was enumerated, and the built-ins were not asked for
     assert "over 0 structures" in res.output
     assert "builtin33" not in res.output

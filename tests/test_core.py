@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -27,15 +28,15 @@ from hyperring import (
     verify_canonical_hypergroup,
     verify_krasner,
 )
+from hyperring import core
 from hyperring.core import (
     CapExceeded,
     add_associativity_violation,
     msort,
     mul_associativity_violation,
-    multiset_minus,
     multisets,
+    plan_splits,
     ranked_plan,
-    sub_multisets,
 )
 
 
@@ -45,6 +46,39 @@ def idx(entry, *labels):
 
 
 # -- multiset helpers --------------------------------------------------------
+
+# the split plans' reference: each whole's distinct sub-multisets, by
+# recursion over its value counts, and their remainders
+
+
+def sub_multisets(ms: tuple, length: int) -> list[tuple]:
+    """Distinct sub-multisets of a sorted tuple, in lexicographic order."""
+    vals = sorted(Counter(ms).items())
+    out: list[tuple] = []
+
+    def rec(i: int, remaining: int, acc: list[int]) -> None:
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if i == len(vals):
+            return
+        v, c = vals[i]
+        # taking more copies of the smaller value first keeps lex order
+        for take in range(min(c, remaining), -1, -1):
+            if remaining - take > sum(n for _, n in vals[i + 1 :]):
+                continue
+            rec(i + 1, remaining - take, acc + [v] * take)
+
+    rec(0, length, [])
+    return out
+
+
+def multiset_minus(ms: tuple, sub: tuple) -> tuple:
+    left = Counter(ms)
+    left.subtract(Counter(sub))
+    if any(c < 0 for c in left.values()):
+        raise ValueError(f"{sub} is not a sub-multiset of {ms}")
+    return tuple(sorted(left.elements()))
 
 
 def test_sub_multisets_lex_order():
@@ -90,6 +124,7 @@ def test_split_plan_matches_sub_multisets(size, total, part):
     ]
     plan = ranked_plan(size, total, part)
     assert [(whole, list(splits)) for whole, splits in plan] == expected
+    assert sum(len(splits) for _, splits in plan) == plan_splits(size, total, part)
     assert ranked_plan(size, total, part) is plan
 
 
@@ -365,7 +400,7 @@ def test_verify_is_pure(b33):
     assert a == b
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
     big = FiniteStructure.build(
         "big",
         2,
@@ -375,9 +410,28 @@ def test_size_guard():
         {k: 0 for k in multisets(9, 2)},
         0,
     )
-    with pytest.raises(CapExceeded):
+    # both associativity plans (405 splits each), the reversibility plan
+    # (81) and the distributivity cells (9 maps of 45): 1,296 steps, refused
+    # under a budget of 1,000 before any plan is built
+    monkeypatch.setattr(core, "WORK_BUDGET", 1000)
+    built = ranked_plan.cache_info().misses
+    with pytest.raises(CapExceeded, match=r"big: verification plan splits \(.*\): 1,296 steps"):
         verify_krasner(big)
+    assert ranked_plan.cache_info().misses == built
     verify_krasner(big, size_guard=False)
+
+
+def test_verification_past_the_work_budget_is_refused_before_its_plans():
+    # a (4,4) table on 13 elements: 828,100 splits in each associativity
+    # plan, as many distributivity cells, and 5,915 reversibility splits
+    keys = list(multisets(13, 4))
+    big = FiniteStructure(
+        "wide", 4, 4, tuple(map(str, range(13))), dict.fromkeys(keys, frozenset({0})), dict.fromkeys(keys, 0), 0
+    )
+    built = ranked_plan.cache_info().misses
+    with pytest.raises(CapExceeded, match=r"wide: .*\): 2,490,215 steps exceed the work budget of 2,000"):
+        verify_krasner(big)
+    assert ranked_plan.cache_info().misses == built
 
 
 # -- every witness replays, on random well-formed tables ----------------------

@@ -30,6 +30,7 @@ from hyperring import (
     radical_by_primes,
     replay_ideal_check,
     residual,
+    verify_krasner,
 )
 from hyperring import classifiers, ideals
 from hyperring.core import msort, multisets
@@ -221,15 +222,29 @@ def test_one_element_structure_lattice():
     assert not is_local(S)
 
 
-def test_enumeration_size_cap():
+def test_enumeration_size_cap(monkeypatch):
+    from hyperring import core
     from hyperring.core import CapExceeded, FiniteStructure, multisets
 
-    # 21 elements pass the fixed carrier-size cap of 20
+    # 21 elements take the closure search, whose steps count against the
+    # work budget; a budget of 100 is passed in the first closures
     add = {key: frozenset({0}) for key in multisets(21, 2)}
     mul = {key: 0 for key in multisets(21, 2)}
     big = FiniteStructure("big", 2, 2, tuple(str(x) for x in range(21)), add, mul, 0)
-    with pytest.raises(CapExceeded):
+    monkeypatch.setattr(core, "WORK_BUDGET", 100)
+    with pytest.raises(CapExceeded, match="big: hyperideal closure steps: .* budget of 100$"):
         enumerate_hyperideals(big)
+
+
+def test_cyclic_rings_up_to_thirty_verify_and_have_a_member_per_divisor(cyclic):
+    # the hyperideals of Z_N are the subgroups dZ_N, one per divisor d of N;
+    # every N <= 30 is within the work budget, scan and closure alike
+    for N in range(1, 31):
+        S = cyclic(N)
+        assert verify_krasner(S).ok, N
+        divisors = [d for d in range(1, N + 1) if N % d == 0]
+        expected = sorted((frozenset(range(0, N, d)) for d in divisors), key=len)
+        assert [i.members for i in S.lattice] == expected, N
 
 
 def test_lattice_closed_under_intersection(full_catalog):
@@ -473,9 +488,16 @@ def test_foreign_elements_raise_foreign_element_error(b24, b33):
             lambda: residual(S, {0}, {x}),
             lambda: residual(S, {0}, {1, x}),
             lambda: principal_ideal(S, x),
+            lambda: radical_by_primes(S, {x}),
+            lambda: is_prime(S, {0, x}),
         ):
             with pytest.raises(ForeignElementError, match=f"element {x} outside carrier"):
                 call()
+    # the prime and radical calls need no identity
+    with pytest.raises(ForeignElementError):
+        radical_by_primes(b24.structure, {7})
+    with pytest.raises(ForeignElementError):
+        is_prime(b24.structure, {0, 7})
     # the identity check comes first
     with pytest.raises(MissingIdentityError):
         residual(b24.structure, {0}, {7})

@@ -20,7 +20,7 @@ from hyperring import (
     quotient_expansion,
     standard_registry,
 )
-from hyperring.core import msort, multisets
+from hyperring.core import CapExceeded, msort, multisets
 
 
 def test_quotient_by_zero_is_isomorphic(b24):
@@ -204,9 +204,9 @@ def _constant_table(name, size):
 
 
 def test_enumerate_homomorphisms_cap():
-    # 4^10 maps pass the fixed map-space cap
-    S, T = _constant_table("ten", 10), _constant_table("four", 4)
-    with pytest.raises(ValueError, match=r"map space 4\^10"):
+    # the 4^11 maps of the walk pass the work budget before it starts
+    S, T = _constant_table("eleven", 11), _constant_table("four", 4)
+    with pytest.raises(CapExceeded, match="eleven -> four: homomorphism maps: 4,194,304 steps"):
         enumerate_homomorphisms(S, T)
 
 
