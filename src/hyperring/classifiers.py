@@ -27,7 +27,9 @@ takes the lattice and reads ``lattice.parent`` (the three standard
 expansions, ``standard_registry``, ``validate_expansion``,
 ``preserves_intersections``).  The one exception is the four public
 J-family predicates, their ``_drop_row`` and the rows' ``pair``, which take
-the structure and a lattice.
+the structure and a lattice.  Each predicate checks its subset first, with
+``FiniteStructure.proper_subset``, then answers NOT_APPLICABLE without an
+identity; ``classify`` checks with ``.subset`` and calls the carrier IMPROPER.
 
 Scans run over multisets and per-length product tables (commutativity is
 structural) and report concrete tuples as witnesses.  The absorbing scan
@@ -234,14 +236,6 @@ def preserves_intersections(lattice: IdealLattice, delta: ExpansionFunction) -> 
 NO_IDENTITY = "no scalar identity detected"
 
 
-def _gate(S: FiniteStructure, Q: frozenset) -> Optional[PredicateResult]:
-    if Q == frozenset(S.carrier):
-        raise ValueError("predicate requires a proper hyperideal")
-    if S.one is None:
-        return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
-    return None
-
-
 def _drop_row(
     name: str,
     S: FiniteStructure,
@@ -253,10 +247,9 @@ def _drop_row(
     and every distinct factor v outside the row's trigger, the product with
     v replaced by the identity must land in the row's target."""
     row = PREDICATES[name]
-    members = frozenset(Q)
-    gate = _gate(S, members)
-    if gate is not None:
-        return gate
+    members = S.proper_subset(Q)
+    if S.one is None:
+        return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
     hit = DROP.scan(S, members, *row.pair(S, members, lattice, delta))
     if hit is None:
         return PredicateResult(Verdict.TRUE)
@@ -393,9 +386,7 @@ def is_absorbing_delta_j(
     failing signature in first-rank order is the first failing row; the
     witness is that row's first split with a failing value.
     """
-    members = frozenset(Q)
-    if members == frozenset(S.carrier):
-        raise ValueError("predicate requires a proper hyperideal")
+    members = S.proper_subset(Q)
     if k < 2:
         raise ValueError("absorbing degree k must be at least 2")
     total, part = absorbing_arity(S.n, k)
@@ -599,10 +590,10 @@ def classify(
     has no scalar identity.  The rows read ``S.lattice``; the registry
     defaults to that lattice's ``registry``.
     """
-    members = frozenset(subset)
+    members = S.subset(subset)
     registry = S.lattice.registry if registry is None else registry
     check = is_hyperideal(S, members)
-    proper = members != frozenset(S.carrier)
+    proper = len(members) < S.size
     report = ClassificationReport(
         structure=S.name,
         subset=S.labels_of(members),

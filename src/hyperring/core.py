@@ -56,6 +56,10 @@ class CapExceeded(RuntimeError):
     """A stage of a public call would pass ``WORK_BUDGET``; see ``Meter``."""
 
 
+# the one message of ``FiniteStructure.proper_subset``
+PROPER_REQUIRED = "a proper subset of the carrier is required"
+
+
 Multiset = tuple  # sorted tuple of element ids
 
 
@@ -370,13 +374,36 @@ class FiniteStructure:
         except ValueError:
             raise ForeignElementError(f"unknown element label {label!r}") from None
 
+    # -- argument preconditions, each written once ---------------------------
+
+    def subset(self, xs: Iterable) -> frozenset:
+        """``xs`` as a frozenset of carrier elements; ``ForeignElementError``
+        names the least foreign integer, else a foreign non-integer."""
+        members, size = frozenset(xs), len(self.labels)
+        for x in members:
+            if not (isinstance(x, int) and 0 <= x < size):
+                ints = [y for y in members if isinstance(y, int) and not 0 <= y < size]
+                named = min(ints) if ints else min((y for y in members if not isinstance(y, int)), key=repr)
+                raise ForeignElementError(f"element {named} outside carrier")
+        return members
+
+    def proper_subset(self, xs: Iterable) -> frozenset:
+        """``subset(xs)``, and ``ValueError`` when it is the whole carrier."""
+        members = self.subset(xs)
+        if len(members) == len(self.labels):
+            raise ValueError(PROPER_REQUIRED)
+        return members
+
+    def require_one(self) -> int:
+        """The scalar identity ``one``, or ``MissingIdentityError``."""
+        if self.one is None:
+            raise MissingIdentityError(f"{self.name} has no scalar identity")
+        return self.one
+
     def _check_args(self, args: Sequence[int], arity: int) -> None:
         if len(args) != arity:
             raise ArityError(f"expected {arity} arguments, got {len(args)}")
-        size = len(self.labels)
-        for a in args:
-            if not (0 <= a < size):
-                raise ForeignElementError(f"element {a} outside carrier")
+        self.subset(args)
 
     def add_row(self, rest: Multiset) -> tuple:
         """The ranks of f(rest, x) for x over the carrier, rest an
@@ -400,12 +427,10 @@ class FiniteStructure:
             raise ArityError(f"expected {self.m} argument sets, got {len(sets)}")
         pools = []
         for s in sets:
-            s = sorted(set(s))
+            s = self.subset(s)
             if not s:
                 raise StructureError("empty argument set for hyperaddition")
-            if not all(0 <= v < self.size for v in s):
-                raise ForeignElementError("argument set outside carrier")
-            pools.append(s)
+            pools.append(sorted(s))
         rank, cells = self.add_shape.rank, self.add_cells
         mask = 0
         for combo in product(*pools):
@@ -416,7 +441,7 @@ class FiniteStructure:
         """Left-nested fold of the hyperaddition over l(m-1)+1 arguments."""
         t = len(args)
         _check_length(t, self.m, "hyperaddition")
-        self._check_args(args, t)
+        self.subset(args)
         if t == 1:
             return frozenset({args[0]})
         cells = self.add_cells
@@ -435,8 +460,7 @@ class FiniteStructure:
         """Left-nested fold of the multiplication over l(n-1)+1 arguments."""
         t = len(args)
         _check_length(t, self.n, "multiplication")
-        if min(args) < 0 or max(args) >= len(self.labels):
-            self._check_args(args, t)  # raises for the first foreign element
+        self.subset(args)
         cells, shape, n = self.mul_cells, self.mul_shape, self.n
         acc = args[0] if t == 1 else cells[shape.rank[msort(args[:n])]]
         for i in range(n, t, n - 1):
@@ -486,8 +510,7 @@ class FiniteStructure:
 
     def add_inverse(self, x: int) -> Optional[int]:
         """The unique y with zero in x+y+0+..+0, or None if not unique."""
-        if not (0 <= x < self.size):
-            raise ForeignElementError(f"element {x} outside carrier")
+        self.subset((x,))
         cands = self._inverse_table[x]
         return cands[0] if len(cands) == 1 else None
 
@@ -526,15 +549,10 @@ def is_invertible(S: FiniteStructure, x: int) -> bool:
 
 def mul_inverse(S: FiniteStructure, x: int) -> Optional[int]:
     """A witness y with x*y*1*..*1 = 1, or None."""
-    if S.one is None:
-        raise MissingIdentityError(f"{S.name} has no scalar identity")
-    if not (0 <= x < S.size):
-        raise ForeignElementError(f"element {x} outside carrier")
-    row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
-    for y in S.carrier:
-        if S.mul_cells[row[y]] == S.one:
-            return y
-    return None
+    one = S.require_one()
+    S.subset((x,))
+    row = S.mul_row(msort((x,) + (one,) * (S.n - 2)))
+    return next((y for y in S.carrier if S.mul_cells[row[y]] == one), None)
 
 
 # -- axiom verification ----------------------------------------------------

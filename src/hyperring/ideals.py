@@ -10,6 +10,10 @@ Each hyperideal clause, the prime clause and the J-family drop clause is
 one ``core.Clause``, shared by its scan and its replay.  The hyperideal test
 itself decides on subset bitmasks (``_ideal_masks``); its clauses run only to
 name the first violation of a subset that fails.
+
+Every call checks its arguments first, with ``FiniteStructure.subset``,
+``.proper_subset`` (the prime and primary tests) and ``.require_one``; the
+README's "Errors" lists what each raises.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .core import (
     Clause,
     FiniteStructure,
     Meter,
-    MissingIdentityError,
     count_multisets,
     mask_of,
     msort,
@@ -43,8 +46,7 @@ class Hyperideal:
     members: frozenset
 
     def __post_init__(self) -> None:
-        if not self.members <= set(self.parent.carrier):
-            raise ValueError("members outside carrier")
+        object.__setattr__(self, "members", self.parent.subset(self.members))
 
     def __eq__(self, other) -> bool:
         return (
@@ -178,9 +180,7 @@ def is_hyperideal(S: FiniteStructure, subset: Iterable[int]) -> IdealCheck:
     verdict is read off the mask tables; the clauses are scanned only for a
     subset that fails, to find its first violation and witness.
     """
-    members = frozenset(subset)
-    if not members <= set(S.carrier):
-        raise ValueError("subset outside carrier")
+    members = S.subset(subset)
     if _is_ideal_mask(_ideal_masks(S), mask_of(members)):
         return IdealCheck(True)
     for clause in IDEAL_CLAUSES.values():
@@ -362,10 +362,9 @@ class PrincipalIdeal:
 
 
 def principal_ideal(S: FiniteStructure, x: int) -> PrincipalIdeal:
-    if S.one is None:
-        raise MissingIdentityError(f"{S.name} has no scalar identity")
-    S._check_args((x,), 1)
-    row = S.mul_row(msort((x,) + (S.one,) * (S.n - 2)))
+    one = S.require_one()
+    S.subset((x,))
+    row = S.mul_row(msort((x,) + (one,) * (S.n - 2)))
     raw = frozenset(S.mul_cells[row[r]] for r in S.carrier)
     check = is_hyperideal(S, raw)
     lattice = S.lattice
@@ -414,19 +413,14 @@ PRIME = Clause("prime", lambda S, P: multisets(S.size, S.n - 1), _prime)
 
 def prime_witness(S: FiniteStructure, P: Iterable[int]):
     """(verdict, first n-multiset violating the prime clause or None)."""
-    members = frozenset(P)
-    S._check_args(sorted(members), len(members))
-    if members == frozenset(S.carrier):
-        raise ValueError("prime test requires a proper hyperideal")
+    members = S.proper_subset(P)
     witness = PRIME.scan(S, members)
     return witness is None, witness
 
 
 def is_prime_by_subsets(S: FiniteStructure, P: Iterable[int]) -> bool:
     """Subset form: quantifies over n-tuples of members of ``S.lattice``."""
-    members = frozenset(P)
-    if members == frozenset(S.carrier):
-        raise ValueError("prime test requires a proper hyperideal")
+    members = S.proper_subset(P)
     pool = [i.members for i in S.lattice]
     for combo in multisets(len(pool), S.n):
         sets = [pool[i] for i in combo]
@@ -444,8 +438,7 @@ def _set_product(S: FiniteStructure, sets) -> frozenset:
 def radical_by_primes(S: FiniteStructure, I: Iterable[int]) -> Hyperideal:
     """Intersection of the prime hyperideals containing I (the reference
     definition); the whole carrier when no prime contains I."""
-    members = frozenset(I)
-    S._check_args(sorted(members), len(members))
+    members = S.subset(I)
     lattice = S.lattice
     return lattice.by_members(lattice.radical(members))
 
@@ -459,16 +452,16 @@ def power_exponents(S: FiniteStructure) -> list[int]:
 
 def element_power(S: FiniteStructure, x: int, t: int) -> int:
     """t-th multiplicative power, identity-padded below arity n."""
-    if S.one is None:
-        raise MissingIdentityError(f"{S.name} has no scalar identity")
+    one = S.require_one()
     if t <= S.n:
-        return S.multiply((x,) * t + (S.one,) * (S.n - t))
+        return S.multiply((x,) * t + (one,) * (S.n - t))
     return S.multiply_iterated((x,) * t)
 
 
 def radical_by_powers(S: FiniteStructure, I: Iterable[int]) -> frozenset:
     """Elements with some defined power landing in I."""
-    members = frozenset(I)
+    S.require_one()
+    members = S.subset(I)
     ts = power_exponents(S)
     out = set()
     for x in S.carrier:
@@ -504,9 +497,7 @@ def is_primary(S: FiniteStructure, Q: Iterable[int]):
     """Primary test: whenever a product lands in Q, every factor outside Q
     must leave its identity-substituted co-product inside the radical of Q.
     Returns (verdict, witness); verdict None when no identity exists."""
-    members = frozenset(Q)
-    if members == frozenset(S.carrier):
-        raise ValueError("primary test requires a proper hyperideal")
+    members = S.proper_subset(Q)
     if S.one is None:
         return None, None
     hit = DROP.scan(S, members, *_primary_pair(S, members, S.lattice, None))
@@ -519,14 +510,10 @@ def is_primary(S: FiniteStructure, Q: Iterable[int]):
 def residual(S: FiniteStructure, Q: Iterable[int], T: Iterable[int]) -> frozenset:
     """Elements whose product with every member of T (identity padded) lies
     in Q.  Always contains Q by absorption."""
-    if S.one is None:
-        raise MissingIdentityError(f"{S.name} has no scalar identity")
-    members = frozenset(Q)
-    tset = frozenset(T)
+    pad = (S.require_one(),) * (S.n - 2)
+    members, tset = S.subset(Q), S.subset(T)
     if not tset:
         raise ValueError("residual requires a nonempty subset")
-    S._check_args(sorted(tset), len(tset))
-    pad = (S.one,) * (S.n - 2)
     rows = [S.mul_row(msort((s,) + pad)) for s in tset]
     return frozenset(
         x for x in S.carrier if all(S.mul_cells[row[x]] in members for row in rows)

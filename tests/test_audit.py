@@ -269,6 +269,49 @@ def test_unknown_theorem_rejected(small_catalog):
         run_audit(small_catalog, theorem_ids=["T99"])
 
 
+def test_replaying_a_cell_of_an_unknown_structure_names_it(small_catalog, audit_report):
+    cell = dataclasses.replace(audit_report.cells[0], structure="nowhere")
+    with pytest.raises(KeyError, match="unknown structure: nowhere"):
+        replay_cell(small_catalog, cell)
+
+
+def test_claims_read_the_entry_report_past_the_work_budget(monkeypatch):
+    from hyperring import core
+
+    # the entries are verified before the budget is lowered; a hypergroup
+    # claim reads their reports instead of verifying again
+    entries = builtin_examples()
+    expected = [d.as_dict() for d in run_audit(entries).discrepancies]
+    monkeypatch.setattr(core, "WORK_BUDGET", 1)
+    assert [d.as_dict() for d in run_audit(entries).discrepancies] == expected
+
+
+def test_a_hypergroup_claim_names_the_first_failed_hypergroup_check(b33):
+    from hyperring.catalog import Claim
+    from hyperring.core import verify_canonical_hypergroup
+
+    # builtin33 fails distributivity only, and the hyperaddition with every
+    # sum {0, 1} fails add-neutral first
+    two = _constant_sums(2, {0, 1})
+    for S, computed in ((b33.structure, None), (two, "add-neutral fails")):
+        entry = CatalogEntry(S, "builtin", (Claim("canonical-hypergroup"),))
+        found = [d for d in run_audit([entry], ["T01"]).discrepancies]
+        assert [d.computed for d in found] == ([computed] if computed else [])
+        failed = verify_canonical_hypergroup(S).failed()
+        assert [d.witness for d in found] == [c.as_dict() for c in failed[:1]]
+
+
+def _constant_sums(size, sums):
+    """A (2,2) table on ``size`` elements with every sum ``sums`` and every
+    product 0."""
+    from hyperring import FiniteStructure
+    from hyperring.core import multisets
+
+    add = dict.fromkeys(multisets(size, 2), frozenset(sums))
+    mul = dict.fromkeys(multisets(size, 2), 0)
+    return FiniteStructure("sums", 2, 2, tuple(map(str, range(size))), add, mul, 0)
+
+
 def test_one_element_structures_skip_locality(audit_report):
     cells = {
         (c.structure, c.theorem): c

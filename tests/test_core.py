@@ -28,7 +28,7 @@ from hyperring import (
     verify_canonical_hypergroup,
     verify_krasner,
 )
-from hyperring import core
+from hyperring import classifiers, core, ideals
 from hyperring.core import (
     CapExceeded,
     add_associativity_violation,
@@ -470,6 +470,91 @@ def test_every_failed_check_replays_and_no_passing_one_does(S):
             members = frozenset(combo) | {S.zero}
             check = is_hyperideal(S, members)
             assert replay_ideal_check(S, members, check) == (not check.ok)
+
+
+# -- every argument check raises only its documented error --------------------
+
+
+def _foreign(S, xs):
+    """The ``ForeignElementError`` text for xs, naming the least foreign
+    integer, else the non-integer; None when xs lies in the carrier."""
+    ints = sorted(x for x in xs if isinstance(x, int) and x not in S.carrier)
+    named = ints or [x for x in xs if not isinstance(x, int)]
+    return named and f"element {named[0]} outside carrier"
+
+
+def _argument_calls(S, X, T, x):
+    """name -> (call, preconditions): every public call that takes a subset or
+    an element, and the (error type, message) of each precondition it checks,
+    in its order, each None when it holds."""
+    lat = S.lattice
+    # an expansion defined on every subset, so that it raises no KeyError
+    subsets = [frozenset(c) for r in range(S.size + 1) for c in combinations(S.carrier, r)]
+    everywhere = classifiers.table_expansion("everywhere", {c: c for c in subsets})
+    one = None if S.one is not None else (MissingIdentityError, f"{S.name} has no scalar identity")
+
+    def within(xs):
+        return _foreign(S, xs) and (ForeignElementError, _foreign(S, xs))
+
+    proper = within(X) or (len(X) == S.size and (ValueError, core.PROPER_REQUIRED)) or None
+    empty_sum = not X and (StructureError, "empty argument set for hyperaddition") or None
+    empty_t = not T and (ValueError, "residual requires a nonempty subset") or None
+    return {
+        "hyperadd_subsets": (
+            lambda: S.hyperadd_subsets([X] + [{S.zero}] * (S.m - 1)),
+            [within(X), empty_sum],
+        ),
+        "add_inverse": (lambda: S.add_inverse(x), [within({x})]),
+        "mul_inverse": (lambda: mul_inverse(S, x), [one, within({x})]),
+        "Hyperideal": (lambda: ideals.Hyperideal(S, X), [within(X)]),
+        "is_hyperideal": (lambda: is_hyperideal(S, X), [within(X)]),
+        "principal_ideal": (lambda: ideals.principal_ideal(S, x), [one, within({x})]),
+        "prime_witness": (lambda: prime_witness(S, X), [proper]),
+        "is_prime": (lambda: ideals.is_prime(S, X), [proper]),
+        "is_prime_by_subsets": (lambda: ideals.is_prime_by_subsets(S, X), [proper]),
+        "radical_by_primes": (lambda: ideals.radical_by_primes(S, X), [within(X)]),
+        "radical_by_powers": (lambda: ideals.radical_by_powers(S, X), [one, within(X)]),
+        "element_power": (lambda: ideals.element_power(S, x, S.n), [one, within({x})]),
+        "is_primary": (lambda: ideals.is_primary(S, X), [proper]),
+        "residual": (lambda: ideals.residual(S, X, T), [one, within(X), within(T), empty_t]),
+        "is_j_hyperideal": (lambda: classifiers.is_j_hyperideal(S, X, lat), [proper]),
+        "is_delta_j": (lambda: classifiers.is_delta_j(S, X, everywhere, lat), [proper]),
+        "is_delta_primary": (lambda: classifiers.is_delta_primary(S, X, everywhere, lat), [proper]),
+        "is_absorbing_delta_j": (
+            lambda: classifiers.is_absorbing_delta_j(S, X, everywhere, 2, lat),
+            [proper],
+        ),
+        "classify": (lambda: classifiers.classify(S, X), [within(X)]),
+    }
+
+
+# the calls that read a radical, which on a table that is not a hyperring
+# may lie outside the lattice
+RADICAL_KEY_ERROR = {"radical_by_primes", "classify"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(S=well_formed_tables(), data=st.data())
+def test_every_argument_check_raises_only_its_documented_error(S, data):
+    # any subset of the carrier plus its size, -1 and "a": a call raises the
+    # error of its first failing precondition, else returns, or raises
+    # CapExceeded or the radical KeyError; never TypeError or StopIteration
+    pool = st.sampled_from([*S.carrier, S.size, -1, "a"])
+    X, T = data.draw(st.frozensets(pool)), data.draw(st.frozensets(pool))
+    x = data.draw(pool)
+    for name, (call, checks) in _argument_calls(S, X, T, x).items():
+        want = next((c for c in checks if c), None)
+        try:
+            call()
+        except CapExceeded:
+            assert want is None, name
+        except KeyError:
+            assert want is None and name in RADICAL_KEY_ERROR, name
+            assert not verify_krasner(S).ok, name
+        except Exception as exc:
+            assert (type(exc), str(exc)) == want, (name, X, T, x)
+        else:
+            assert want is None, (name, X, T, x)
 
 
 @settings(max_examples=200, deadline=None)

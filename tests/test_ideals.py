@@ -13,6 +13,7 @@ import pytest
 
 from hyperring import (
     FiniteStructure,
+    Hyperideal,
     ForeignElementError,
     MissingIdentityError,
     classify,
@@ -25,6 +26,7 @@ from hyperring import (
     is_prime_by_subsets,
     jacobson_radical,
     maximal_hyperideals,
+    mul_inverse,
     principal_ideal,
     radical_by_powers,
     radical_by_primes,
@@ -479,20 +481,48 @@ def test_principal_ideal_requires_identity(b24):
         principal_ideal(b24.structure, 1)
 
 
+def foreign_calls(S, x):
+    """(name, call) for every public call that takes a subset or an element,
+    each given the foreign element x."""
+    lat = S.lattice
+    delta = classifiers.identity_expansion(lat)
+    pad = [{0}] * (S.m - 1)
+    return {
+        "hyperadd_subsets": lambda: S.hyperadd_subsets([{x}] + pad),
+        "add_inverse": lambda: S.add_inverse(x),
+        "mul_inverse": lambda: mul_inverse(S, x),
+        "Hyperideal": lambda: Hyperideal(S, frozenset({0, x})),
+        "is_hyperideal": lambda: is_hyperideal(S, {0, x}),
+        "principal_ideal": lambda: principal_ideal(S, x),
+        "prime_witness": lambda: ideals.prime_witness(S, {0, x}),
+        "is_prime": lambda: is_prime(S, {0, x}),
+        "is_prime_by_subsets": lambda: is_prime_by_subsets(S, {0, x}),
+        "radical_by_primes": lambda: radical_by_primes(S, {x}),
+        "radical_by_powers": lambda: radical_by_powers(S, {0, x}),
+        "element_power": lambda: ideals.element_power(S, x, S.n),
+        "is_primary": lambda: is_primary(S, {0, x}),
+        "residual Q": lambda: residual(S, {0, x}, {1}),
+        "residual T": lambda: residual(S, {0}, {x}),
+        "residual T of two": lambda: residual(S, {0}, {1, x}),
+        "is_j_hyperideal": lambda: classifiers.is_j_hyperideal(S, {0, x}, lat),
+        "is_delta_j": lambda: classifiers.is_delta_j(S, {0, x}, delta, lat),
+        "is_delta_primary": lambda: classifiers.is_delta_primary(S, {0, x}, delta, lat),
+        "is_absorbing_delta_j": lambda: classifiers.is_absorbing_delta_j(S, {0, x}, delta, 2, lat),
+    }
+
+
 def test_foreign_elements_raise_foreign_element_error(b24, b33):
-    # an element outside the carrier is named, as mul_inverse names it,
-    # instead of surfacing as a KeyError from the product tables
+    # an element outside the carrier, an integer or not, is named, instead of
+    # surfacing as a KeyError or TypeError or giving a verdict
     S = b33.structure
-    for x in (7, -1):
-        for call in (
-            lambda: residual(S, {0}, {x}),
-            lambda: residual(S, {0}, {1, x}),
-            lambda: principal_ideal(S, x),
-            lambda: radical_by_primes(S, {x}),
-            lambda: is_prime(S, {0, x}),
-        ):
-            with pytest.raises(ForeignElementError, match=f"element {x} outside carrier"):
+    for x in (7, -1, "a"):
+        for name, call in foreign_calls(S, x).items():
+            with pytest.raises(ForeignElementError, match=f"^element {x} outside carrier$"):
                 call()
+                pytest.fail(f"{name} accepted {x!r}")
+    # the least foreign integer is named, before any non-integer
+    with pytest.raises(ForeignElementError, match="^element -1 outside carrier$"):
+        is_hyperideal(S, {"a", 0, 9, -1, 3})
     # the prime and radical calls need no identity
     with pytest.raises(ForeignElementError):
         radical_by_primes(b24.structure, {7})
