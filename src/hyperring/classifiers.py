@@ -28,16 +28,18 @@ expansions, ``standard_registry``, ``validate_expansion``,
 ``preserves_intersections``).  The one exception is the four public
 J-family predicates, their ``_drop_row`` and the rows' ``pair``, which take
 the structure and a lattice.  Each predicate checks its subset first, with
-``FiniteStructure.proper_subset``, then answers NOT_APPLICABLE without an
-identity; ``classify`` checks with ``.subset`` and calls the carrier IMPROPER.
+``FiniteStructure.proper_subset`` (the absorbing one then its k), answers
+IMPROPER for a subset that is not a member of that lattice, then
+NOT_APPLICABLE without an identity; ``classify`` checks with ``.subset`` and
+calls the carrier and every non-ideal IMPROPER.
 
 Scans run over multisets and per-length product tables (commutativity is
 structural) and report concrete tuples as witnesses.  The absorbing scan
 tests each distinct row signature (value bitmasks, built once per structure
-and length) in first-row order, so the first failing one gives the
-row-by-row scan's witness.  ``replay_witness`` re-checks the prime and drop
-clauses with the functions their scans use, and the absorbing scan against
-the literal tuple-level definition.
+and length from split ranks kept per shape) in first-row order, so the
+first failing one gives the row-by-row scan's witness.  ``replay_witness``
+re-checks the prime and drop clauses with the functions their scans use,
+and the absorbing scan against the literal tuple-level definition.
 """
 
 from __future__ import annotations
@@ -234,6 +236,7 @@ def preserves_intersections(lattice: IdealLattice, delta: ExpansionFunction) -> 
 
 
 NO_IDENTITY = "no scalar identity detected"
+NOT_IDEAL = "not a hyperideal"
 
 
 def _drop_row(
@@ -248,6 +251,8 @@ def _drop_row(
     v replaced by the identity must land in the row's target."""
     row = PREDICATES[name]
     members = S.proper_subset(Q)
+    if members not in lattice:
+        return PredicateResult(Verdict.IMPROPER, note=NOT_IDEAL)
     if S.one is None:
         return PredicateResult(Verdict.NOT_APPLICABLE, note=NO_IDENTITY)
     hit = DROP.scan(S, members, *row.pair(S, members, lattice, delta))
@@ -327,12 +332,17 @@ def absorbing_arity(n: int, k: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=128)
-def _repeats(size: int, total: int, part: int) -> tuple:
-    """Per ``ranked_plan`` row and split (A, a, b): whether a value of A has
-    further copies in the remainder.  Shared by every structure of a shape."""
+def _split_ranks(size: int, total: int, part: int) -> tuple:
+    """Per ``ranked_plan`` row: the ranks a of its splits (A, a, b), in
+    order, and the ranks of the splits without a repeat, where no value of A
+    has further copies in the remainder.  Shared by every structure of a
+    shape."""
     rests = table_shape(size, total - part).keys
     return tuple(
-        tuple(any(v in rests[b] for v in A) for A, _, b in splits)
+        (
+            tuple(a for _, a, _ in splits),
+            tuple(a for A, a, b in splits if not any(v in rests[b] for v in A)),
+        )
         for _, splits in ranked_plan(size, total, part)
     )
 
@@ -347,17 +357,16 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
     tables = vars(S).setdefault("_absorbing", {})
     if (total, part) not in tables:
         Meter(f"{S.name}: absorbing signature splits").spend(plan_splits(S.size, total, part))
-        wholes, parts = S.product_table(total), S.product_table(part)
-        plan, repeats = ranked_plan(S.size, total, part), _repeats(S.size, total, part)
+        wholes = S.product_table(total)
+        bit = [1 << v for v in S.product_table(part)]
         first: dict = {}
-        for r, ((_, splits), reps) in enumerate(zip(plan, repeats)):
+        for r, (ranks, lone) in enumerate(_split_ranks(S.size, total, part)):
             P = multi = single = 0
-            for (_, a, _), repeat in zip(splits, reps):
-                bit = 1 << parts[a]
-                multi |= P & bit
-                P |= bit
-                if not repeat:
-                    single |= bit
+            for a in ranks:
+                multi |= P & bit[a]
+                P |= bit[a]
+            for a in lone:
+                single |= bit[a]
             first.setdefault((1 << wholes[r], P, single & ~multi), r)
         tables[total, part] = tuple((*sig, r) for sig, r in first.items())
     return tables[total, part]
@@ -377,7 +386,8 @@ def is_absorbing_delta_j(
     alternative sub-product exactly when some value of A has further copies
     in the remainder (then an index selection other than the prefix realises
     it).  This matches the tuple-level definition, which the witness replay
-    re-checks literally.  Over the work budget the verdict is NOT_APPLICABLE.
+    re-checks literally.  A subset that is not a member of ``lattice`` is
+    IMPROPER; over the work budget the verdict is NOT_APPLICABLE.
 
     A row's verdict depends only on its signature (``_signatures``): with
     its whole in Q, it fails when no sub-product lies in delta(Q) and some
@@ -389,6 +399,8 @@ def is_absorbing_delta_j(
     members = S.proper_subset(Q)
     if k < 2:
         raise ValueError("absorbing degree k must be at least 2")
+    if members not in lattice:
+        return PredicateResult(Verdict.IMPROPER, note=NOT_IDEAL)
     total, part = absorbing_arity(S.n, k)
     try:
         signatures = _signatures(S, total, part)
@@ -603,7 +615,7 @@ def classify(
     )
     improper = not check.ok or not proper
     if improper:
-        report.notes["reason"] = "not a hyperideal" if not check.ok else "whole carrier"
+        report.notes["reason"] = NOT_IDEAL if not check.ok else "whole carrier"
     for key, row, d, k in _instances(registry, k_max):
         if improper:
             report.verdicts[key] = Verdict.IMPROPER

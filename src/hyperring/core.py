@@ -474,14 +474,9 @@ class FiniteStructure:
         kept out of equality and hashing."""
         tables = vars(self).setdefault("_products", {1: tuple(self.carrier)})
         if t not in tables:
-            n = self.n
-            _check_length(t, n, "multiplication")
-            head, prev = table_shape(self.size, t - n + 1).rank, self.product_table(t - n + 1)
-            cells, shape = self.mul_cells, self.mul_shape
-            tables[t] = tuple(
-                cells[shape.ext[shape.rest_rank[key[1 - n :]]][prev[head[key[: 1 - n]]]]]
-                for key in table_shape(self.size, t).keys
-            )
+            _check_length(t, self.n, "multiplication")
+            prev, cells = self.product_table(t - self.n + 1), self.mul_cells
+            tables[t] = tuple(cells[row[prev[a]]] for a, row in _fold_plan(self.size, t, self.n))
         return tables[t]
 
     @cached_property
@@ -492,13 +487,7 @@ class FiniteStructure:
         return enumerate_hyperideals(self)
 
     @cached_property
-    def one(self) -> Optional[int]:
-        """The scalar identity of the multiplication, None unless exactly one
-        element acts as one."""
-        ones = self.detect_identities()
-        return ones[0] if len(ones) == 1 else None
-
-    def detect_identities(self) -> tuple[int, ...]:
+    def identities(self) -> tuple[int, ...]:
         """Elements acting as scalar identity of the multiplication."""
         cells = self.mul_cells
         found = []
@@ -507,6 +496,18 @@ class FiniteStructure:
             if all(cells[row[x]] == x for x in self.carrier):
                 found.append(e)
         return tuple(found)
+
+    @cached_property
+    def one(self) -> Optional[int]:
+        """The scalar identity of the multiplication, None unless exactly one
+        element acts as one."""
+        ones = self.identities
+        return ones[0] if len(ones) == 1 else None
+
+    def detect_identities(self) -> tuple[int, ...]:
+        """Elements acting as scalar identity of the multiplication
+        (``identities``)."""
+        return self.identities
 
     def add_inverse(self, x: int) -> Optional[int]:
         """The unique y with zero in x+y+0+..+0, or None if not unique."""
@@ -517,6 +518,20 @@ class FiniteStructure:
     @cached_property
     def _inverse_table(self) -> tuple[tuple[int, ...], ...]:
         return inverse_candidates(self.size, self.m, self.zero, self.add_cells)
+
+
+@lru_cache(maxsize=128)
+def _fold_plan(size: int, t: int, n: int) -> tuple:
+    """Per t-multiset over {0..size-1}, in rank order, t = l(n-1)+1 > 1:
+    the rank of its first t-n+1 elements among the multisets of that length,
+    and the ``ext`` row of the n-multisets over its last n-1 elements, so
+    that ``product_table`` reads g(head product, tail) with no sorting or
+    hashing.  Shared by every structure of the shape."""
+    head, shape = table_shape(size, t - n + 1).rank, table_shape(size, n)
+    return tuple(
+        (head[key[: 1 - n]], shape.ext[shape.rest_rank[key[1 - n :]]])
+        for key in table_shape(size, t).keys
+    )
 
 
 def _check_length(t: int, arity: int, what: str) -> None:
@@ -846,7 +861,7 @@ def _check(clause: Clause, S: FiniteStructure) -> AxiomCheck:
 
 
 def _identity_info(S: FiniteStructure) -> AxiomCheck:
-    ones = S.detect_identities()
+    ones = S.identities
     if len(ones) == 1:
         return AxiomCheck("mul-identity", True, None, f"detected {S.labels[ones[0]]}")
     if not ones:

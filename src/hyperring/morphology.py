@@ -1,9 +1,14 @@
 """Quotient construction and homomorphism machinery.
 
 Quotients are built from cosets r + I + 0 + .. + 0 (position is irrelevant
-under multiset keying).  Partitioning and representative-independence of the
+under multiset keying), each the union of the hyperaddition cells of one
+``ext`` row over I.  Partitioning and representative-independence of the
 induced tables are checked, never assumed: a modulus that breaks either
-yields a structured ill-defined-quotient result instead of a crash.
+yields a structured ill-defined-quotient result instead of a crash.  Each
+induced table is one pass over the base cells through ``core.carrier_map``
+of the projection, handed to ``FiniteStructure.build`` as a ranked view;
+the representatives of a coset key are walked only to name the witness of
+an ill-defined table.
 """
 
 from __future__ import annotations
@@ -16,13 +21,18 @@ from typing import Iterable, Optional
 
 from .core import (
     BITS,
+    SETS,
     AxiomCheck,
     AxiomReport,
     FiniteStructure,
     Meter,
+    TableView,
+    _union,
+    carrier_map,
     map_violation,
+    mask_of,
     msort,
-    multisets,
+    table_shape,
     verify_krasner,
 )
 from .classifiers import ExpansionFunction, table_expansion
@@ -74,74 +84,63 @@ def quotient(S: FiniteStructure, I: Iterable[int]) -> QuotientResult:
             None,
             (AxiomCheck("modulus-hyperideal", False, (check.clause, check.witness)),),
         )
-    pad = [{S.zero}] * (S.m - 2)
-    coset_of_elem: list[frozenset] = []
-    for r in S.carrier:
-        coset_of_elem.append(S.hyperadd_subsets([{r}, members] + pad))
-    cosets: list[frozenset] = []
-    for c in coset_of_elem:
-        if c not in cosets:
-            cosets.append(c)
+    # the coset of r is f(r, I, 0, .., 0): the union of the row of (r, 0, .., 0)
+    pad, modulus = (S.zero,) * (S.m - 2), mask_of(members)
+    coset_of_elem = [_union(S.add_cells, S.add_row(msort((r,) + pad)), modulus) for r in S.carrier]
+    cosets = list(dict.fromkeys(coset_of_elem))
     # partition check: disjoint cover with each element in its own coset
-    problems = []
-    covered: set = set()
+    covered = 0
     for c in cosets:
         if covered & c:
-            overlap = sorted(covered & c)[0]
-            problems.append(
-                AxiomCheck("cosets-partition", False, (tuple(sorted(c)), overlap))
+            overlap = BITS[covered & c][0]
+            return QuotientResult(
+                False, None, (AxiomCheck("cosets-partition", False, (BITS[c], overlap)),)
             )
-            break
         covered |= c
     for r in S.carrier:
-        if not problems and r not in coset_of_elem[r]:
-            problems.append(AxiomCheck("cosets-contain-representative", False, (r,)))
-            break
-    if problems:
-        return QuotientResult(False, None, tuple(problems))
+        if not coset_of_elem[r] >> r & 1:
+            return QuotientResult(
+                False, None, (AxiomCheck("cosets-contain-representative", False, (r,)),)
+            )
 
-    proj = tuple(cosets.index(coset_of_elem[r]) for r in S.carrier)
-    reps = [sorted(c) for c in cosets]
+    index = {c: i for i, c in enumerate(cosets)}
+    proj = tuple(index[c] for c in coset_of_elem)
+    reps = [BITS[c] for c in cosets]
+    tables = []
+    for table in (S.add, S.mul):
+        view, problem = _induced(table, proj, reps)
+        if problem is not None:
+            return QuotientResult(False, None, (problem,))
+        tables.append(view)
 
-    def induced(shape, cell_value) -> Optional[dict]:
-        table: dict = {}
-        for key in multisets(len(cosets), shape.arity):
-            value = None
-            first_combo = None
-            for combo in iproduct(*[reps[i] for i in key]):
-                v = cell_value(shape.rank[msort(combo)])
-                if value is None:
-                    value, first_combo = v, combo
-                elif v != value:
-                    problems.append(
-                        AxiomCheck(
-                            "induced-well-defined",
-                            False,
-                            (key, first_combo, combo),
-                        )
-                    )
-                    return None
-            table[key] = value
-        return table
-
-    add_table = induced(
-        S.add_shape, lambda r: frozenset(proj[s] for s in BITS[S.add_cells[r]])
-    )
-    if add_table is None:
-        return QuotientResult(False, None, tuple(problems))
-    mul_table = induced(S.mul_shape, lambda r: proj[S.mul_cells[r]])
-    if mul_table is None:
-        return QuotientResult(False, None, tuple(problems))
-
-    labels = tuple(_coset_label(S, c) for c in cosets)
-    zero = proj[S.zero]
+    labels = tuple(_coset_label(S, SETS[c]) for c in cosets)
     ideal_labels = ",".join(S.labels_of(members))
     Q = FiniteStructure.build(
-        f"{S.name}/{{{ideal_labels}}}", S.m, S.n, labels, add_table, mul_table, zero
+        f"{S.name}/{{{ideal_labels}}}", S.m, S.n, labels, *tables, proj[S.zero]
     )
-    qs = QuotientStructure(S, members, Q, tuple(cosets), proj)
-    report = verify_krasner(Q)
-    return QuotientResult(True, qs, (), report)
+    qs = QuotientStructure(S, members, Q, tuple(SETS[c] for c in cosets), proj)
+    return QuotientResult(True, qs, (), verify_krasner(Q))
+
+
+def _induced(table: TableView, proj: tuple, reps: list):
+    """(view, problem): the table induced on the cosets, one pass over the
+    base cells through ``carrier_map``, and None; or None and the
+    ``induced-well-defined`` problem of the least coset key whose base cells
+    disagree, named by its first representative tuple and the first one,
+    in ``product`` order of the sorted representatives, with another value."""
+    shape, into = table.shape, table_shape(len(reps), table.shape.arity)
+    image, target = carrier_map(proj, shape.arity, shape.size, len(reps))
+    values = list(map((image if table.sets else proj).__getitem__, table.cells))
+    # proj is onto, so every coset key is the target of some base cell
+    induced = dict(zip(target, values))
+    if [induced[t] for t in target] == values:
+        return TableView(into, tuple(induced[t] for t in range(len(into.keys))), table.sets), None
+    key = into.keys[min(t for t, v in zip(target, values) if induced[t] != v)]
+    combos = iproduct(*[reps[i] for i in key])
+    first = next(combos)
+    value = values[shape.rank[msort(first)]]
+    combo = next(c for c in combos if values[shape.rank[msort(c)]] != value)
+    return None, AxiomCheck("induced-well-defined", False, (key, first, combo))
 
 
 # -- homomorphisms -----------------------------------------------------------

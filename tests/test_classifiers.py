@@ -6,11 +6,13 @@ import json
 import random
 from functools import partial
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from hyperring import (
     FiniteStructure,
+    ForeignElementError,
     MissingIdentityError,
     Verdict,
     classify,
@@ -127,6 +129,31 @@ def test_j_requires_proper(b33):
     S, lat, _ = ctx(b33)
     with pytest.raises(ValueError):
         is_j_hyperideal(S, frozenset(S.carrier), lat)
+
+
+def test_j_family_calls_a_subset_outside_the_lattice_improper(b33, b24):
+    # decided after the carrier, proper and k checks and before the identity
+    # gate, as classify decides it; builtin24 has no identity
+    for entry in (b33, b24):
+        S, lat, registry = ctx(entry)
+        delta0 = registry["delta0"]
+        calls = {
+            "J": lambda Q: is_j_hyperideal(S, Q, lat),
+            "delta-J[delta0]": lambda Q: is_delta_j(S, Q, delta0, lat),
+            "delta-primary[delta0]": lambda Q: is_delta_primary(S, Q, delta0, lat),
+            "absorbing[delta0,k=2]": lambda Q: is_absorbing_delta_j(S, Q, delta0, 2, lat),
+        }
+        assert frozenset({1}) not in lat
+        report = classify(S, {1})
+        for key, call in calls.items():
+            assert call({1}) == PredicateResult(Verdict.IMPROPER, note="not a hyperideal"), key
+            assert report.verdicts[key] is Verdict.IMPROPER
+            with pytest.raises(ForeignElementError, match="element 7 outside carrier"):
+                call({1, 7})
+            with pytest.raises(ValueError, match="a proper subset"):
+                call(set(S.carrier))
+        with pytest.raises(ValueError, match="absorbing degree"):
+            is_absorbing_delta_j(S, {1}, delta0, 1, lat)
 
 
 def test_ideal_outside_jacobson_is_never_j(full_catalog):
@@ -367,6 +394,31 @@ def test_absorbing_scan_equals_the_row_by_row_reference():
                 for k in (2, 3, 4):
                     got = is_absorbing_delta_j(S, q.members, delta, k, lat)
                     assert got == reference_absorbing(S, q.members, delta, k, lat)
+
+
+def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings():
+    # random tables rarely have a proper hyperideal outside the Jacobson
+    # radical, so the splits without a repeat are checked here too: Z_N as a
+    # (2,2) hyperring for N <= 12 and a (2,3) one for N <= 8, every proper
+    # ideal Q, every expansion that moves Q alone to an ideal above it, k = 2
+    # and 3.  A scan that drops the first split without a repeat from its
+    # signatures names another witness on Z_12 with Q = {0, 4, 8}.
+    checked = 0
+    for N in range(2, 13):
+        for n in (2, 3) if N <= 8 else (2,):
+            mul = {key: prod(key) % N for key in multisets(N, n)}
+            add = {key: frozenset({sum(key) % N}) for key in multisets(N, 2)}
+            S = FiniteStructure.build(f"Z{N}", 2, n, tuple(map(str, range(N))), add, mul, 0)
+            lat = S.lattice
+            for q in lat.proper():
+                for up in (i.members for i in lat if q.members <= i.members):
+                    table = {i.members: up if i == q else i.members for i in lat}
+                    delta = table_expansion("up", table)
+                    for k in (2, 3):
+                        got = is_absorbing_delta_j(S, q.members, delta, k, lat)
+                        assert got == reference_absorbing(S, q.members, delta, k, lat)
+                        checked += 1
+    assert checked == 184
 
 
 def test_absorbing_signatures_stay_out_of_equality_and_export(b33):

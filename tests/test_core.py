@@ -231,6 +231,17 @@ def test_identity_detection(b33, b24):
     assert b24.structure.detect_identities() == ()
 
 
+def test_identities_are_computed_once(b33):
+    # one, detect_identities and the verifier's mul-identity note read the
+    # one cached scan
+    S = dataclasses.replace(b33.structure)
+    assert "identities" not in vars(S)
+    note = verify_krasner(S).check("mul-identity").note
+    ones = vars(S)["identities"]
+    assert (ones, note) == ((1,), "detected 1")
+    assert S.detect_identities() is ones and S.one == 1 and vars(S)["identities"] is ones
+
+
 def test_scalar_identity_acts(b33):
     S = b33.structure
     for x in S.carrier:

@@ -1,5 +1,11 @@
 """Quotients, homomorphisms and the expansion-compatibility machinery."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +26,9 @@ from hyperring import (
     quotient_expansion,
     standard_registry,
 )
-from hyperring.core import CapExceeded, msort, multisets
+from hyperring.core import BITS, AxiomCheck, CapExceeded, msort, multisets, verify_krasner
+from hyperring.ideals import is_hyperideal
+from hyperring.morphology import QuotientResult, QuotientStructure
 
 
 def test_quotient_by_zero_is_isomorphic(b24):
@@ -143,6 +151,164 @@ def test_quotient_of_every_catalog_ideal_builds(full_catalog):
         ("enum-m3n2-o3-000", ("add-neutral",)),
         ("enum-m3n3-o3-000", ("add-neutral",)),
     ]
+
+
+def reference_quotient(S, I):
+    """``quotient`` as dict tables: each coset through ``hyperadd_subsets``,
+    and each induced entry over every tuple of coset representatives, in
+    ``product`` order, per coset key in ``multisets`` order."""
+    members = frozenset(I)
+    check = is_hyperideal(S, members)
+    if not check.ok:
+        return QuotientResult(
+            False, None, (AxiomCheck("modulus-hyperideal", False, (check.clause, check.witness)),)
+        )
+    pad = [{S.zero}] * (S.m - 2)
+    coset_of_elem = [S.hyperadd_subsets([{r}, members] + pad) for r in S.carrier]
+    cosets = []
+    for c in coset_of_elem:
+        if c not in cosets:
+            cosets.append(c)
+    covered = set()
+    for c in cosets:
+        if covered & c:
+            return QuotientResult(
+                False, None, (AxiomCheck("cosets-partition", False, (tuple(sorted(c)), min(covered & c))),)
+            )
+        covered |= c
+    for r in S.carrier:
+        if r not in coset_of_elem[r]:
+            return QuotientResult(False, None, (AxiomCheck("cosets-contain-representative", False, (r,)),))
+    proj = tuple(cosets.index(coset_of_elem[r]) for r in S.carrier)
+    reps = [sorted(c) for c in cosets]
+
+    def induced(shape, cell_value):
+        table = {}
+        for key in multisets(len(cosets), shape.arity):
+            value = first_combo = None
+            for combo in iproduct(*[reps[i] for i in key]):
+                v = cell_value(shape.rank[msort(combo)])
+                if value is None:
+                    value, first_combo = v, combo
+                elif v != value:
+                    return AxiomCheck("induced-well-defined", False, (key, first_combo, combo))
+            table[key] = value
+        return table
+
+    add = induced(S.add_shape, lambda r: frozenset(proj[s] for s in BITS[S.add_cells[r]]))
+    mul = add if isinstance(add, AxiomCheck) else induced(S.mul_shape, lambda r: proj[S.mul_cells[r]])
+    if isinstance(mul, AxiomCheck):
+        return QuotientResult(False, None, (mul,))
+    labels = tuple("{" + ",".join(S.labels_of(c)) + "}" for c in cosets)
+    name = f"{S.name}/{{{','.join(S.labels_of(members))}}}"
+    Q = FiniteStructure.build(name, S.m, S.n, labels, add, mul, proj[S.zero])
+    return QuotientResult(True, QuotientStructure(S, members, Q, tuple(cosets), proj), (), verify_krasner(Q))
+
+
+def quotient_table(rng, name):
+    """A random table of size 1-4 and arities 2-3, drawn from ``rng``.
+
+    Two in five are uniform.  The rest are lifted from tables on the blocks
+    of a random partition, so that the block of zero is a hyperideal whose
+    cosets are the blocks: a sum is the union of the blocks of a block-level
+    sum, with the zero block neutral, and a product is any element of the
+    block of a block-level product, with the zero block absorbing.  Then,
+    with probability 0.7, one product off the zero block is redrawn and,
+    with probability 0.3, one sum, so that many induced tables are
+    ill-defined."""
+    size, m, n = rng.randint(1, 4), rng.randint(2, 3), rng.randint(2, 3)
+
+    def uniform_sum():
+        mask = rng.randrange(1, 1 << size)
+        return frozenset(x for x in range(size) if mask >> x & 1)
+
+    if rng.random() < 0.4:
+        add = {key: uniform_sum() for key in multisets(size, m)}
+        mul = {key: rng.randrange(size) for key in multisets(size, n)}
+    else:
+        block = [0] + [rng.randrange(size) for _ in range(1, size)]
+        blocks = sorted(set(block))
+
+        def union(bs):
+            return frozenset(x for x in range(size) if block[x] in bs)
+
+        add = {}
+        for key in multisets(size, m):
+            bs = sorted(block[x] for x in key)
+            neutral = bs[-2] == 0
+            add[key] = union({bs[-1]} if neutral else set(rng.sample(blocks, rng.randint(1, len(blocks)))))
+        products, mul = {}, {}
+        for key in multisets(size, n):
+            bs = tuple(sorted(block[x] for x in key))
+            b = 0 if bs[0] == 0 else products.setdefault(bs, rng.choice(blocks))
+            mul[key] = rng.choice([x for x in range(size) if block[x] == b])
+        free = [key for key in mul if 0 not in (block[x] for x in key)]
+        if free and rng.random() < 0.7:
+            mul[rng.choice(free)] = rng.randrange(size)
+        if rng.random() < 0.3:
+            add[rng.choice(sorted(add))] = uniform_sum()
+    return FiniteStructure.build(name, m, n, tuple(str(x) for x in range(size)), add, mul, 0)
+
+
+def zero_subsets(S):
+    """Every subset of the carrier that contains zero, by bitmask order."""
+    others = [x for x in S.carrier if x != S.zero]
+    for mask in range(1 << len(others)):
+        yield frozenset({S.zero} | {x for i, x in enumerate(others) if mask >> i & 1})
+
+
+def quotient_fields(res):
+    """Everything a quotient result says, in JSON form."""
+    out = {"ok": res.ok, "problems": [p.as_dict() for p in res.problems]}
+    if res.ok:
+        q, Q = res.quotient, res.quotient.structure
+        out.update(
+            name=Q.name,
+            labels=Q.labels,
+            zero=Q.zero,
+            cosets=[sorted(c) for c in q.cosets],
+            projection=q.projection,
+            add=Q.add_cells,
+            mul=Q.mul_cells,
+            report=res.axiom_report.as_dict(),
+        )
+    return json.loads(json.dumps(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_quotient_matches_the_dict_reference(rng):
+    S = quotient_table(rng, "random")
+    for members in zero_subsets(S):
+        got, want = quotient(S, members), reference_quotient(S, members)
+        assert quotient_fields(got) == quotient_fields(want), sorted(members)
+        assert got == want
+
+
+# sha256 of the records of every zero-containing subset of 2,000 seeded
+# ``quotient_table``s, computed when ``quotient`` built its tables as dicts,
+# the way ``reference_quotient`` does
+PINNED_QUOTIENT_DIGEST = "ee7cf239fc1a9579f56e5e82a89f41a5e366985ed6d07568fd46369d53271c18"
+
+
+def test_quotients_of_seeded_tables_are_pinned():
+    rng = random.Random(5)
+    records, outcomes = [], Counter()
+    for i in range(2000):
+        S = quotient_table(rng, f"seeded-{i}")
+        for members in zero_subsets(S):
+            res = quotient(S, members)
+            outcomes[res.problems[0].axiom if res.problems else "ok"] += 1
+            records.append(quotient_fields(res))
+    assert outcomes == {
+        "ok": 1747,
+        "modulus-hyperideal": 5641,
+        "cosets-partition": 59,
+        "cosets-contain-representative": 15,
+        "induced-well-defined": 288,
+    }
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == PINNED_QUOTIENT_DIGEST
 
 
 def test_projection_is_homomorphism(b24):
