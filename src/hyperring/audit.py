@@ -18,20 +18,28 @@ FAIL with a replayable witness, otherwise the cell PASSes.  An equivalence
 is an implication with a true hypothesis whose conclusion is that its sides
 agree.  A cell is SKIPped with a reason when the structure fails
 verification, lacks a scalar identity the check needs, fails the gate, or
-would take the check past the work budget.
+would take the check past the work budget; when the budget refuses the
+structure's lattice, the context keeps the message and every later cell
+SKIPs with it, without building the lattice again.
 
 The checks share their verdicts through a ``StructureContext``: its
-``verdict`` evaluates a row of ``classifiers.PREDICATES`` on a structure
-(the audited one, a quotient or a fixture's target) once per lattice, row,
-member set, expansion name and k, and its radicals are read from the
-registry's delta1 expansion.  The context, its quotients and its hom
-fixtures hold structures only; every lattice is read as ``S.lattice``.  The
-memo key holds ``S.lattice`` itself, which hashes by identity (a structure
-hashes by walking its tables), so the memo keeps every lattice it names
-alive.  Within one lattice an expansion name names one expansion: a
-registered one, a composition ``gammaodelta`` or an induced quotient
-expansion ``delta_q``; theorem instances carry the expansion and witnesses
-write its name.
+``verdict`` evaluates a row of ``classifiers.PREDICATES``, or one of the
+delta-J reference forms that T04, T15 and T16 compare with it, on a
+structure (the audited one, a quotient or a fixture's target) once per
+lattice, row, member set Q, delta(Q) and k, and its radicals are read from
+the registry's delta1 expansion.  An expansion enters these verdicts only
+through the set delta(Q), so expansions that agree on Q share one result:
+a registered one, a composition ``gammaodelta`` or an induced quotient
+expansion ``delta_q``.  Theorem instances carry the expansion, and a
+witness found for another expansion is returned under the name asked for.
+The context, its quotients and its hom fixtures hold structures only; every
+lattice is read as ``S.lattice``.  The memo key holds ``S.lattice`` itself,
+which hashes by identity (a structure hashes by walking its tables), so the
+memo keeps every lattice it names alive.
+
+``AuditReport.to_jsonl`` writes the records of ``json.dumps(record,
+sort_keys=True)``; cell lines are written directly, each distinct string
+escaped once.
 
 Built-in claims are compared against computed verdicts and mismatches are
 emitted as discrepancy records: auditing the claims is part of the job, so a
@@ -42,8 +50,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -125,7 +133,11 @@ class AuditReport:
         return out
 
     def to_jsonl(self) -> str:
+        """One ``json.dumps(record, sort_keys=True)`` line per record, cell
+        lines written directly in that key order."""
         counts = self.counts()
+        encode = _JSONL_ENCODER.encode
+        quote = lru_cache(maxsize=None)(encode)
         meta = {"version": self.version, "catalog_hash": self.catalog_hash, "k_max": self.k_max}
         summary = {
             "pass": counts[PASS],
@@ -133,13 +145,20 @@ class AuditReport:
             "skip": counts[SKIP],
             "discrepancies": len(self.discrepancies),
         }
-        records = [
-            {"record": "meta", **meta},
-            *({"record": "cell", **c.as_dict()} for c in self.cells),
-            *({"record": "discrepancy", **d.as_dict()} for d in self.discrepancies),
-            {"record": "summary", **summary},
-        ]
-        return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in records)
+        return "".join(
+            [
+                encode({"record": "meta", **meta}) + "\n",
+                *(
+                    f'{{"checked": {c.checked}, "reason": {quote(c.reason)}, "record": "cell",'
+                    f' "status": {quote(c.status)}, "structure": {quote(c.structure)},'
+                    f' "theorem": {quote(c.theorem)},'
+                    f' "witness": {"null" if c.witness is None else encode(c.witness)}}}\n'
+                    for c in self.cells
+                ),
+                *(encode({"record": "discrepancy", **d.as_dict()}) + "\n" for d in self.discrepancies),
+                encode({"record": "summary", **summary}) + "\n",
+            ]
+        )
 
     def summary_text(self) -> str:
         counts = self.counts()
@@ -218,14 +237,33 @@ class StructureContext:
     def proper(self) -> tuple[frozenset, ...]:
         return tuple(i.members for i in self.S.lattice.proper())
 
+    @cached_property
+    def refused(self) -> Optional[str]:
+        """The message of the ``CapExceeded`` that refused ``S.lattice``, else
+        None; read once, so a refused lattice is not built again per cell."""
+        try:
+            self.S.lattice
+        except CapExceeded as e:
+            return str(e)
+        return None
+
     def verdict(self, row: str, Q: frozenset, delta=None, k=None, S=None):
-        """``PREDICATES[row]`` on Q in ``S`` (the audited structure by
-        default), with the expansion and k the row takes."""
+        """``PREDICATES[row]``, or one of the ``_FORMS``, on Q in ``S`` (the
+        audited structure by default), with the expansion and k the row
+        takes.  A row reads its expansion only through delta(Q), so the
+        result is kept under delta(Q) and a witness found for another
+        expansion is returned renamed; a Q outside the lattice is IMPROPER
+        whatever the expansion, and keeps no delta(Q)."""
         S = self.S if S is None else S
-        key = (S.lattice, row, Q, None if delta is None else delta.name, k)
-        if key not in self._verdicts:
-            self._verdicts[key] = PREDICATES[row].evaluate(S, Q, delta, k)
-        return self._verdicts[key]
+        moved = None if delta is None or Q not in S.lattice else delta(Q)
+        key = (S.lattice, row, Q, moved, k)
+        res = self._verdicts.get(key)
+        if res is None:
+            evaluate = PREDICATES[row].evaluate if row in PREDICATES else _FORMS[row]
+            res = self._verdicts[key] = evaluate(S, Q, delta, k)
+        elif moved is not None and getattr(res, "witness", None) and res.witness.delta != delta.name:
+            res = replace(res, witness=replace(res.witness, delta=delta.name))
+        return res
 
     def radical(self, Q: frozenset) -> frozenset:
         """The radical of a lattice member, read from the delta1 expansion."""
@@ -440,12 +478,20 @@ def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
     return dict(first=a, second=b, delta=delta.name)
 
 
-def _maximal_relative_drops(ctx, q, delta) -> bool:
+def _maximal_relative_drops(S, Q, delta, k) -> bool:
     # the drop clause, triggered outside the intersection of the maximal
     # hyperideals over Q
-    lattice = ctx.S.lattice
-    m_q = lattice.meet(m for m in lattice.maximal if q <= m.members)
-    return q <= ctx.jac and DROP.scan(ctx.S, q, m_q, delta(q)) is None
+    m_q = S.lattice.meet(m for m in S.lattice.maximal if Q <= m.members)
+    return DROP.scan(S, Q, m_q, delta(Q)) is None
+
+
+# the forms that T04, T15 and T16 compare with the delta-J row: functions of
+# (Q, delta(Q)) like the rows of ``PREDICATES``, kept in the same memo
+_FORMS = {
+    "ideal-form": lambda S, Q, delta, k: delta_j_ideal_form(S, Q, delta),
+    "mixed-form": lambda S, Q, delta, k: delta_j_mixed_form(S, Q, delta),
+    "maximal-drops": _maximal_relative_drops,
+}
 
 
 def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
@@ -556,7 +602,7 @@ _IMPLICATIONS: list[Implication] = [
             residual_fixed=all(
                 residual(ctx.S, q, {x}) == q for x in ctx.S.carrier if x not in ctx.jac
             ),
-            tuple_form=delta_j_ideal_form(ctx.S, q, ctx.registry["delta0"]),
+            tuple_form=ctx.verdict("ideal-form", q, ctx.registry["delta0"]),
         ),
     ),
     Implication(
@@ -655,8 +701,8 @@ _IMPLICATIONS: list[Implication] = [
         lambda ctx, q, delta: _agree(
             dict(ideal=q, delta=delta.name),
             elementwise=bool(ctx.verdict("delta-J", q, delta)),
-            mixed_form=delta_j_mixed_form(ctx.S, q, delta),
-            tuple_form=delta_j_ideal_form(ctx.S, q, delta),
+            mixed_form=ctx.verdict("mixed-form", q, delta),
+            tuple_form=ctx.verdict("ideal-form", q, delta),
         ),
     ),
     Implication(
@@ -664,7 +710,7 @@ _IMPLICATIONS: list[Implication] = [
         lambda ctx, q, delta: _agree(
             dict(ideal=q, delta=delta.name),
             lhs=bool(ctx.verdict("delta-J", q, delta)),
-            rhs=_maximal_relative_drops(ctx, q, delta),
+            rhs=q <= ctx.jac and ctx.verdict("maximal-drops", q, delta),
         ),
     ),
     Implication(
@@ -788,7 +834,8 @@ def _claim_discrepancies(entry: CatalogEntry) -> list[Discrepancy]:
 
 def _cell(ctx: StructureContext, tid: str) -> AuditCell:
     """One theorem on one entry, behind the verification and identity gates;
-    a check that would pass the work budget is SKIPped with its message."""
+    a check that would pass the work budget, or that needs a lattice the
+    budget refused, is SKIPped with its message."""
     entry, name = ctx.entry, ctx.S.name
     if not entry.verified:
         failed = entry.report.failed()[0].axiom
@@ -796,6 +843,8 @@ def _cell(ctx: StructureContext, tid: str) -> AuditCell:
     check = THEOREMS[tid]
     if check.needs_identity and ctx.S.one is None:
         return AuditCell(name, tid, SKIP, reason="no scalar identity")
+    if ctx.refused:
+        return AuditCell(name, tid, SKIP, reason=ctx.refused)
     try:
         status, checked, extra = check.run(ctx)
     except CapExceeded as e:

@@ -7,9 +7,13 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperring import (
+    AuditCell,
+    AuditReport,
     CatalogEntry,
+    Discrepancy,
     THEOREMS,
     builtin_examples,
     default_catalog,
@@ -31,9 +35,10 @@ from hyperring.audit import (
     catalog_hash,
     replay_cell,
 )
-from hyperring import classifiers, ideals
+from hyperring import classifiers, core, ideals
 from hyperring.catalog import DEFAULT_ARITIES
-from hyperring.classifiers import PREDICATES
+from hyperring.classifiers import PREDICATES, Verdict, delta_j_ideal_form, delta_j_mixed_form
+from hyperring.ideals import DROP
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +81,6 @@ def test_every_skip_has_a_reason(audit_report):
 
 
 def test_a_check_past_the_work_budget_is_skipped_with_its_message(monkeypatch, small_catalog):
-    from hyperring import core
-
     # the entries are verified before the budget is lowered
     entries = [e for e in small_catalog if e.provenance == "enumerated"]
     monkeypatch.setattr(core, "WORK_BUDGET", 5)
@@ -178,12 +181,14 @@ def test_replay_reproduces_every_cell(small_catalog):
 
 def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch):
     # every row of the predicate table, absorbing included, is evaluated at
-    # most once per (lattice, row, Q, expansion, k) by one context
+    # most once per (lattice, row, Q, delta(Q), k) by one context, whatever
+    # expansion names delta(Q)
     seen = []
 
     def counting(row):
         def evaluate(S, Q, delta, k):
-            seen.append((S.lattice, row.name, frozenset(Q), delta and delta.name, k))
+            moved = delta(Q) if delta is not None and Q in S.lattice else None
+            seen.append((S.lattice, row.name, frozenset(Q), moved, k))
             return row.evaluate(S, Q, delta, k)
 
         return evaluate
@@ -202,6 +207,127 @@ def test_context_computes_each_absorbing_verdict_once(small_catalog, monkeypatch
             check.run(ctx)
         assert any(key[1] == "absorbing" for key in seen), entry.structure.name
         assert len(seen) == len(set(seen)), entry.structure.name
+
+
+def _fresh(row, S, Q, delta, k):
+    """What the memo of ``StructureContext.verdict`` stands for: the row of
+    the predicate table, or the reference form, evaluated afresh."""
+    if row in PREDICATES:
+        return PREDICATES[row].evaluate(S, Q, delta, k)
+    if row == "ideal-form":
+        return delta_j_ideal_form(S, Q, delta)
+    if row == "mixed-form":
+        return delta_j_mixed_form(S, Q, delta)
+    assert row == "maximal-drops"
+    m_q = S.lattice.meet(m for m in S.lattice.maximal if Q <= m.members)
+    return DROP.scan(S, Q, m_q, delta(Q)) is None
+
+
+def test_memo_answers_equal_fresh_evaluations(small_catalog, full_catalog, monkeypatch):
+    # every (row, Q, delta, k) the 27 checks ask of a context: same verdict,
+    # witness (naming the expansion asked for) and note as a fresh call.
+    # No absorbing verdict of these audits is FALSE; the product of two
+    # 2-element fields adds delta-J and delta-primary witnesses that delta0
+    # and delta1 share
+    asked = []
+    verdict = StructureContext.verdict
+
+    def recording(ctx, row, Q, delta=None, k=None, S=None):
+        res = verdict(ctx, row, Q, delta, k, S)
+        asked.append((row, ctx.S if S is None else S, Q, delta, k, res))
+        return res
+
+    monkeypatch.setattr(StructureContext, "verdict", recording)
+    run_audit(small_catalog + [e for e in full_catalog if e.structure.name == "enum-m2n2-o4-018"])
+    assert {row for row, *_ in asked} == {
+        "J", "maximal", "delta-J", "delta-primary", "absorbing",
+        "ideal-form", "mixed-form", "maximal-drops",
+    }
+    names = {}  # the expansions whose names the witnesses of one memo key carry
+    for row, S, Q, delta, k, res in asked:
+        assert res == _fresh(row, S, Q, delta, k), (S.name, row, sorted(Q), delta and delta.name, k)
+        if getattr(res, "witness", None) and delta is not None:
+            names.setdefault((S.lattice, row, Q, delta(Q), k), set()).add(res.witness.delta)
+    shared = {key[1] for key, found in names.items() if {"delta0", "delta1"} <= found}
+    assert shared == {"delta-J", "delta-primary"}
+
+
+def test_memo_renames_a_witness_found_for_another_expansion(cyclic):
+    # in Z_30, delta0 and delta1 agree on the radical ideal {0}, which is not
+    # (2,2)-absorbing: 2*3*5 = 0 while 2*3, 2*5 and 3*5 are not 0
+    ctx = StructureContext(CatalogEntry(cyclic(30), "file"), [], k_max=3)
+    zero, registry = frozenset({0}), ctx.registry
+    assert registry["delta0"](zero) == registry["delta1"](zero)
+    first = ctx.verdict("absorbing", zero, registry["delta0"], 2)
+    hit = ctx.verdict("absorbing", zero, registry["delta1"], 2)
+    assert len(ctx._verdicts) == 1
+    assert hit.verdict is Verdict.FALSE and hit.witness.args == (2, 3, 5)
+    assert (first.witness.delta, hit.witness.delta) == ("delta0", "delta1")
+    assert hit == _fresh("absorbing", ctx.S, zero, registry["delta1"], 2)
+    assert ctx.verdict("absorbing", zero, registry["delta0"], 2) is first
+
+
+def test_a_refused_lattice_is_tried_once_per_audit(monkeypatch, cyclic):
+    # with a budget of 2,000 steps the closure lattice of Z_16 is refused;
+    # every cell SKIPs with the one message the first refusal gave, as each
+    # cell did when it rebuilt the lattice itself
+    entry = CatalogEntry(cyclic(16), "file")
+    assert entry.verified  # verified before the budget is lowered
+    tries = []
+    closure = ideals._enumerate_closure
+    monkeypatch.setattr(ideals, "_enumerate_closure", lambda S: tries.append(S) or closure(S))
+    monkeypatch.setattr(core, "WORK_BUDGET", 2_000)
+    cells = run_audit([entry]).cells
+    assert len(tries) == 1
+    reason = "Z16: hyperideal closure steps: 2,331 steps exceed the work budget of 2,000"
+    assert [c.as_dict() for c in cells] == [
+        AuditCell("Z16", tid, SKIP, reason=reason).as_dict() for tid in sorted(THEOREMS)
+    ]
+
+
+def reference_jsonl(report: AuditReport) -> str:
+    """The report serialized by the json module, one record a line."""
+    counts = report.counts()
+    records = [
+        {"record": "meta", "version": report.version, "catalog_hash": report.catalog_hash,
+         "k_max": report.k_max},
+        *({"record": "cell", **c.as_dict()} for c in report.cells),
+        *({"record": "discrepancy", **d.as_dict()} for d in report.discrepancies),
+        {"record": "summary", "pass": counts[PASS], "fail": counts[FAIL], "skip": counts[SKIP],
+         "discrepancies": len(report.discrepancies)},
+    ]
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+# names and reasons that need escaping: quotes, backslashes, control
+# characters, non-ASCII text, astral code points
+TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f/aé€\u2028😀') | st.characters(), max_size=6)
+WITNESSES = st.none() | st.dictionaries(
+    TEXT,
+    st.recursive(
+        st.booleans() | st.integers() | TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+CELLS = st.builds(
+    AuditCell,
+    structure=TEXT,
+    theorem=st.sampled_from(sorted(THEOREMS)) | TEXT,
+    status=st.sampled_from([PASS, FAIL, SKIP]),
+    checked=st.integers(min_value=0),
+    reason=TEXT,
+    witness=WITNESSES,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(CELLS, max_size=4), structure=TEXT, witness=WITNESSES)
+def test_jsonl_writer_matches_the_json_dumps_reference(cells, structure, witness):
+    discrepancy = Discrepancy(structure, {"kind": "hyperideal", "subset": None}, "x", "y", witness)
+    report = AuditReport("0.1.0", "0" * 64, 3, cells, [discrepancy])
+    assert report.to_jsonl() == reference_jsonl(report)
 
 
 def test_catalog_hash_stability(full_catalog):
@@ -276,8 +402,6 @@ def test_replaying_a_cell_of_an_unknown_structure_names_it(small_catalog, audit_
 
 
 def test_claims_read_the_entry_report_past_the_work_budget(monkeypatch):
-    from hyperring import core
-
     # the entries are verified before the budget is lowered; a hypergroup
     # claim reads their reports instead of verifying again
     entries = builtin_examples()

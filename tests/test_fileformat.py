@@ -1,17 +1,21 @@
 """The .kmn structure file format: round trips and rejection messages."""
 
+import copy
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperring import (
+    CapExceeded,
     FiniteStructure,
     ParseError,
     export_structure,
     load_structure,
     parse_structure,
     save_structure,
+    verify_krasner,
 )
 from hyperring.core import multisets
 
@@ -236,3 +240,68 @@ def test_unhashable_label_rejected(b24):
     doc["zero"] = ["0"]
     with pytest.raises(ParseError, match="unknown label"):
         parse_structure(json.dumps(doc))
+
+
+# committed documents of each arity pair, with and without a declared one
+KMN_DIR = pathlib.Path(__file__).parent.parent / "bench" / "inputs" / "audit"
+COMMITTED = (
+    "builtin24.kmn",
+    "builtin33.kmn",
+    "enum-m2n2-o2-001.kmn",
+    "enum-m2n2-o3-005.kmn",
+    "enum-m2n3-o3-000.kmn",
+    "enum-m3n2-o2-000.kmn",
+    "enum-m3n3-o2-001.kmn",
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.integers() | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key) of a parsed document, parents first."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def mutated_document(data) -> str:
+    """A committed document with one to four mutations: a key or entry
+    deleted, a value swapped for one of any JSON type or for another label,
+    an entry duplicated."""
+    doc = json.loads((KMN_DIR / data.draw(st.sampled_from(COMMITTED))).read_text(encoding="utf-8"))
+    labels = list(doc["elements"])
+    for _ in range(data.draw(st.integers(1, 4))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = data.draw(st.sampled_from(slots))
+        ops = ["delete", "retype", "relabel"] + (["duplicate"] if isinstance(node, list) else [])
+        op = data.draw(st.sampled_from(ops))
+        if op == "delete":
+            del node[key]
+        elif op == "retype":
+            node[key] = data.draw(JSON_VALUES)
+        elif op == "relabel":
+            node[key] = data.draw(st.sampled_from(labels))
+        else:
+            node.insert(key, copy.deepcopy(node[key]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_raise_only_parse_error(data):
+    try:
+        S = parse_structure(mutated_document(data))
+    except ParseError:
+        return
+    try:
+        verify_krasner(S)
+        assert parse_structure(export_structure(S)) == S
+    except CapExceeded:
+        pass
