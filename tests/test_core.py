@@ -13,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 from hyperring import (
     ArityError,
     AxiomCheck,
+    AxiomReport,
     FiniteStructure,
     ForeignElementError,
     MissingIdentityError,
     StructureError,
+    builtin_examples,
+    enumerate_structures,
     export_structure,
     is_hyperideal,
     is_invertible,
@@ -37,6 +40,7 @@ from hyperring.core import (
     multisets,
     plan_splits,
     ranked_plan,
+    verification_plan,
 )
 
 
@@ -425,10 +429,16 @@ def test_size_guard(monkeypatch):
     # (81) and the distributivity cells (9 maps of 45): 1,296 steps, refused
     # under a budget of 1,000 before any plan is built
     monkeypatch.setattr(core, "WORK_BUDGET", 1000)
-    built = ranked_plan.cache_info().misses
+    # cleared, so that a plan built before the refusal would count a miss
+    verification_plan.cache_clear()
+    built = ranked_plan.cache_info().misses, verification_plan.cache_info().misses
     with pytest.raises(CapExceeded, match=r"big: verification plan splits \(.*\): 1,296 steps"):
         verify_krasner(big)
-    assert ranked_plan.cache_info().misses == built
+    # the hypergroup plans alone: 486 steps, refused under 400
+    monkeypatch.setattr(core, "WORK_BUDGET", 400)
+    with pytest.raises(CapExceeded, match=r"big: verification plan splits \(.*\): 486 steps"):
+        verify_canonical_hypergroup(big, fail_fast=True)
+    assert (ranked_plan.cache_info().misses, verification_plan.cache_info().misses) == built
     verify_krasner(big, size_guard=False)
 
 
@@ -439,10 +449,11 @@ def test_verification_past_the_work_budget_is_refused_before_its_plans():
     big = FiniteStructure(
         "wide", 4, 4, tuple(map(str, range(13))), dict.fromkeys(keys, frozenset({0})), dict.fromkeys(keys, 0), 0
     )
-    built = ranked_plan.cache_info().misses
+    verification_plan.cache_clear()
+    built = ranked_plan.cache_info().misses, verification_plan.cache_info().misses
     with pytest.raises(CapExceeded, match=r"wide: .*\): 2,490,215 steps exceed the work budget of 2,000"):
         verify_krasner(big)
-    assert ranked_plan.cache_info().misses == built
+    assert (ranked_plan.cache_info().misses, verification_plan.cache_info().misses) == built
 
 
 # -- every witness replays, on random well-formed tables ----------------------
@@ -703,6 +714,101 @@ def test_reports_and_witnesses_are_pinned():
                     rows.append(prime_witness(S, members))
                 digest.update(json.dumps(rows).encode())
     assert digest.hexdigest() == PINNED_WITNESS_DIGEST
+
+
+# -- plan verdicts against the per-case reference ------------------------------
+
+
+def reference_verify(S, fail_fast=False, ring=True):
+    """The verifier with every clause decided by its own ``Clause.scan``,
+    case by case, and the scalar identities read off the ``.mul`` view:
+    ``verify_canonical_hypergroup`` (``ring=False``) or ``verify_krasner``
+    as the plan verdicts must reproduce them."""
+    commutes = "by multiset keying"
+    checks = [AxiomCheck("add-commutativity", True, None, commutes)]
+    for clause in core.HYPERGROUP_AXIOMS:
+        witness = clause.scan(S)
+        checks.append(AxiomCheck(clause.name, witness is None, witness))
+        if fail_fast and witness is not None:
+            return AxiomReport(S.name, tuple(checks))
+    if ring:
+        checks.append(AxiomCheck("mul-commutativity", True, None, commutes))
+        for clause in core.RING_AXIOMS:
+            witness = clause.scan(S)
+            checks.append(AxiomCheck(clause.name, witness is None, witness))
+        pad = S.n - 1
+        ones = [e for e in S.carrier if all(S.mul[msort((e,) * pad + (x,))] == x for x in S.carrier)]
+        if len(ones) == 1:
+            note = f"detected {S.labels[ones[0]]}"
+        else:
+            note = "ambiguous: " + str(ones) if ones else "absent"
+        checks.append(AxiomCheck("mul-identity", True, None, note))
+    return AxiomReport(S.name, tuple(checks))
+
+
+def _perturbed_tables(rng: random.Random, per_structure: int):
+    """Each verified structure of the built-ins, (2,2,4), (3,3,3) and
+    (2,4,3), then ``per_structure`` copies of it with one cell changed: a
+    hyperaddition cell to another nonempty set, or a product to another
+    element."""
+    verified = [e.structure for e in builtin_examples()]
+    for shape in ((2, 2, 4), (3, 3, 3), (2, 4, 3)):
+        verified += enumerate_structures(*shape)
+    for S in verified:
+        yield S
+        size = S.size
+        for i in range(per_structure):
+            add, mul = dict(S.add), dict(S.mul)
+            if size == 1 or rng.random() < 0.5:
+                key = rng.choice(list(add))
+                old = core.mask_of(add[key])
+                mask = rng.choice([v for v in range(1, 1 << size) if v != old])
+                add[key] = core.SETS[mask]
+            else:
+                key = rng.choice(list(mul))
+                mul[key] = rng.choice([x for x in S.carrier if x != mul[key]])
+            yield FiniteStructure(f"{S.name}-p{i}", S.m, S.n, S.labels, add, mul, S.zero)
+
+
+def _random_tables(rng: random.Random, count: int):
+    """``count`` random total tables of size <= 4 and arities <= 4."""
+    for i in range(count):
+        size, m, n = rng.randint(1, 4), rng.randint(2, 4), rng.randint(2, 4)
+        add = {key: core.SETS[rng.randrange(1, 1 << size)] for key in multisets(size, m)}
+        mul = {key: rng.randrange(size) for key in multisets(size, n)}
+        yield FiniteStructure(f"random-{i}", m, n, tuple(map(str, range(size))), add, mul, 0)
+
+
+# sha256 of the ``verify_krasner`` reports of the two sets below, the same
+# from the per-case reference: a drift in a verdict or a witness fails here
+PINNED_PLAN_REPORTS_DIGEST = "30154e832c19c01bc3b0a6bccedb54b10798cc3d263bfa4c2e78887bf0ac3da8"
+
+
+def test_plan_verdicts_match_the_per_case_reference_and_are_pinned():
+    rng = random.Random(25)
+    sets = {
+        "perturbed": list(_perturbed_tables(rng, 5)),
+        "random": list(_random_tables(rng, 600)),
+    }
+    digest = hashlib.sha256()
+    for name, tables in sets.items():
+        outcomes = set()
+        for S in tables:
+            report = verify_krasner(S).as_dict()
+            assert report == reference_verify(S).as_dict()
+            assert (
+                verify_canonical_hypergroup(S).as_dict()
+                == reference_verify(S, ring=False).as_dict()
+            )
+            assert (
+                verify_canonical_hypergroup(S, fail_fast=True).as_dict()
+                == reference_verify(S, fail_fast=True, ring=False).as_dict()
+            )
+            outcomes |= {(c["axiom"], c["passed"]) for c in report["checks"]}
+            digest.update(json.dumps(report).encode())
+        # in each set, every clause both holds and fails somewhere
+        assert outcomes >= {(axiom, ok) for axiom in core.AXIOMS for ok in (True, False)}, name
+    assert digest.hexdigest() == PINNED_PLAN_REPORTS_DIGEST
 
 
 # -- iterated folds are bracket-independent on verified structures -----------
