@@ -644,7 +644,7 @@ def _parse_predicate(spec: str):
     delta = args[0] if args else None
     if delta is not None and delta not in STANDARD_EXPANSIONS:
         raise ValueError(f"predicate {spec!r} needs a registered expansion")
-    k = int(args[1]) if row.params == 2 and args[1].isdigit() else None
+    k = int(args[1]) if row.params == 2 and args[1].isdecimal() else None
     if row.params == 2 and (k is None or k < 2):
         raise ValueError(f"absorbing degree in {spec!r} must be an integer >= 2")
 

@@ -630,6 +630,10 @@ def test_search_rejects_bad_specs(small_catalog):
         for spec in bad:
             with pytest.raises(ValueError):
                 search_counterexample(spec, entries)
+    # a superscript digit passes str.isdigit but not int(): it is refused
+    # with the degree message, not with int()'s own
+    with pytest.raises(ValueError, match=r"absorbing degree in .* must be an integer >= 2"):
+        search_counterexample("J => absorbing[delta0,²]", small_catalog)
 
 
 def test_search_and_classify_agree(small_catalog):
