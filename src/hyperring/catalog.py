@@ -13,31 +13,35 @@ over the choices.  The search is one loop over a per-level count of the
 options tried, with no generator frame per level.  Each associativity row
 of ``ranked_plan``, and for the hyperaddition each "cell is not empty"
 test, runs at the first level where every cell it can read is final, and a
-failing one cuts off the branch.  Every hyperaddition leaf still gets the
-hypergroup axiom check, and every multiplication leaf the full
-associativity check.  Distributivity is then decided through translation
-maps: g distributes over f exactly when every map x -> g(a_1..a_{n-1}, x)
-is an endomorphism of f.  The distinct maps of all candidate
-multiplications are far fewer than the multiplications, so ``_map_masks``
-lists them once per enumeration and gives each multiplication the bitmask
-of its maps; each hypergroup tests every distinct map once, for the mask of
-its endomorphisms, and keeps the multiplications whose mask lies inside
-that one.  Each clause of ``verify_krasner`` is thus decided once per
-table, and kept pairs are not verified again.  Candidates are ranked cell tables (``core.TableView``), and classes are
-keyed by their least relabeled cells, from which the outputs are built;
-relabelings act through ``carrier_map``.  Both candidate sets are closed
-under the relabelings that fix the zero, and the key of a class minimises
-its hyperaddition cells first, so only a hyperaddition that is the least of
-its class is verified and paired; a pair's key is its own hyperaddition
+failing one cuts off the branch.  So does, in the hyperaddition search, a
+zero-fixing relabeling that makes the final cells smaller (orderly
+generation, Read 1978), so each hyperaddition leaf is the least of its
+relabeling class.  Every hyperaddition leaf still gets the hypergroup axiom
+check, and every multiplication leaf the full associativity check.
+Distributivity is then decided through translation maps: g distributes over
+f exactly when every map x -> g(a_1..a_{n-1}, x) is an endomorphism of f.
+The distinct maps of all candidate multiplications are far fewer than the
+multiplications, so ``_map_masks`` lists them once per enumeration and
+gives each multiplication the bitmask of its maps; each hypergroup tests
+every distinct map once, for the mask of its endomorphisms, and keeps the
+multiplications whose mask lies inside that one.  Each clause of
+``verify_krasner`` is thus decided once per table, and kept pairs are not
+verified again.  Candidates are ranked cell tables (``core.TableView``), and
+classes are keyed by their least relabeled cells, from which the outputs are
+built; relabelings act through ``carrier_map``.  Both candidate sets are
+closed under the relabelings that fix the zero, and the key of a class
+minimises its hyperaddition cells first, so pairing the least hyperaddition
+of each class reaches every class; a pair's key is its own hyperaddition
 cells with the least products over the hyperaddition's automorphisms.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -305,6 +309,56 @@ def _row_check(violation, ext: tuple, row: tuple) -> tuple:
     return reads, partial(violation, ext=ext, row=row)
 
 
+def _final_levels(count: int, levels: list) -> list:
+    """Per cell, the last level that changes it (-1: none), final after it."""
+    position = [-1] * count
+    for i, options in enumerate(levels):
+        for option in options:
+            for r, _ in option:
+                position[r] = i
+    return position
+
+
+def _least_checks(order: int, m: int, position: list) -> list:
+    """Search checks, one per level where cells become final, that cut a
+    hyperaddition branch once a zero-fixing relabeling makes its final cells,
+    which never change below, smaller in ``_least_add``'s order.  The k-th
+    check compares, for the relabelings still tied (``live[k]``), the ranks
+    new to their comparable prefix, the run of ranks t from 0 with cells t
+    and ``target[t]`` final, and keeps the ties in ``live[k + 1]``."""
+    perms = []
+    for perm, inverse in _zero_fixing_perms(order, 0)[1:]:
+        target = carrier_map(inverse, m, order, order)[1]
+        # entry t: the level after which the prefix reaches past rank t
+        bound = accumulate((max(position[t], position[s]) for t, s in enumerate(target)), max)
+        perms.append((_relabeled_sets(order, perm), target, list(bound)))
+    own, ends = _relabeled_sets(order, tuple(range(order))), sorted(set(position))
+    live = [range(len(perms))] + [None] * len(ends)
+
+    def cut(cells: list, spans: list, k: int) -> bool:
+        tied = []
+        for p in live[k]:
+            (values, target, _), (lo, hi) = perms[p], spans[p]
+            for t in range(lo, hi):
+                a, b = values[cells[target[t]]], own[cells[t]]
+                if a != b:
+                    if a < b:
+                        return True
+                    break
+            else:
+                tied.append(p)
+        live[k + 1] = tied
+        return False
+
+    checks = []
+    for k, end in enumerate(ends):
+        start = ends[k - 1] if k else -2
+        spans = [(bisect_right(b, start), bisect_right(b, end)) for *_, b in perms]
+        reads = {r for r, i in enumerate(position) if i <= end}
+        checks.append((reads, partial(cut, spans=spans, k=k)))
+    return checks
+
+
 def _search(cells: list, levels: list, checks: list, meter: Meter) -> Iterator[None]:
     """Depth-first over the choices of ``levels``, yielding at each leaf
     with ``cells`` holding its table, in the order of a ``product`` over
@@ -314,13 +368,11 @@ def _search(cells: list, levels: list, checks: list, meter: Meter) -> Iterator[N
     as it found them; a cell is final after the last level that can change
     it.  ``checks`` pairs the cells a check can read with the check; each
     runs at the first level where all of them are final, and one that
-    returns a truthy value cuts off the branch.  Each pass of the loop, an
-    option taken or a level left, is a node spent on ``meter``."""
-    position = [-1] * len(cells)
-    for i, options in enumerate(levels):
-        for option in options:
-            for r, _ in option:
-                position[r] = i
+    returns a truthy value cuts off the branch.  A check may keep state per
+    level: it runs only on branches whose earlier checks all passed.  Each
+    pass of the loop, an option taken or a level left, is a node spent on
+    ``meter``."""
+    position = _final_levels(len(cells), levels)
     # ready[i + 1] holds the checks level i decides, ready[0] the rest
     ready: list = [[] for _ in range(len(levels) + 1)]
     for reads, check in checks:
@@ -400,49 +452,23 @@ def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
     nonzero = list(range(1, order))
     for iota_nz in _involutions(nonzero):
         iota = {0: 0, **iota_nz}
-        forced_present = set()
-        forced_absent = set()
-        for y in range(order):
-            kn = msort((0,) * (m - 1) + (y,))
-            forced_present.add((kn, y))
-            for z in range(order):
-                if z != y:
-                    forced_absent.add((kn, z))
-        for a in nonzero:
-            for b in nonzero:
-                if b < a:
-                    continue
-                key = msort((0,) * (m - 2) + (a, b))
-                atom = (key, 0)
-                if b == iota[a] or a == iota[b]:
-                    forced_present.add(atom)
-                else:
-                    forced_absent.add(atom)
-        all_atoms = [(key, x) for key in keys for x in range(order)]
-        orbit_of_atom: dict = {}
-        orbits = []
-        for atom in all_atoms:
-            if atom in orbit_of_atom:
-                continue
-            orb = _orbit_of(atom, iota, m)
-            orbits.append(orb)
-            for a in orb:
-                orbit_of_atom[a] = orb
-        must, free = [], []
-        feasible = True
-        for orb in orbits:
-            has_p = any(a in forced_present for a in orb)
-            has_a = any(a in forced_absent for a in orb)
-            if has_p and has_a:
-                feasible = False
-                break
-            if has_p:
-                must.append(orb)
-            elif not has_a:
-                free.append(orb)
-        if not feasible:
+        zero_rows = [(msort((0,) * (m - 1) + (y,)), y) for y in range(order)]
+        forced_present = set(zero_rows)
+        forced_absent = {(kn, z) for kn, y in zero_rows for z in range(order) if z != y}
+        for a, b in combinations_with_replacement(nonzero, 2):
+            atom = (msort((0,) * (m - 2) + (a, b)), 0)
+            (forced_present if b == iota[a] else forced_absent).add(atom)
+        seen, orbits = set(), []
+        for atom in ((key, x) for key in keys for x in range(order)):
+            if atom not in seen:
+                orbits.append(_orbit_of(atom, iota, m))
+                seen |= orbits[-1]
+        present = [not orb.isdisjoint(forced_present) for orb in orbits]
+        absent = [not orb.isdisjoint(forced_absent) for orb in orbits]
+        if any(p and a for p, a in zip(present, absent)):
             continue
-        free.sort(key=lambda orb: min(orb))
+        must = [orb for orb, p in zip(orbits, present) if p]
+        free = sorted((orb for orb, p, a in zip(orbits, present, absent) if not (p or a)), key=min)
         cells = [0] * len(keys)
         for orb in must:
             for key, x in orb:
@@ -460,9 +486,10 @@ def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
 def _add_candidates(order: int, m: int, meter: Meter) -> Iterator[TableView]:
     """Hyperaddition tables with neutral zero, unique inverses and
     reversibility built in by orbit construction, no empty cell and
-    associative: each free orbit is a level of the search, first left out,
-    then taken in, and a cell is final once the last free orbit through it
-    is decided."""
+    associative, one per relabeling class, the least: each free orbit is a
+    level of the search, first left out, then taken in, and a cell is final
+    once the last free orbit through it is decided.  ``_least_checks`` cuts
+    a branch as soon as its final cells show it is not the least."""
     shape = table_shape(order, m)
     empty = [((r,), partial(_empty_cell, r=r)) for r in range(len(shape.keys))]
     rows = [
@@ -470,7 +497,9 @@ def _add_candidates(order: int, m: int, meter: Meter) -> Iterator[TableView]:
         for row in ranked_plan(order, 2 * m - 1, m)
     ]
     for cells, free in _membership_orbits(order, m):
-        for _ in _search(cells, [((), orb) for orb in free], empty + rows, meter):
+        levels = [((), orb) for orb in free]
+        least = _least_checks(order, m, _final_levels(len(cells), levels))
+        for _ in _search(cells, levels, empty + least + rows, meter):
             yield TableView(shape, tuple(cells), True)
 
 
@@ -533,11 +562,12 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     """All verified Krasner (m,n)-hyperrings of the given order with zero at
     element 0, one per relabeling class: built from the distinct
     ``canonical_key``s in sorted order, so canonical forms in canonical
-    order.  Each class is reached through its least hyperaddition, which
-    alone is verified and paired with the distributive multiplications; the
-    key of a pair is computed there, not through ``canonical_key``.  The
-    hyperadditions come from the orbit search of ``_add_candidates``.  The
-    nodes of both searches count against the work budget."""
+    order.  Each class is reached through its least hyperaddition, the only
+    one the orbit search of ``_add_candidates`` yields, which is verified
+    and paired with the distributive multiplications; the key of a pair is
+    computed there, through the hyperaddition's automorphisms from
+    ``_least_add``, not through ``canonical_key``.  The nodes of both
+    searches count against the work budget."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
     if order < 1:
@@ -551,13 +581,10 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     seen_keys = set()
     for add in _add_candidates(order, m, meter):
-        least = _least_add(add)
-        if least is None:
-            continue
         probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
-        own, automorphisms = least
+        own, automorphisms = _least_add(add)
         for mul in _distributive_muls(add, map_masks):
             products = min(_relabel(mul.cells, n, inverse, perm) for perm, inverse in automorphisms)
             seen_keys.add((own, products))

@@ -56,6 +56,7 @@ from .core import (
     CapExceeded,
     FiniteStructure,
     Meter,
+    count_multisets,
     msort,
     multisets,
     plan_splits,
@@ -353,10 +354,14 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
     P is the bitmask of a row's sub-product values; single holds those that
     exactly one split gives, when that split has no repeat.  Built once per
     structure and (total, part), kept out of equality and hashing, after the
-    splits are counted against the work budget."""
+    splits, and the key elements of the product tables, are counted against
+    the work budget."""
     tables = vars(S).setdefault("_absorbing", {})
     if (total, part) not in tables:
         Meter(f"{S.name}: absorbing signature splits").spend(plan_splits(S.size, total, part))
+        meter = Meter(f"{S.name}: absorbing product tables")
+        for t in range(1, total + 1, S.n - 1):
+            meter.spend(count_multisets(S.size, t) * t)
         wholes = S.product_table(total)
         bit = [1 << v for v in S.product_table(part)]
         first: dict = {}

@@ -515,10 +515,18 @@ class FiniteStructure:
 
     @cached_property
     def lattice(self) -> IdealLattice:
-        """``enumerate_hyperideals`` of the structure; kept unless it raises."""
+        """``enumerate_hyperideals`` of the structure, kept; a refusal is kept
+        with its ``WORK_BUDGET`` and raised again while that budget stands."""
         from .ideals import enumerate_hyperideals  # ideals imports core
 
-        return enumerate_hyperideals(self)
+        budget, refusal = vars(self).get("_refusal", (None, None))
+        if budget == WORK_BUDGET:
+            raise refusal.with_traceback(None)
+        try:
+            return enumerate_hyperideals(self)
+        except CapExceeded as e:
+            vars(self)["_refusal"] = (WORK_BUDGET, e)
+            raise
 
     @cached_property
     def identities(self) -> tuple[int, ...]:

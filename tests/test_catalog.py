@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -193,6 +194,18 @@ def reference_add_candidates(order, m):
             yield TableView(shape, tuple(cells), True)
 
 
+def associative_add_candidates(order, m):
+    """The product scan's associative tables: every member of every
+    relabeling class, which the hyperaddition search would yield without
+    its least-relabeling cuts."""
+    labels = tuple(str(i) for i in range(order))
+    zero_mul = {k: 0 for k in multisets(order, 2)}
+    for add in reference_add_candidates(order, m):
+        probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
+        if AXIOMS["add-associativity"].scan(probe) is None:
+            yield add
+
+
 def search_leaves(cells, levels, checks):
     """The cells at each leaf of ``_search``, and the cells after it."""
     leaves = [tuple(cells) for _ in _search(cells, levels, checks, Meter("search"))]
@@ -289,24 +302,42 @@ def test_mul_search_matches_the_product_scan(order, n):
     assert list(found) == list(reference_mul_candidates(order, n))
 
 
+# (order, m): the least associative hyperadditions, one per relabeling
+# class, and the add-search nodes spent on them
+LEAST_ADDS = {
+    (3, 2): (10, 48),
+    (3, 3): (10, 318),
+    (4, 2): (97, 1_200),
+    (2, 4): (2, 18),
+    (3, 4): (10, 3_963),
+    (4, 3): (97, 80_556),
+    (5, 2): (3_776, 76_458),
+}
+
+
 @pytest.mark.parametrize(
-    "order,m,scanned,kept",
+    "order,m,scanned,associative",
     [(3, 2, 15, 15), (3, 3, 272, 15), (4, 2, 878, 390), (2, 4, 5, 2), (3, 4, 9762, 15)],
 )
-def test_add_search_matches_the_product_scan(order, m, scanned, kept):
-    # the search cuts off exactly the scan's tables that fail associativity
-    labels = tuple(str(i) for i in range(order))
-    zero_mul = {k: 0 for k in multisets(order, 2)}
-
-    def associative(add):
-        probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
-        return AXIOMS["add-associativity"].scan(probe) is None
-
+def test_add_search_matches_the_product_scan(order, m, scanned, associative):
+    # the search yields exactly the scan's associative tables that are the
+    # least of their relabeling class, in the scan's order
     reference = list(reference_add_candidates(order, m))
-    expected = [add for add in reference if associative(add)]
+    tables = list(associative_add_candidates(order, m))
+    expected = [add for add in tables if _least_add(add) is not None]
     found = list(_add_candidates(order, m, Meter("add search")))
     assert [add.cells for add in found] == [add.cells for add in expected]
-    assert (len(reference), len(found)) == (scanned, kept)
+    assert (len(reference), len(tables)) == (scanned, associative)
+    assert len(found) == LEAST_ADDS[order, m][0]
+
+
+@pytest.mark.parametrize("order,m", sorted(LEAST_ADDS))
+def test_add_search_yields_only_least_tables_in_pinned_nodes(order, m):
+    meter = Meter("add search")
+    found = list(_add_candidates(order, m, meter))
+    assert all(_least_add(add) is not None for add in found)
+    assert len({add.cells for add in found}) == len(found)
+    assert (len(found), meter.steps) == LEAST_ADDS[order, m]
 
 
 @pytest.mark.parametrize("m,n,order", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 3)])
@@ -319,7 +350,7 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
     zero_mul = {k: 0 for k in multisets(order, n)}
     hypergroups = 0
     kept = 0
-    for add in _add_candidates(order, m, Meter("add search")):
+    for add in associative_add_candidates(order, m):
         probe = FiniteStructure.build("probe", m, n, labels, add, zero_mul, 0)
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
@@ -368,12 +399,13 @@ def raw_add_candidates(order: int, m: int):
 
 
 def hypergroups(order, m, strategy="orbit"):
-    """The candidate hyperadditions that pass the hypergroup check, from
-    the enumerator's orbit search or from the raw scan."""
+    """The candidate hyperadditions that pass the hypergroup check, every
+    member of every class: from the orbit product scan or from the raw
+    scan."""
     labels = tuple(str(i) for i in range(order))
     zero_mul = {k: 0 for k in multisets(order, 2)}
     if strategy == "orbit":
-        candidates = _add_candidates(order, m, Meter("add search"))
+        candidates = associative_add_candidates(order, m)
     else:
         candidates = raw_add_candidates(order, m)
     for add in candidates:
@@ -524,8 +556,18 @@ def test_enumeration_caps():
 
 @pytest.mark.parametrize("m,n,classes,with_one", [(3, 2, 108, 12), (3, 3, 112, 8)])
 def test_ternary_hyperadditions_of_order_four_are_within_the_budget(m, n, classes, with_one):
-    # 392,385 and 444,425 search nodes
+    # 83,691 and 135,731 search nodes, 80,556 of them in the add search
     found = enumerate_structures(m, n, 4)
+    assert (len(found), sum(S.one is not None for S in found)) == (classes, with_one)
+
+
+@pytest.mark.parametrize(
+    "m,n,order,classes,with_one",
+    [(2, 4, 4, 146, 11), pytest.param(2, 2, 5, 4_413, 66, marks=pytest.mark.slow)],
+)
+def test_shapes_the_budget_reaches_are_pinned(m, n, order, classes, with_one):
+    # 1,463,050 and 817,746 search nodes; (2,2,5) takes about 10 s
+    found = enumerate_structures(m, n, order)
     assert (len(found), sum(S.one is not None for S in found)) == (classes, with_one)
 
 
@@ -634,6 +676,63 @@ def test_search_rejects_bad_specs(small_catalog):
     # with the degree message, not with int()'s own
     with pytest.raises(ValueError, match=r"absorbing degree in .* must be an integer >= 2"):
         search_counterexample("J => absorbing[delta0,²]", small_catalog)
+
+
+class Watched(list):
+    """A catalog that notes whether it was iterated."""
+
+    read = False
+
+    def __iter__(self):
+        self.read = True
+        return super().__iter__()
+
+
+@lru_cache(maxsize=1)
+def fuzz_catalog():
+    # kept across examples, so each structure builds its tables once
+    return tuple(CatalogEntry(S, "enumerated") for S in enumerate_structures(2, 2, 3)[:6])
+
+
+# a side of an implication: a well-formed predicate, with a degree of any
+# size, or a name from the grammar's own words with arguments of any count
+# and kind; and beside them arbitrary text
+DELTAS = st.sampled_from(("delta0", "delta1", "deltaR", "nope"))
+WELL_FORMED = st.one_of(
+    st.sampled_from(("J", "prime", "primary", "maximal", "in-jacobson")),
+    st.builds("{}[{}]".format, st.sampled_from(("delta-J", "delta-primary")), DELTAS),
+    st.builds("absorbing[{},{}]".format, DELTAS, st.integers(min_value=-3)),
+)
+MANGLED = st.builds(
+    lambda pad, name, args: pad + name + ("" if args is None else "[" + ",".join(args) + "]"),
+    st.sampled_from(("", " ", "[", "]")),
+    st.sampled_from(("J", "prime", "delta-J", "absorbing", "in-jacobson", "nope", "")),
+    st.none() | st.lists(st.one_of(DELTAS, st.integers().map(str), st.text(max_size=4)), max_size=3),
+)
+IMPLICATIONS = st.one_of(
+    st.builds(
+        lambda a, arrow, b: a + arrow + b,
+        WELL_FORMED | MANGLED,
+        st.sampled_from(("=>", " => ", "=")),
+        WELL_FORMED | MANGLED,
+    ),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(implication=IMPLICATIONS)
+def test_every_implication_raises_value_error_before_a_scan_or_runs(implication):
+    # any string: a usage error raised before any structure is read, or a
+    # search that reads the catalog and answers
+    entries = Watched(fuzz_catalog())
+    try:
+        hit = search_counterexample(implication, entries)
+    except ValueError:
+        assert not entries.read
+    else:
+        assert entries.read
+        assert hit is None or hit.structure in {e.structure.name for e in entries}
 
 
 def test_search_and_classify_agree(small_catalog):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from functools import partial
 from itertools import combinations, product
 from math import prod
@@ -327,7 +328,7 @@ def test_absorbing_rejects_degenerate_degree(b33):
         is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 1, lat)
 
 
-def test_absorbing_cap_reports_not_applicable(b24):
+def test_absorbing_cap_reports_not_applicable(b24, b33):
     # k = 29 on the 4-ary builtin24: the 88-factor signatures would take
     # C(88,3) * C(6,3) = 2,194,720 splits, past the work budget; the note is
     # the budget message, and nothing is built
@@ -339,6 +340,14 @@ def test_absorbing_cap_reports_not_applicable(b24):
     )
     assert (88, 85) not in vars(S).get("_absorbing", {})
     assert 88 not in vars(S).get("_products", {})
+    # k = 222 on the 3-element builtin33 passes the split count (592,740),
+    # but its product tables, up to length 445, are refused by their key
+    # elements before any is built
+    S, lat, registry = ctx(b33)
+    res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 222, lat)
+    assert res.verdict is Verdict.NOT_APPLICABLE
+    assert re.fullmatch(r"builtin33: absorbing product tables: .* budget of 2,000,000", res.note)
+    assert 445 not in vars(S).get("_products", {})
 
 
 def _seeded_zero_row_tables(count: int, seed: int):

@@ -238,6 +238,44 @@ def test_enumeration_size_cap(monkeypatch):
         enumerate_hyperideals(big)
 
 
+def test_a_refused_lattice_is_kept_while_its_budget_stands(monkeypatch):
+    from hyperring import core
+    from hyperring.core import CapExceeded, FiniteStructure, multisets
+
+    add = {key: frozenset({0}) for key in multisets(21, 2)}
+    mul = {key: 0 for key in multisets(21, 2)}
+    big = FiniteStructure("big", 2, 2, tuple(str(x) for x in range(21)), add, mul, 0)
+    steps = []
+    spend = core.Meter.spend
+
+    def counted(meter, n=1):
+        steps.append(n)
+        spend(meter, n)
+
+    monkeypatch.setattr(core.Meter, "spend", counted)
+    monkeypatch.setattr(core, "WORK_BUDGET", 100)
+
+    def refusal():
+        steps.clear()
+        with pytest.raises(CapExceeded, match="budget of 100$") as info:
+            big.lattice
+        return info.value, sum(steps)
+
+    first, spent = refusal()
+    assert spent > 100
+    # read again under the same budget: the same refusal, no closure step
+    assert refusal() == (first, 0)
+    assert refusal() == (first, 0)
+    # a new budget is a new attempt, and its refusal is the one kept
+    monkeypatch.setattr(core, "WORK_BUDGET", 50)
+    with pytest.raises(CapExceeded, match="budget of 50$"):
+        big.lattice
+    monkeypatch.setattr(core, "WORK_BUDGET", 100)
+    again, spent = refusal()
+    assert again is not first and spent > 100
+    assert refusal() == (again, 0)
+
+
 def test_cyclic_rings_up_to_thirty_verify_and_have_a_member_per_divisor(cyclic):
     # the hyperideals of Z_N are the subgroups dZ_N, one per divisor d of N;
     # every N <= 30 is within the work budget, scan and closure alike
