@@ -17,14 +17,15 @@ failing one cuts off the branch.  So does, in the hyperaddition search, a
 zero-fixing relabeling that makes the final cells smaller (orderly
 generation, Read 1978), so each hyperaddition leaf is the least of its
 relabeling class.  Every hyperaddition leaf still gets the hypergroup axiom
-check, and every multiplication leaf the full associativity check.
-Distributivity is then decided through translation maps: g distributes over
-f exactly when every map x -> g(a_1..a_{n-1}, x) is an endomorphism of f.
-The distinct maps of all candidate multiplications are far fewer than the
-multiplications, so ``_map_masks`` lists them once per enumeration and
-gives each multiplication the bitmask of its maps; each hypergroup tests
-every distinct map once, for the mask of its endomorphisms, and keeps the
-multiplications whose mask lies inside that one.  Each clause of
+check, and every multiplication leaf the associativity rows through the
+zero, the ones the search leaves to it.  Distributivity is decided through
+translation maps: g distributes over f exactly when every map
+x -> g(a_1..a_{n-1}, x) is an endomorphism of f.  ``_map_masks`` lists the
+distinct maps of all candidate multiplications, far fewer than these, once
+per enumeration, with each multiplication's bitmask of them.  Once every
+hypergroup is verified, ``_partners`` tests each map once against all of
+them, for the bitset of those it is an endomorphism of, and pairs each
+multiplication with the hypergroups in all its maps' sets.  Each clause of
 ``verify_krasner`` is thus decided once per table, and kept pairs are not
 verified again.  Candidates are ranked cell tables (``core.TableView``), and
 classes are keyed by their least relabeled cells, from which the outputs are
@@ -40,8 +41,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations_with_replacement, permutations
+from operator import and_
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -52,7 +54,6 @@ from .core import (
     TableView,
     add_associativity_violation,
     carrier_map,
-    map_violation,
     mask_of,
     msort,
     mul_associativity_violation,
@@ -511,12 +512,13 @@ def _mul_candidates(order: int, n: int, meter: Meter) -> Iterator[TableView]:
     free = [r for r, key in enumerate(shape.keys) if 0 not in key]
     levels = [tuple(((r, v),) for v in range(order)) for r in free]
     plan, ext = ranked_plan(order, 2 * n - 1, n), shape.ext
-    # a row through the zero holds by zero absorption, whatever the free
-    # cells hold, so only the leaf check reads it
+    # the search decides every row without the zero; a row through it holds
+    # by zero absorption, whatever the free cells hold, so only leaves read it
+    zero_rows = [row for row in plan if 0 in row[0]]
     rows = [_row_check(mul_associativity_violation, ext, row) for row in plan if 0 not in row[0]]
     cells = [0] * len(shape.keys)
     for _ in _search(cells, levels, rows, meter):
-        if not any(mul_associativity_violation(cells, ext, row) for row in plan):
+        if not any(mul_associativity_violation(cells, ext, row) for row in zero_rows):
             yield TableView(shape, tuple(cells), False)
 
 
@@ -536,26 +538,28 @@ def _map_masks(muls: Iterable[TableView]) -> tuple[tuple, list[tuple[TableView, 
     return tuple(index), masked
 
 
-def _distributive_muls(
-    add: TableView, map_masks: tuple[tuple, list[tuple[TableView, int]]]
-) -> Iterator[TableView]:
-    """The multiplications that distribute over ``add``, in the given order.
-
-    g distributes over f exactly when every translation map of g is an
-    endomorphism of f.  ``map_masks`` is ``_map_masks`` of the
-    multiplications; many of them share maps, so each distinct map is
-    tested once per hyperaddition (through image and target tables that all
-    hyperadditions of the shape share), and a multiplication is kept when
-    its map mask lies inside the mask of the endomorphisms.
-    """
+def _partners(adds: list, map_masks: tuple, m: int, order: int) -> Iterator[tuple[TableView, int]]:
+    """Each multiplication of ``map_masks`` (``_map_masks``), in order, with
+    the bitset of the hyperaddition cells in ``adds`` it distributes over,
+    bit h for ``adds[h]``: those that all its translation maps keep.  A map
+    keeps, per rank r, the tables whose value at its target rank is the
+    image of their value at r, read off per-rank columns from each value to
+    the bitset of the tables holding it there."""
     maps, masked = map_masks
-    endo = 0
-    for i, phi in enumerate(maps):
-        if map_violation(phi, add, add) is None:
-            endo |= 1 << i
+    cols: list[dict] = [{} for _ in table_shape(order, m).keys]
+    for h, cells in enumerate(adds):
+        for col, v in zip(cols, cells):
+            col[v] = col.get(v, 0) | 1 << h
+    everyone, endo = (1 << len(adds)) - 1, []
+    for phi in maps:
+        image, target = carrier_map(phi, m, order, order)
+        kept = everyone
+        for col, t in zip(cols, target):
+            # one column's bitsets are disjoint, so their sum is their union
+            kept &= sum(held & cols[t].get(image[v], 0) for v, held in col.items())
+        endo.append(kept)
     for mul, mask in masked:
-        if not mask & ~endo:
-            yield mul
+        yield mul, reduce(and_, (endo[i] for i in BITS[mask]), everyone)
 
 
 def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
@@ -563,9 +567,9 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     element 0, one per relabeling class: built from the distinct
     ``canonical_key``s in sorted order, so canonical forms in canonical
     order.  Each class is reached through its least hyperaddition, the only
-    one the orbit search of ``_add_candidates`` yields, which is verified
-    and paired with the distributive multiplications; the key of a pair is
-    computed there, through the hyperaddition's automorphisms from
+    one the orbit search of ``_add_candidates`` yields; once all are verified,
+    ``_partners`` pairs them with the distributive multiplications, and the
+    key of a pair is computed through the hyperaddition's automorphisms from
     ``_least_add``, not through ``canonical_key``.  The nodes of both
     searches count against the work budget."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
@@ -579,13 +583,18 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     # never read
     mul_shape = table_shape(order, n)
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
-    seen_keys = set()
+    adds, least = [], []
     for add in _add_candidates(order, m, meter):
         probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
-        if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
-            continue
-        own, automorphisms = _least_add(add)
-        for mul in _distributive_muls(add, map_masks):
+        if verify_canonical_hypergroup(probe, fail_fast=True).ok:
+            adds.append(add.cells)
+            least.append(_least_add(add))
+    seen_keys = set()
+    for mul, partners in _partners(adds, map_masks, m, order):
+        while partners:
+            h = partners.bit_length() - 1
+            partners ^= 1 << h
+            own, automorphisms = least[h]
             products = min(_relabel(mul.cells, n, inverse, perm) for perm, inverse in automorphisms)
             seen_keys.add((own, products))
     return [

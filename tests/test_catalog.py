@@ -23,7 +23,6 @@ from hyperring import (
 )
 from hyperring.catalog import (
     _add_candidates,
-    _distributive_muls,
     _from_key,
     _involutions,
     _least_add,
@@ -31,6 +30,8 @@ from hyperring.catalog import (
     _membership_orbits,
     _mul_candidates,
     _parse_predicate,
+    _partners,
+    _relabeled,
     _relabeled_add,
     _search,
     _zero_fixing_perms,
@@ -43,6 +44,7 @@ from hyperring.core import (
     Meter,
     TableView,
     inverse_candidates,
+    map_violation,
     msort,
     mul_associativity_violation,
     multisets,
@@ -340,6 +342,19 @@ def test_add_search_yields_only_least_tables_in_pinned_nodes(order, m):
     assert (len(found), meter.steps) == LEAST_ADDS[order, m]
 
 
+def reference_distributive_muls(add, map_masks):
+    """The multiplications of ``_map_masks``'s ``map_masks`` that distribute
+    over ``add``, in order, one hypergroup at a time: each distinct map is
+    tested for an endomorphism of ``add``, and a multiplication is kept when
+    its map mask lies inside the mask of the endomorphisms."""
+    maps, masked = map_masks
+    endo = 0
+    for i, phi in enumerate(maps):
+        if map_violation(phi, add, add) is None:
+            endo |= 1 << i
+    return [mul for mul, mask in masked if not mask & ~endo]
+
+
 @pytest.mark.parametrize("m,n,order", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 4, 3)])
 def test_translation_map_filter_matches_distributivity_check(m, n, order):
     # over every (verified hypergroup, associative multiplication) pair, the
@@ -355,7 +370,7 @@ def test_translation_map_filter_matches_distributivity_check(m, n, order):
         if not verify_canonical_hypergroup(probe, fail_fast=True).ok:
             continue
         hypergroups += 1
-        accepted = [id(mul) for mul in _distributive_muls(add, paired)]
+        accepted = [id(mul) for mul in reference_distributive_muls(add, paired)]
         expected = []
         for mul in muls:
             S = FiniteStructure("pair", m, n, labels, add, mul, 0)
@@ -422,9 +437,76 @@ def reference_pairing_keys(m, n, order, strategy="orbit"):
     paired = _map_masks(_mul_candidates(order, n, Meter("mul search")))
     keys = set()
     for add in hypergroups(order, m, strategy):
-        for mul in _distributive_muls(add, paired):
+        for mul in reference_distributive_muls(add, paired):
             keys.add(canonical_key(FiniteStructure("pair", m, n, labels, add, mul, 0)))
     return sorted(keys)
+
+
+def least_hypergroups(order, m):
+    """The hyperadditions the enumerator pairs: the search's least tables
+    that pass the hypergroup check."""
+    labels = tuple(str(i) for i in range(order))
+    zero_mul = {k: 0 for k in multisets(order, 2)}
+    for add in _add_candidates(order, m, Meter("add search")):
+        probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
+        if verify_canonical_hypergroup(probe, fail_fast=True).ok:
+            yield add
+
+
+@pytest.mark.parametrize(
+    "m,n,order", [(m, n, 3) for (m, n) in sorted(FROZEN_COUNTS)] + [(2, 4, 3), (2, 2, 4)]
+)
+def test_partner_sets_match_the_per_hypergroup_filter(m, n, order):
+    # over every verified hypergroup, not only the least: bit h of a
+    # multiplication's partner set is set exactly when the reference filter
+    # keeps it for adds[h], and exactly when the distributivity clause passes
+    labels = tuple(str(i) for i in range(order))
+    adds = list(hypergroups(order, m))
+    map_masks = _map_masks(_mul_candidates(order, n, Meter("mul search")))
+    muls = [mul for mul, _ in map_masks[1]]
+    found = list(_partners([add.cells for add in adds], map_masks, m, order))
+    assert [id(mul) for mul, _ in found] == [id(mul) for mul in muls]
+    for h, add in enumerate(adds):
+        kept = [id(mul) for mul, partners in found if partners >> h & 1]
+        assert kept == [id(mul) for mul in reference_distributive_muls(add, map_masks)]
+        pairs = [FiniteStructure("pair", m, n, labels, add, mul, 0) for mul in muls]
+        passes = [AXIOMS["distributivity"].scan(S) is None for S in pairs]
+        assert kept == [id(mul) for mul, ok in zip(muls, passes) if ok]
+    assert all(partners >> len(adds) == 0 for _, partners in found)
+
+
+@pytest.mark.parametrize(
+    "m,n,order,pairs",
+    [(2, 2, 3, 24), (3, 2, 3, 20), (2, 3, 3, 24), (3, 3, 3, 20), (2, 4, 3, 24), (2, 2, 4, 172)]
+    + [pytest.param(2, 2, 5, 4_672, marks=pytest.mark.slow)],
+)
+def test_pairs_over_least_hypergroups_are_pinned(m, n, order, pairs):
+    adds = [add.cells for add in least_hypergroups(order, m)]
+    map_masks = _map_masks(_mul_candidates(order, n, Meter("mul search")))
+    found = _partners(adds, map_masks, m, order)
+    assert sum(bin(partners).count("1") for _, partners in found) == pairs
+
+
+@pytest.mark.parametrize(
+    "m,n,order,labelled",
+    [(2, 2, 2, 4), (2, 2, 3, 33), (3, 2, 3, 25), (2, 3, 3, 33), (3, 3, 3, 25), (2, 4, 3, 33)]
+    + [(2, 2, 4, 591)],
+)
+def test_class_sizes_add_up_to_the_labelled_pairs(m, n, order, labelled):
+    # orbit and stabilizer: the class of S has (order-1)! / |Aut(S)|
+    # members under the relabelings that fix the zero, and every labelled
+    # (hypergroup, distributive multiplication) pair is in one class
+    perms = _zero_fixing_perms(order, 0)
+    identity = tuple(range(order))
+    members = 0
+    for S in enumerate_structures(m, n, order):
+        own = _relabeled(S, identity, identity)
+        automorphisms = sum(_relabeled(S, *p) == own for p in perms)
+        assert len(perms) % automorphisms == 0
+        members += len(perms) // automorphisms
+    map_masks = _map_masks(_mul_candidates(order, n, Meter("mul search")))
+    pairs = sum(len(reference_distributive_muls(add, map_masks)) for add in hypergroups(order, m))
+    assert members == pairs == labelled
 
 
 @pytest.mark.parametrize(
@@ -563,10 +645,10 @@ def test_ternary_hyperadditions_of_order_four_are_within_the_budget(m, n, classe
 
 @pytest.mark.parametrize(
     "m,n,order,classes,with_one",
-    [(2, 4, 4, 146, 11), pytest.param(2, 2, 5, 4_413, 66, marks=pytest.mark.slow)],
+    [(2, 4, 4, 146, 11), (2, 2, 5, 4_413, 66)],
 )
 def test_shapes_the_budget_reaches_are_pinned(m, n, order, classes, with_one):
-    # 1,463,050 and 817,746 search nodes; (2,2,5) takes about 10 s
+    # 1,463,050 and 817,746 search nodes, about 1.5 s each
     found = enumerate_structures(m, n, order)
     assert (len(found), sum(S.one is not None for S in found)) == (classes, with_one)
 
