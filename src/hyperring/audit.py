@@ -223,7 +223,7 @@ class StructureContext:
 
     @cached_property
     def registry(self) -> dict:
-        return self.entry.registry()
+        return self.S.lattice.registry
 
     @cached_property
     def jac(self) -> frozenset:

@@ -33,7 +33,7 @@ built; relabelings act through ``carrier_map``.  Both candidate sets are
 closed under the relabelings that fix the zero, and the key of a class
 minimises its hyperaddition cells first, so pairing the least hyperaddition
 of each class reaches every class; a pair's key is its own hyperaddition
-cells with the least products over the hyperaddition's automorphisms.
+cells with the least products over the automorphisms the search found.
 """
 
 from __future__ import annotations
@@ -245,25 +245,6 @@ def _zero_fixing_perms(size: int, zero: int) -> tuple:
     return tuple(out)
 
 
-def _least_add(add: TableView) -> Optional[tuple[tuple, list]]:
-    """(own cells, automorphisms) of a hyperaddition with zero at element 0
-    whose cells, in ``canonical_key``'s order, are the least over the
-    relabelings that fix the zero; None if some relabeling gives less.  The
-    automorphisms are the (relabeling, inverse) pairs that reproduce the
-    own cells."""
-    size, m = add.shape.size, add.shape.arity
-    identity = tuple(range(size))
-    own = _relabeled_add(add.cells, m, identity, identity)
-    automorphisms = []
-    for perm, inverse in _zero_fixing_perms(size, 0):
-        cells = _relabeled_add(add.cells, m, perm, inverse)
-        if cells < own:
-            return None
-        if cells == own:
-            automorphisms.append((perm, inverse))
-    return own, automorphisms
-
-
 def _canonical_perm(S: FiniteStructure) -> tuple:
     """The first zero-fixing (relabeling, inverse) with the least relabeled
     cells."""
@@ -320,13 +301,14 @@ def _final_levels(count: int, levels: list) -> list:
     return position
 
 
-def _least_checks(order: int, m: int, position: list) -> list:
-    """Search checks, one per level where cells become final, that cut a
-    hyperaddition branch once a zero-fixing relabeling makes its final cells,
-    which never change below, smaller in ``_least_add``'s order.  The k-th
-    check compares, for the relabelings still tied (``live[k]``), the ranks
-    new to their comparable prefix, the run of ranks t from 0 with cells t
-    and ``target[t]`` final, and keeps the ties in ``live[k + 1]``."""
+def _least_checks(order: int, m: int, position: list) -> tuple[list, list]:
+    """(checks, live): search checks, one per level where cells become
+    final, that cut a hyperaddition branch once a zero-fixing relabeling
+    makes its final cells, which never change below, smaller in
+    ``canonical_key``'s order.  The k-th check compares, for the relabelings
+    still tied (``live[k]``), the ranks new to their comparable prefix, the
+    run of ranks t from 0 with cells t and ``target[t]`` final, and keeps the
+    ties in ``live[k + 1]``; the last compares every rank."""
     perms = []
     for perm, inverse in _zero_fixing_perms(order, 0)[1:]:
         target = carrier_map(inverse, m, order, order)[1]
@@ -357,7 +339,7 @@ def _least_checks(order: int, m: int, position: list) -> list:
         spans = [(bisect_right(b, start), bisect_right(b, end)) for *_, b in perms]
         reads = {r for r, i in enumerate(position) if i <= end}
         checks.append((reads, partial(cut, spans=spans, k=k)))
-    return checks
+    return checks, live
 
 
 def _search(cells: list, levels: list, checks: list, meter: Meter) -> Iterator[None]:
@@ -370,9 +352,9 @@ def _search(cells: list, levels: list, checks: list, meter: Meter) -> Iterator[N
     it.  ``checks`` pairs the cells a check can read with the check; each
     runs at the first level where all of them are final, and one that
     returns a truthy value cuts off the branch.  A check may keep state per
-    level: it runs only on branches whose earlier checks all passed.  Each
-    pass of the loop, an option taken or a level left, is a node spent on
-    ``meter``."""
+    level: it runs only on branches whose earlier checks all passed, so the
+    state it keeps is read at the leaf as the leaf's.  Each pass of the
+    loop, an option taken or a level left, is a node spent on ``meter``."""
     position = _final_levels(len(cells), levels)
     # ready[i + 1] holds the checks level i decides, ready[0] the rest
     ready: list = [[] for _ in range(len(levels) + 1)]
@@ -484,24 +466,29 @@ def _membership_orbits(order: int, m: int) -> Iterator[tuple[list, list]]:
         yield cells, ranked
 
 
-def _add_candidates(order: int, m: int, meter: Meter) -> Iterator[TableView]:
-    """Hyperaddition tables with neutral zero, unique inverses and
-    reversibility built in by orbit construction, no empty cell and
-    associative, one per relabeling class, the least: each free orbit is a
-    level of the search, first left out, then taken in, and a cell is final
-    once the last free orbit through it is decided.  ``_least_checks`` cuts
-    a branch as soon as its final cells show it is not the least."""
+def _add_candidates(order: int, m: int, meter: Meter) -> Iterator[tuple[TableView, tuple]]:
+    """(table, automorphisms) for the hyperaddition tables with neutral zero,
+    unique inverses and reversibility built in by orbit construction, no
+    empty cell and associative, one per relabeling class, the least: each
+    free orbit is a level of the search, first left out, then taken in, and
+    a cell is final once the last free orbit through it is decided.
+    ``_least_checks`` cuts a branch as soon as its final cells show it is
+    not the least; the identity and the relabelings its last check leaves
+    tied, in ``_zero_fixing_perms`` order, are the automorphisms."""
     shape = table_shape(order, m)
     empty = [((r,), partial(_empty_cell, r=r)) for r in range(len(shape.keys))]
     rows = [
         _row_check(add_associativity_violation, shape.ext, row)
         for row in ranked_plan(order, 2 * m - 1, m)
     ]
+    relabelings = _zero_fixing_perms(order, 0)
     for cells, free in _membership_orbits(order, m):
         levels = [((), orb) for orb in free]
-        least = _least_checks(order, m, _final_levels(len(cells), levels))
+        least, live = _least_checks(order, m, _final_levels(len(cells), levels))
         for _ in _search(cells, levels, empty + least + rows, meter):
-            yield TableView(shape, tuple(cells), True)
+            # live[-1] indexes the relabelings after the identity
+            automorphisms = (relabelings[0], *(relabelings[p + 1] for p in live[-1]))
+            yield TableView(shape, tuple(cells), True), automorphisms
 
 
 def _mul_candidates(order: int, n: int, meter: Meter) -> Iterator[TableView]:
@@ -569,8 +556,8 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     order.  Each class is reached through its least hyperaddition, the only
     one the orbit search of ``_add_candidates`` yields; once all are verified,
     ``_partners`` pairs them with the distributive multiplications, and the
-    key of a pair is computed through the hyperaddition's automorphisms from
-    ``_least_add``, not through ``canonical_key``.  The nodes of both
+    key of a pair is computed through the automorphisms the search yields
+    with the hyperaddition, not through ``canonical_key``.  The nodes of both
     searches count against the work budget."""
     if not (2 <= m <= 4 and 2 <= n <= 4):
         raise ValueError(f"unsupported arities ({m},{n})")
@@ -584,11 +571,12 @@ def enumerate_structures(m: int, n: int, order: int) -> list[FiniteStructure]:
     mul_shape = table_shape(order, n)
     zero_mul = TableView(mul_shape, (0,) * len(mul_shape.keys), False)
     adds, least = [], []
-    for add in _add_candidates(order, m, meter):
+    for add, automorphisms in _add_candidates(order, m, meter):
         probe = FiniteStructure("probe", m, n, labels, add, zero_mul, 0)
         if verify_canonical_hypergroup(probe, fail_fast=True).ok:
             adds.append(add.cells)
-            least.append(_least_add(add))
+            # the first automorphism is the identity
+            least.append((_relabeled_add(add.cells, m, *automorphisms[0]), automorphisms))
     seen_keys = set()
     for mul, partners in _partners(adds, map_masks, m, order):
         while partners:
@@ -703,7 +691,7 @@ def search_counterexample(
     lhs, rhs = _parse_predicate(lhs_spec), _parse_predicate(rhs_spec)
     for entry in entries:
         S = entry.structure
-        registry = entry.registry()
+        registry = S.lattice.registry
         for ideal in S.lattice.proper():
             a = lhs(S, registry, ideal.members)
             b = rhs(S, registry, ideal.members)

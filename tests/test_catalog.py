@@ -25,7 +25,6 @@ from hyperring.catalog import (
     _add_candidates,
     _from_key,
     _involutions,
-    _least_add,
     _map_masks,
     _membership_orbits,
     _mul_candidates,
@@ -180,6 +179,25 @@ def reference_mul_candidates(order, n):
             yield TableView(shape, tuple(cells), False)
 
 
+def reference_least_add(add):
+    """(own cells, automorphisms) of a hyperaddition with zero at element 0
+    whose cells, in ``canonical_key``'s order, are the least over the
+    relabelings that fix the zero; None if some relabeling gives less.  The
+    automorphisms are the (relabeling, inverse) pairs that reproduce the
+    own cells, in ``_zero_fixing_perms`` order."""
+    size, m = add.shape.size, add.shape.arity
+    identity = tuple(range(size))
+    own = _relabeled_add(add.cells, m, identity, identity)
+    automorphisms = []
+    for perm, inverse in _zero_fixing_perms(size, 0):
+        cells = _relabeled_add(add.cells, m, perm, inverse)
+        if cells < own:
+            return None
+        if cells == own:
+            automorphisms.append((perm, inverse))
+    return own, automorphisms
+
+
 def reference_add_candidates(order, m):
     """The product scan over every choice of free orbits, leaving out the
     tables with an empty cell."""
@@ -326,8 +344,8 @@ def test_add_search_matches_the_product_scan(order, m, scanned, associative):
     # least of their relabeling class, in the scan's order
     reference = list(reference_add_candidates(order, m))
     tables = list(associative_add_candidates(order, m))
-    expected = [add for add in tables if _least_add(add) is not None]
-    found = list(_add_candidates(order, m, Meter("add search")))
+    expected = [add for add in tables if reference_least_add(add) is not None]
+    found = [add for add, _ in _add_candidates(order, m, Meter("add search"))]
     assert [add.cells for add in found] == [add.cells for add in expected]
     assert (len(reference), len(tables)) == (scanned, associative)
     assert len(found) == LEAST_ADDS[order, m][0]
@@ -336,10 +354,40 @@ def test_add_search_matches_the_product_scan(order, m, scanned, associative):
 @pytest.mark.parametrize("order,m", sorted(LEAST_ADDS))
 def test_add_search_yields_only_least_tables_in_pinned_nodes(order, m):
     meter = Meter("add search")
-    found = list(_add_candidates(order, m, meter))
-    assert all(_least_add(add) is not None for add in found)
+    found = []
+    for add, automorphisms in _add_candidates(order, m, meter):
+        # the reference finds no smaller relabeling, and its automorphisms,
+        # in order, are those the search yields
+        own = _relabeled_add(add.cells, m, *automorphisms[0])
+        assert reference_least_add(add) == (own, list(automorphisms))
+        found.append(add)
     assert len({add.cells for add in found}) == len(found)
     assert (len(found), meter.steps) == LEAST_ADDS[order, m]
+
+
+# (order, m): the associative hyperadditions with zero at element 0, every
+# member of every relabeling class; the counts at order <= 4 with m = 2 and
+# at (3, 3), (2, 4), (3, 4) are the product scan's above, and those at
+# (4, 3) and (5, 2) the leaves of the search without its least-relabeling cuts
+LABELLED_ADDS = {
+    (2, 4): 2,
+    (3, 2): 15,
+    (3, 3): 15,
+    (3, 4): 15,
+    (4, 2): 390,
+    (4, 3): 390,
+    (5, 2): 72_112,
+}
+
+
+@pytest.mark.parametrize("order,m", sorted(LEAST_ADDS))
+def test_add_search_classes_add_up_to_the_labelled_tables(order, m):
+    # orbit and stabilizer: the class of a least table has (order-1)! /
+    # |automorphisms| members, and every associative table is in one class
+    perms = len(_zero_fixing_perms(order, 0))
+    found = list(_add_candidates(order, m, Meter("add search")))
+    assert all(perms % len(automorphisms) == 0 for _, automorphisms in found)
+    assert sum(perms // len(automorphisms) for _, automorphisms in found) == LABELLED_ADDS[order, m]
 
 
 def reference_distributive_muls(add, map_masks):
@@ -447,7 +495,7 @@ def least_hypergroups(order, m):
     that pass the hypergroup check."""
     labels = tuple(str(i) for i in range(order))
     zero_mul = {k: 0 for k in multisets(order, 2)}
-    for add in _add_candidates(order, m, Meter("add search")):
+    for add, _ in _add_candidates(order, m, Meter("add search")):
         probe = FiniteStructure.build("probe", m, 2, labels, add, zero_mul, 0)
         if verify_canonical_hypergroup(probe, fail_fast=True).ok:
             yield add
@@ -526,7 +574,7 @@ def test_hypergroup_relabeling_classes_are_pinned():
         perms = _zero_fixing_perms(order, 0)
         # each class once, by its least cells over every relabeling
         least_cells = {min(_relabeled_add(add.cells, 2, *p) for p in perms) for add in adds}
-        kept = [found for found in map(_least_add, adds) if found is not None]
+        kept = [found for found in map(reference_least_add, adds) if found is not None]
         assert {own for own, _ in kept} == least_cells and len(kept) == len(least_cells)
         # orbit and stabilizer: a class has |perms| / |automorphisms| members
         assert sum(len(perms) // len(autos) for _, autos in kept) == len(adds)
