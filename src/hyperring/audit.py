@@ -22,16 +22,19 @@ would take the check past the work budget; when the budget refuses the
 structure's lattice, the context keeps the message and every later cell
 SKIPs with it, without building the lattice again.
 
-The checks share their verdicts through a ``StructureContext``: its
-``verdict`` evaluates a row of ``classifiers.PREDICATES``, or one of the
-delta-J reference forms that T04, T15 and T16 compare with it, on a
-structure (the audited one, a quotient or a fixture's target) once per
-lattice, row, member set Q, delta(Q) and k, and its radicals are read from
-the registry's delta1 expansion.  An expansion enters these verdicts only
-through the set delta(Q), so expansions that agree on Q share one result:
-a registered one, a composition ``gammaodelta`` or an induced quotient
-expansion ``delta_q``.  Theorem instances carry the expansion, and a
-witness found for another expansion is returned under the name asked for.
+The checks share what they read through a ``StructureContext``, which
+keeps each value once.  Its ``verdict`` evaluates a row of
+``classifiers.PREDICATES``, or one of the delta-J reference forms that T04,
+T15 and T16 compare with it, on a structure (the audited one, a quotient or
+a fixture's target) once per lattice, row, member set Q, delta(Q) read from
+the expansion's table (none for a Q outside the lattice) and k.  It keeps
+the principal hyperideals (T17), the compositions ``gammaodelta`` (T11) and
+which expansions preserve intersections (T14); radicals are read from
+delta1.  An expansion enters the verdicts only through the set delta(Q), so
+expansions that agree on Q share one result: a registered one, a
+composition or an induced quotient expansion ``delta_q``.  Theorem
+instances carry the expansion, and a witness found for another expansion is
+returned under the name asked for.
 The context, its quotients and its hom fixtures hold structures only; every
 lattice is read as ``S.lattice``.  The memo key holds ``S.lattice`` itself,
 which hashes by identity (a structure hashes by walking its tables), so the
@@ -220,6 +223,7 @@ class StructureContext:
         self.k_max = k_max
         self.S: FiniteStructure = entry.structure
         self._verdicts: dict = {}
+        self._composed: dict = {}
 
     @cached_property
     def registry(self) -> dict:
@@ -253,9 +257,9 @@ class StructureContext:
         takes.  A row reads its expansion only through delta(Q), so the
         result is kept under delta(Q) and a witness found for another
         expansion is returned renamed; a Q outside the lattice is IMPROPER
-        whatever the expansion, and keeps no delta(Q)."""
+        whatever the expansion, whose table holds no delta(Q) for it."""
         S = self.S if S is None else S
-        moved = None if delta is None or Q not in S.lattice else delta(Q)
+        moved = None if delta is None else delta.table.get(Q)
         key = (S.lattice, row, Q, moved, k)
         res = self._verdicts.get(key)
         if res is None:
@@ -264,6 +268,24 @@ class StructureContext:
         elif moved is not None and getattr(res, "witness", None) and res.witness.delta != delta.name:
             res = replace(res, witness=replace(res.witness, delta=delta.name))
         return res
+
+    @cached_property
+    def principals(self) -> list[frozenset]:
+        """The proper principal hyperideals, one per carrier element."""
+        ideals = (principal_ideal(self.S, x).ideal for x in self.S.carrier)
+        return [p.members for p in ideals if p.proper]
+
+    def composed(self, gamma, delta):
+        """gamma o delta of two registered expansions, built once per pair."""
+        key = gamma.name, delta.name
+        if key not in self._composed:
+            self._composed[key] = compose_expansions(gamma, delta)
+        return self._composed[key]
+
+    @cached_property
+    def preserves_meets(self) -> dict:
+        """Per registered expansion name: whether it preserves intersections."""
+        return {n: preserves_intersections(self.S.lattice, d) for n, d in self.registry.items()}
 
     def radical(self, Q: frozenset) -> frozenset:
         """The radical of a lattice member, read from the delta1 expansion."""
@@ -463,16 +485,15 @@ def _meets(ctx) -> Iterable[tuple]:
     # the first instance is the leading check that delta1 preserves meets
     yield ctx.registry["delta1"], None, None
     for delta in ctx.registry.values():
-        if preserves_intersections(ctx.S.lattice, delta):
+        if ctx.preserves_meets[delta.name]:
             for a, b in product(ctx.proper, repeat=2):
                 yield delta, a, b
 
 
 def _meet_is_delta_j(ctx, delta, a, b) -> Optional[dict]:
     if a is None:
-        if preserves_intersections(ctx.S.lattice, delta):
-            return None
-        return dict(reason="delta1 does not preserve intersections")
+        preserves = ctx.preserves_meets[delta.name]
+        return None if preserves else dict(reason="delta1 does not preserve intersections")
     if ctx.verdict("delta-J", a & b, delta):
         return None
     return dict(first=a, second=b, delta=delta.name)
@@ -495,11 +516,10 @@ _FORMS = {
 
 
 def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
-    principals = [principal_ideal(ctx.S, x).ideal for x in ctx.S.carrier]
     return _agree(
         dict(delta=delta.name),
         local=is_local(ctx.S),
-        principal_all=all(ctx.verdict("delta-J", p.members, delta) for p in principals if p.proper),
+        principal_all=all(ctx.verdict("delta-J", p, delta) for p in ctx.principals),
         proper_all=all(ctx.verdict("delta-J", q, delta) for q in ctx.proper),
     )
 
@@ -664,7 +684,7 @@ _IMPLICATIONS: list[Implication] = [
         ),
         lambda ctx, q, delta, gamma: (
             None
-            if ctx.verdict("delta-J", q, compose_expansions(gamma, delta))
+            if ctx.verdict("delta-J", q, ctx.composed(gamma, delta))
             else dict(ideal=q, delta=delta.name, gamma=gamma.name)
         ),
     ),

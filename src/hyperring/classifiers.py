@@ -57,6 +57,7 @@ from .core import (
     FiniteStructure,
     Meter,
     count_multisets,
+    mask_of,
     msort,
     multisets,
     plan_splits,
@@ -124,7 +125,10 @@ class ExpansionFunction:
     table: Mapping[frozenset, frozenset]
 
     def __call__(self, members) -> frozenset:
-        key = frozenset(getattr(members, "members", members))
+        try:
+            return self.table[members]
+        except (KeyError, TypeError):  # another collection of members, or undefined
+            key = frozenset(getattr(members, "members", members))
         try:
             return self.table[key]
         except KeyError:
@@ -289,42 +293,48 @@ def is_delta_primary(
     return _drop_row("delta-primary", S, Q, lattice, delta)
 
 
+def _form_holds(S: FiniteStructure, Q: frozenset, delta: ExpansionFunction, mixed: bool) -> bool:
+    """A delta-J form on the form's row of ``S.lattice``, built on first use
+    and kept on the lattice: each product mask of the form's factor tuples
+    maps to the OR of the masks of its identity-substituted products, and
+    every substituted product lies in delta(Q) iff their union does."""
+    rows = vars(S.lattice).setdefault("_form_rows", {})
+    if mixed not in rows:
+        jac, one = S.lattice.jacobson.members, frozenset({S.require_one()})
+        pool = [i.members for i in S.lattice]
+        row: dict = {}
+        for combo in multisets(len(pool), S.n - 1 if mixed else S.n):
+            sets = [pool[i] for i in combo]
+            if mixed:
+                subs = mask_of(_set_product(S, sets + [one]))
+                cases = [(sets + [frozenset({x})], subs) for x in S.carrier if x not in jac]
+            else:
+                subs = 0
+                for slot, member in enumerate(sets):
+                    if not member <= jac:
+                        subs |= mask_of(_set_product(S, sets[:slot] + [one] + sets[slot + 1 :]))
+                cases = [(sets, subs)]
+            for factors, subs in cases:
+                prod = mask_of(_set_product(S, factors))
+                row[prod] = row.get(prod, 0) | subs
+        rows[mixed] = row
+    q, t = mask_of(Q), mask_of(delta(Q))
+    return not any(not prod & ~q and subs & ~t for prod, subs in rows[mixed].items())
+
+
 def delta_j_ideal_form(S: FiniteStructure, Q: frozenset, delta: ExpansionFunction) -> bool:
     """The delta-J property over hyperideals: for every n-multiset of members
     of ``S.lattice`` with product inside Q, each member not inside the
     Jacobson radical leaves the identity-substituted product inside
-    delta(Q)."""
-    jac, target = S.lattice.jacobson.members, delta(Q)
-    pool = [i.members for i in S.lattice]
-    for combo in multisets(len(pool), S.n):
-        sets = [pool[i] for i in combo]
-        if not _set_product(S, sets) <= Q:
-            continue
-        for slot in range(len(sets)):
-            if sets[slot] <= jac:
-                continue
-            rest = sets[:slot] + [frozenset({S.one})] + sets[slot + 1 :]
-            if not _set_product(S, rest) <= target:
-                return False
-    return True
+    delta(Q); read off its per-lattice mask row (``_form_holds``)."""
+    return _form_holds(S, Q, delta, False)
 
 
 def delta_j_mixed_form(S: FiniteStructure, Q: frozenset, delta: ExpansionFunction) -> bool:
     """The delta-J property over n-1 hyperideals and one element x: a
     product inside Q with x outside the Jacobson radical leaves the product
-    with x replaced by the identity inside delta(Q)."""
-    jac, target = S.lattice.jacobson.members, delta(Q)
-    pool = [i.members for i in S.lattice]
-    for combo in multisets(len(pool), S.n - 1):
-        sets = [pool[i] for i in combo]
-        for x in S.carrier:
-            if not _set_product(S, sets + [frozenset({x})]) <= Q:
-                continue
-            if x in jac:
-                continue
-            if not _set_product(S, sets + [frozenset({S.one})]) <= target:
-                return False
-    return True
+    with x replaced by the identity inside delta(Q); read off a mask row."""
+    return _form_holds(S, Q, delta, True)
 
 
 def absorbing_arity(n: int, k: int) -> tuple[int, int]:

@@ -395,7 +395,7 @@ class FiniteStructure:
             f" size={self.size}, zero={self.labels[self.zero]!r}, one={one!r})"
         )
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.labels)
 

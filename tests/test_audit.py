@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 from itertools import product
 
@@ -25,6 +26,7 @@ from hyperring import (
     projection_hom,
     replay_axiom_check,
     run_audit,
+    table_expansion,
 )
 from hyperring.audit import (
     FAIL,
@@ -265,6 +267,26 @@ def test_memo_renames_a_witness_found_for_another_expansion(cyclic):
     assert (first.witness.delta, hit.witness.delta) == ("delta0", "delta1")
     assert hit == _fresh("absorbing", ctx.S, zero, registry["delta1"], 2)
     assert ctx.verdict("absorbing", zero, registry["delta0"], 2) is first
+
+
+def test_memo_keeps_no_expansion_for_a_set_outside_the_lattice(cyclic):
+    # the memo reads delta(Q) from the expansion's table, which holds exactly
+    # the lattice's members: a set outside the lattice is IMPROPER under
+    # every expansion and keeps one entry, and a member that a hand-made
+    # table misses still raises that expansion's KeyError
+    ctx = StructureContext(CatalogEntry(cyclic(6), "file"), [], k_max=3)
+    registry, outside, zero = ctx.registry, frozenset({0, 1}), frozenset({0})
+    assert outside not in ctx.S.lattice
+    for row, k in (("delta-J", None), ("absorbing", 2)):
+        first = ctx.verdict(row, outside, registry["delta0"], k)
+        assert first.verdict is Verdict.IMPROPER
+        assert ctx.verdict(row, outside, registry["deltaR"], k) is first
+    assert len(ctx._verdicts) == 2
+    partial = table_expansion("partial", {i.members: i.members for i in ctx.S.lattice if i.members != zero})
+    for row, k in (("delta-J", None), ("absorbing", 2), ("ideal-form", None), ("mixed-form", None)):
+        with pytest.raises(KeyError, match=re.escape("partial is not defined on [0]")):
+            ctx.verdict(row, zero, partial, k)
+    assert len(ctx._verdicts) == 2
 
 
 def test_a_refused_lattice_is_tried_once_per_audit(monkeypatch, cyclic):

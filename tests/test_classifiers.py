@@ -20,6 +20,7 @@ from hyperring import (
     compose_expansions,
     constant_expansion,
     enumerate_hyperideals,
+    enumerate_structures,
     export_structure,
     identity_expansion,
     is_absorbing_delta_j,
@@ -41,9 +42,15 @@ from hyperring import (
     table_expansion,
     validate_expansion,
 )
-from hyperring.classifiers import PredicateResult, Witness, absorbing_arity
+from hyperring.classifiers import (
+    PredicateResult,
+    Witness,
+    absorbing_arity,
+    delta_j_ideal_form,
+    delta_j_mixed_form,
+)
 from hyperring.core import msort, multisets, ranked_plan, table_shape
-from hyperring.ideals import DROP, Hyperideal
+from hyperring.ideals import DROP, Hyperideal, _set_product
 
 
 def ctx(entry):
@@ -90,6 +97,20 @@ def test_non_monotone_expansion(b24):
     rep = validate_expansion(lat, table_expansion("zig", table))
     assert rep.check("expansion-inflationary").passed
     assert not rep.check("expansion-monotone").passed
+
+
+def test_expansion_call_accepts_any_collection_of_members(b24):
+    # the table is keyed by frozensets; any other collection of the same
+    # members, a Hyperideal among them, reads the same value
+    S, lat, registry = ctx(b24)
+    for delta in registry.values():
+        for ideal in lat:
+            Q = ideal.members
+            for arg in (Q, set(Q), sorted(Q), tuple(sorted(Q)), ideal):
+                assert delta(arg) == delta.table[Q]
+    for arg in (frozenset({1}), {1}, [1], (1,)):
+        with pytest.raises(KeyError, match=re.escape("delta0 is not defined on [1]")):
+            registry["delta0"](arg)
 
 
 def test_compose_identity_and_constant(full_catalog):
@@ -428,6 +449,76 @@ def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings():
                         assert got == reference_absorbing(S, q.members, delta, k, lat)
                         checked += 1
     assert checked == 184
+
+
+def reference_ideal_form(S, Q, delta):
+    """The delta-J ideal form as nested loops over n-multisets of members."""
+    jac, target = S.lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in S.lattice]
+    for combo in multisets(len(pool), S.n):
+        sets = [pool[i] for i in combo]
+        if not _set_product(S, sets) <= Q:
+            continue
+        for slot in range(len(sets)):
+            if sets[slot] <= jac:
+                continue
+            rest = sets[:slot] + [frozenset({S.one})] + sets[slot + 1 :]
+            if not _set_product(S, rest) <= target:
+                return False
+    return True
+
+
+def reference_mixed_form(S, Q, delta):
+    """The delta-J mixed form as nested loops over n-1 members and x."""
+    jac, target = S.lattice.jacobson.members, delta(Q)
+    pool = [i.members for i in S.lattice]
+    for combo in multisets(len(pool), S.n - 1):
+        sets = [pool[i] for i in combo]
+        for x in S.carrier:
+            if not _set_product(S, sets + [frozenset({x})]) <= Q:
+                continue
+            if x in jac:
+                continue
+            if not _set_product(S, sets + [frozenset({S.one})]) <= target:
+                return False
+    return True
+
+
+def test_row_forms_equal_the_reference_forms(full_catalog, cyclic):
+    # every proper Q, every registered expansion and every composition
+    # gamma o delta of two, on the identity-bearing structures of the default
+    # catalog, of (2,2,4) and (2,3,4), and Z_N at (2,2) for N <= 18, among
+    # them Z_6, Z_10, Z_12, Z_14 and Z_15, whose Jacobson radical is not
+    # prime.  Z_18 is the least Z_N where one product mask of the ideal form
+    # comes from tuples with different substitutions, so a row that kept the
+    # last tuple's instead of their union would answer wrongly there
+    structures = [e.structure for e in full_catalog if e.verified]
+    structures += enumerate_structures(2, 2, 4) + enumerate_structures(2, 3, 4)
+    structures += [cyclic(N) for N in range(2, 19)]
+    seen = set()
+    for S in (S for S in structures if S.one is not None):
+        registry = S.lattice.registry
+        deltas = [*registry.values()]
+        deltas += [compose_expansions(g, d) for g, d in product(registry.values(), repeat=2)]
+        for Q in (q.members for q in S.lattice.proper()):
+            for delta in deltas:
+                for form, reference in (
+                    (delta_j_ideal_form, reference_ideal_form),
+                    (delta_j_mixed_form, reference_mixed_form),
+                ):
+                    got = form(S, Q, delta)
+                    assert got == reference(S, Q, delta), (S.name, form.__name__, sorted(Q), delta.name)
+                    seen.add(got)
+    assert seen == {True, False}
+
+
+def test_forms_require_a_scalar_identity(full_catalog):
+    # the forms substitute the identity: without one they raise the
+    # documented error, not a TypeError from sorting None into a product key
+    S = next(e.structure for e in full_catalog if e.verified and e.structure.one is None)
+    for form in (delta_j_ideal_form, delta_j_mixed_form):
+        with pytest.raises(MissingIdentityError):
+            form(S, frozenset({S.zero}), S.lattice.registry["delta0"])
 
 
 def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
