@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping, Optional
 
 from .core import (
@@ -184,44 +184,22 @@ def compose_expansions(
 
 
 def validate_expansion(lattice: IdealLattice, delta: ExpansionFunction) -> AxiomReport:
-    """Check totality, inflationarity and monotonicity over the lattice."""
-    checks = []
-    missing = [i.members for i in lattice if i.members not in delta.table]
-    stray = [
-        k for k, v in delta.table.items() if k not in lattice or v not in lattice
-    ]
-    if missing:
-        checks.append(
-            AxiomCheck("expansion-total", False, (tuple(sorted(missing[0])),))
-        )
-    elif stray:
-        checks.append(AxiomCheck("expansion-total", False, (tuple(sorted(stray[0])),)))
-    else:
-        checks.append(AxiomCheck("expansion-total", True))
-    infl = AxiomCheck("expansion-inflationary", True)
-    for i in lattice:
-        if i.members in delta.table and not i.members <= delta(i.members):
-            infl = AxiomCheck(
-                "expansion-inflationary", False, (tuple(sorted(i.members)),)
-            )
-            break
-    checks.append(infl)
-    mono = AxiomCheck("expansion-monotone", True)
-    done = False
-    for i in lattice:
-        for j in lattice:
-            if i.members <= j.members and i.members in delta.table and j.members in delta.table:
-                if not delta(i.members) <= delta(j.members):
-                    mono = AxiomCheck(
-                        "expansion-monotone",
-                        False,
-                        (tuple(sorted(i.members)), tuple(sorted(j.members))),
-                    )
-                    done = True
-                    break
-        if done:
-            break
-    checks.append(mono)
+    """Check totality, inflationarity and monotonicity over the lattice.
+    A failed check names its first witness in lattice order, except that a
+    key off the lattice, or with its value off it, comes in table order."""
+    table, checks = delta.table, []
+    defined = [i.members for i in lattice if i.members in table]
+    missing = ((i.members,) for i in lattice if i.members not in table)
+    stray = ((k,) for k, v in table.items() if k not in lattice or v not in lattice)
+    crossed = ((I, J) for I in defined for J in defined if I <= J and not table[I] <= table[J])
+    for axiom, found in (
+        ("expansion-total", chain(missing, stray)),
+        ("expansion-inflationary", ((I,) for I in defined if not I <= table[I])),
+        ("expansion-monotone", crossed),
+    ):
+        witness = next(found, None)
+        sets = witness and tuple(tuple(sorted(s)) for s in witness)
+        checks.append(AxiomCheck(axiom, witness is None, sets))
     return AxiomReport(f"{lattice.parent.name}:{delta.name}", tuple(checks))
 
 

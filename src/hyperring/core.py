@@ -116,9 +116,9 @@ class Shape:
     ``keys`` lists them in ``multisets`` order and ``rank`` maps each back to
     its position.  ``rest_rank`` ranks the (arity-1)-multisets the same way,
     and ``ext[rest_rank[rest]][x]`` is the rank of ``msort(rest + (x,))``.
-    The rows that the axiom verdicts read are built on first read and kept:
-    ``diagonal`` and ``splits`` per shape, ``pair_rows`` and ``absorbing``
-    per shape and zero.
+    The rows that the axiom verdicts and ``identities`` read are kept once
+    built: ``diagonal`` and ``splits`` per shape, ``pair_rows`` and
+    ``absorbing`` per shape and zero.
     """
 
     size: int
@@ -165,8 +165,6 @@ def table_shape(size: int, arity: int) -> Shape:
     every structure of that shape."""
     keys = tuple(multisets(size, arity))
     rank = {key: r for r, key in enumerate(keys)}
-    if arity == 0:
-        return Shape(size, arity, keys, rank, {}, ())
     # ranked in place, not through table_shape(size, arity - 1), so a large
     # arity costs no recursion depth
     rest_rank = {rest: r for r, rest in enumerate(multisets(size, arity - 1))}
@@ -530,11 +528,10 @@ class FiniteStructure:
 
     @cached_property
     def identities(self) -> tuple[int, ...]:
-        """Elements acting as scalar identity of the multiplication."""
-        # e acts as one when its e..e row of products is the carrier in order
-        get, units, pad = self.mul_cells.__getitem__, tuple(self.carrier), self.n - 1
-        ext, rest_rank = self.mul_shape.ext, self.mul_shape.rest_rank
-        return tuple([e for e in units if tuple(map(get, ext[rest_rank[(e,) * pad]])) == units])
+        """Elements acting as scalar identity of the multiplication: each e
+        whose e..e row of products (``Shape.diagonal``) is the carrier."""
+        get, units, rows = self.mul_cells.__getitem__, tuple(self.carrier), self.mul_shape.diagonal
+        return tuple([e for e, row in zip(units, rows) if tuple(map(get, row)) == units])
 
     @cached_property
     def one(self) -> Optional[int]:
@@ -542,11 +539,6 @@ class FiniteStructure:
         element acts as one."""
         ones = self.identities
         return ones[0] if len(ones) == 1 else None
-
-    def detect_identities(self) -> tuple[int, ...]:
-        """Elements acting as scalar identity of the multiplication
-        (``identities``)."""
-        return self.identities
 
     def add_inverse(self, x: int) -> Optional[int]:
         """The unique y with zero in x+y+0+..+0, or None if not unique."""

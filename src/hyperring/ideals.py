@@ -220,10 +220,15 @@ class IdealLattice:
         return len(self.ideals)
 
     def __contains__(self, members) -> bool:
-        return frozenset(members) in self._index
+        """Members as a frozenset, a ``Hyperideal`` or any collection of ids."""
+        if not isinstance(members, frozenset):
+            members = frozenset(getattr(members, "members", members))
+        return members in self._index
 
     def by_members(self, members) -> Hyperideal:
-        return self._index[frozenset(members)]
+        if not isinstance(members, frozenset):
+            members = frozenset(getattr(members, "members", members))
+        return self._index[members]
 
     def member_or_bare(self, members: frozenset) -> Hyperideal:
         """The member with these members, else a bare ``Hyperideal``: on a

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from hyperring import (
@@ -25,12 +27,13 @@ def b24():
 
 @pytest.fixture(scope="session")
 def cyclic():
-    """Z_N as a (2,2) hyperring: singleton sums and products mod N."""
+    """Z_N as a (2,n) hyperring, n = 2 unless given: singleton sums and
+    products mod N."""
 
-    def build(N: int) -> FiniteStructure:
+    def build(N: int, n: int = 2) -> FiniteStructure:
         add = {key: frozenset({sum(key) % N}) for key in multisets(N, 2)}
-        mul = {key: key[0] * key[1] % N for key in multisets(N, 2)}
-        return FiniteStructure.build(f"Z{N}", 2, 2, tuple(map(str, range(N))), add, mul, 0)
+        mul = {key: prod(key) % N for key in multisets(N, n)}
+        return FiniteStructure.build(f"Z{N}", 2, n, tuple(map(str, range(N))), add, mul, 0)
 
     return build
 

@@ -7,7 +7,6 @@ import random
 import re
 from functools import partial
 from itertools import combinations, product
-from math import prod
 
 import pytest
 
@@ -79,15 +78,36 @@ def test_broken_expansion_fails_validation(b24):
     assert not rep.check("expansion-inflationary").passed
 
 
-def test_partial_expansion_fails_totality(b24):
+def _z6_expansion(cyclic, name, changes):
+    """The lattice of Z_6, {0}, {0,3}, {0,2,4}, Z_6, and its identity
+    expansion with ``changes`` applied."""
+    lat = cyclic(6).lattice
+    table = {i.members: i.members for i in lat}
+    table.update({frozenset(k): frozenset(v) for k, v in changes})
+    return lat, table_expansion(name, table)
+
+
+def _checks(lat, delta):
+    return [(c.axiom, c.passed, c.witness) for c in validate_expansion(lat, delta).checks]
+
+
+def test_partial_expansion_fails_totality(b24, cyclic):
     S, lat, _ = ctx(b24)
     table = {i.members: i.members for i in lat}
     table.pop(frozenset({0}))
     rep = validate_expansion(lat, table_expansion("partial", table))
     assert not rep.check("expansion-total").passed
+    # a key outside the lattice is the witness, and so is the key of a value
+    # outside it
+    for changes, witness in (([({1}, {1})], (1,)), ([({0, 3}, {0, 1, 3})], (0, 3))):
+        assert _checks(*_z6_expansion(cyclic, "stray", changes)) == [
+            ("expansion-total", False, (witness,)),
+            ("expansion-inflationary", True, None),
+            ("expansion-monotone", True, None),
+        ]
 
 
-def test_non_monotone_expansion(b24):
+def test_non_monotone_expansion(b24, cyclic):
     S, lat, _ = ctx(b24)
     top = frozenset(S.carrier)
     table = {i.members: top for i in lat}
@@ -97,6 +117,12 @@ def test_non_monotone_expansion(b24):
     rep = validate_expansion(lat, table_expansion("zig", table))
     assert rep.check("expansion-inflationary").passed
     assert not rep.check("expansion-monotone").passed
+    # delta({0}) = {0,3} is not inside delta({0,2,4}) = {0,2,4}
+    assert _checks(*_z6_expansion(cyclic, "shift", [({0}, {0, 3})])) == [
+        ("expansion-total", True, None),
+        ("expansion-inflationary", True, None),
+        ("expansion-monotone", False, ((0,), (0, 2, 4))),
+    ]
 
 
 def test_expansion_call_accepts_any_collection_of_members(b24):
@@ -124,12 +150,15 @@ def test_compose_identity_and_constant(full_catalog):
         assert compose_expansions(d1, d1).table == d1.table
 
 
-def test_preserves_intersections(full_catalog):
+def test_preserves_intersections(full_catalog, cyclic):
     for entry in full_catalog:
         S, lat, registry = ctx(entry)
         assert preserves_intersections(lat, registry["delta0"])
         assert preserves_intersections(lat, registry["delta1"])
         assert preserves_intersections(lat, registry["deltaR"])
+    # on Z_6, delta({0}) = {0,3} gives delta({0,3} & {0,2,4}) = {0,3}, not
+    # delta({0,3}) & delta({0,2,4}) = {0}
+    assert not preserves_intersections(*_z6_expansion(cyclic, "shift", [({0}, {0, 3})]))
 
 
 # -- J-hyperideals -------------------------------------------------------------
@@ -426,7 +455,7 @@ def test_absorbing_scan_equals_the_row_by_row_reference():
                     assert got == reference_absorbing(S, q.members, delta, k, lat)
 
 
-def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings():
+def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings(cyclic):
     # random tables rarely have a proper hyperideal outside the Jacobson
     # radical, so the splits without a repeat are checked here too: Z_N as a
     # (2,2) hyperring for N <= 12 and a (2,3) one for N <= 8, every proper
@@ -436,9 +465,7 @@ def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings():
     checked = 0
     for N in range(2, 13):
         for n in (2, 3) if N <= 8 else (2,):
-            mul = {key: prod(key) % N for key in multisets(N, n)}
-            add = {key: frozenset({sum(key) % N}) for key in multisets(N, 2)}
-            S = FiniteStructure.build(f"Z{N}", 2, n, tuple(map(str, range(N))), add, mul, 0)
+            S = cyclic(N, n)
             lat = S.lattice
             for q in lat.proper():
                 for up in (i.members for i in lat if q.members <= i.members):
@@ -449,6 +476,28 @@ def test_absorbing_scan_equals_the_row_by_row_reference_on_cyclic_rings():
                         assert got == reference_absorbing(S, q.members, delta, k, lat)
                         checked += 1
     assert checked == 184
+
+
+def test_absorbing_witnesses_replay_on_cyclic_rings(cyclic):
+    # replay_witness checks a FALSE absorbing verdict against the
+    # tuple-level definition: Z_N as a (2,2) hyperring for N <= 24 and a
+    # (2,3) one for N <= 8, every proper ideal, registered expansion and
+    # k = 2 and 3.  A scan that names its row's first split instead of its
+    # first failing split gives witnesses that do not replay.
+    found = []
+    for N in range(2, 25):
+        for n in (2, 3) if N <= 8 else (2,):
+            S = cyclic(N, n)
+            lat, registry = S.lattice, S.lattice.registry
+            for q in lat.proper():
+                for delta in registry.values():
+                    for k in (2, 3):
+                        res = is_absorbing_delta_j(S, q.members, delta, k, lat)
+                        if res.verdict is Verdict.FALSE:
+                            assert replay_witness(S, registry, res.witness), res.witness
+                            found.append((S.name, sorted(q.members), delta.name, k))
+    assert len(found) == 12
+    assert {name for name, *_ in found} == {"Z12", "Z18", "Z20", "Z24"}
 
 
 def reference_ideal_form(S, Q, delta):

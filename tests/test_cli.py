@@ -229,6 +229,14 @@ def test_classify_non_ideal_exits_one(runner, kmn_file, b33):
     assert doc["ideal_clause"] == "solvability"
 
 
+def test_classify_restricted_to_one_expansion(runner, kmn_file, b33):
+    res = invoke(runner, "classify", kmn_file(b33.structure), "--ideal", "0", "--delta", "delta0")
+    assert res.exit_code == 0
+    verdicts = json.loads(res.output)["verdicts"]
+    assert "delta-J[delta0]" in verdicts and "absorbing[delta0,k=3]" in verdicts
+    assert not [key for key in verdicts if "delta1" in key or "deltaR" in key]
+
+
 def test_classify_unknown_delta_is_usage_error(runner, kmn_file, b33):
     res = invoke(runner, "classify", kmn_file(b33.structure), "--ideal", "0", "--delta", "nope")
     assert res.exit_code == 2
@@ -266,6 +274,14 @@ def test_audit_builtin(runner, tmp_path):
     assert kinds[0] == "meta" and kinds[-1] == "summary"
     cells = [r for r in records if r["record"] == "cell"]
     assert {c["theorem"] for c in cells} == {"T01", "T22"}
+
+
+def test_audit_with_no_source_audits_the_builtins(runner):
+    res = invoke(runner, "audit")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == (
+        "audit: 3 pass, 0 fail, 51 skip over 2 structures; 4 discrepancy record(s)"
+    )
 
 
 def test_audit_exit_zero_despite_discrepancies(runner):
@@ -343,6 +359,13 @@ def test_search_counterexample_output(runner, kmn_file, b24):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["structure"] == "builtin24"
+
+
+def test_search_with_no_source_searches_the_default_catalog(runner):
+    res = invoke(runner, "search", "--implication", "J => prime")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert (doc["structure"], doc["ideal"]) == ("enum-m2n2-o3-002", ["0"])
 
 
 def test_search_no_counterexample(runner, kmn_file, b24):

@@ -17,6 +17,7 @@ from hyperring import (
     AxiomReport,
     FiniteStructure,
     ForeignElementError,
+    Homomorphism,
     MissingIdentityError,
     StructureError,
     builtin_examples,
@@ -232,19 +233,19 @@ def test_multiply_iterated_zero_absorbs(b33, small_catalog):
 def test_identity_detection(b33, b24):
     assert b33.structure.one == 1
     assert b24.structure.one is None
-    assert b33.structure.detect_identities() == (1,)
-    assert b24.structure.detect_identities() == ()
+    assert b33.structure.identities == (1,)
+    assert b24.structure.identities == ()
 
 
 def test_identities_are_computed_once(b33):
-    # one, detect_identities and the verifier's mul-identity note read the
+    # identities, one and the verifier's mul-identity note read the
     # one cached scan
     S = dataclasses.replace(b33.structure)
     assert "identities" not in vars(S)
     note = verify_krasner(S).check("mul-identity").note
     ones = vars(S)["identities"]
     assert (ones, note) == ((1,), "detected 1")
-    assert S.detect_identities() is ones and S.one == 1 and vars(S)["identities"] is ones
+    assert S.identities is ones and S.one == 1 and vars(S)["identities"] is ones
 
 
 def test_scalar_identity_acts(b33):
@@ -277,6 +278,61 @@ def test_build_rejects_malformed(b33):
         FiniteStructure.build("bad", 3, 3, S.labels, empty, S.mul, 0)
     with pytest.raises(StructureError):
         FiniteStructure.build("bad", 3, 3, S.labels, S.add, S.mul, 0, declared_one=2)
+
+
+def _malformed(S, labels=None, m=3, n=3, zero=0, add=(), mul=()):
+    """``FiniteStructure`` on b33's tables with the given changes."""
+    labels = S.labels if labels is None else labels
+    return FiniteStructure("bad", m, n, labels, {**S.add, **dict(add)}, {**S.mul, **dict(mul)}, zero)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda S: _malformed(S, labels=()), StructureError, "empty carrier"),
+        (lambda S: _malformed(S, m=1), StructureError, "arities must be at least 2"),
+        (lambda S: _malformed(S, n=1), StructureError, "arities must be at least 2"),
+        (lambda S: _malformed(S, zero=3), ForeignElementError, "zero outside carrier"),
+        (
+            lambda S: _malformed(S, add=[((0, 0, 3), frozenset({0}))]),
+            StructureError,
+            "hyperaddition table has foreign key (0, 0, 3)",
+        ),
+        (
+            lambda S: _malformed(S, mul=[((0, 0, 3), 0)]),
+            StructureError,
+            "multiplication table has foreign key (0, 0, 3)",
+        ),
+        (
+            lambda S: _malformed(S, add=[((1, 1, 2), frozenset({0, 3}))]),
+            ForeignElementError,
+            "hyperaddition value out of range at (1, 1, 2)",
+        ),
+        (
+            lambda S: _malformed(S, mul=[((1, 1, 2), 3)]),
+            ForeignElementError,
+            "multiplication value out of range at (1, 1, 2)",
+        ),
+        (lambda S: Homomorphism(S, S, (0, 1)), ValueError, "mapping must be total on the source carrier"),
+        (lambda S: Homomorphism(S, S, (0, 1, 3)), ValueError, "mapping lands outside the target carrier"),
+    ],
+    ids=[
+        "empty-carrier",
+        "m-below-2",
+        "n-below-2",
+        "foreign-zero",
+        "add-foreign-key",
+        "mul-foreign-key",
+        "add-value-out-of-range",
+        "mul-value-out-of-range",
+        "short-mapping",
+        "mapping-out-of-range",
+    ],
+)
+def test_constructors_reject_malformed_input(b33, make, error, message):
+    with pytest.raises(error) as caught:
+        make(b33.structure)
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_build_constructs_the_structure_once(b33, monkeypatch):

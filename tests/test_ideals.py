@@ -287,6 +287,20 @@ def test_cyclic_rings_up_to_thirty_verify_and_have_a_member_per_divisor(cyclic):
         assert [i.members for i in S.lattice] == expected, N
 
 
+def test_lattice_membership_accepts_a_hyperideal(cyclic):
+    # a member is found by its members, as a Hyperideal or any collection
+    S = cyclic(12)
+    lat = S.lattice
+    for ideal in lat:
+        for arg in (ideal, ideal.members, set(ideal.members), sorted(ideal.members)):
+            assert arg in lat
+            assert lat.by_members(arg) is ideal
+    outside = Hyperideal(S, frozenset({0, 1}))
+    assert outside not in lat and {0, 1} not in lat
+    with pytest.raises(KeyError):
+        lat.by_members(outside)
+
+
 def test_lattice_closed_under_intersection(full_catalog):
     for entry in full_catalog:
         lat = entry.lattice()
