@@ -223,6 +223,7 @@ class StructureContext:
         self.k_max = k_max
         self.S: FiniteStructure = entry.structure
         self._verdicts: dict = {}
+        self._renamed: dict = {}  # (memo key, expansion name) -> the result renamed
         self._composed: dict = {}
 
     @cached_property
@@ -266,7 +267,10 @@ class StructureContext:
             evaluate = PREDICATES[row].evaluate if row in PREDICATES else _FORMS[row]
             res = self._verdicts[key] = evaluate(S, Q, delta, k)
         elif moved is not None and getattr(res, "witness", None) and res.witness.delta != delta.name:
-            res = replace(res, witness=replace(res.witness, delta=delta.name))
+            named = key, delta.name
+            if named not in self._renamed:
+                self._renamed[named] = replace(res, witness=replace(res.witness, delta=delta.name))
+            res = self._renamed[named]
         return res
 
     @cached_property
@@ -293,12 +297,13 @@ class StructureContext:
 
     @cached_property
     def quotients(self) -> list[Quotient]:
-        """Every well-defined quotient whose tables verify, with the
-        quotient expansions the registry induces."""
+        """The well-defined quotient by each proper hyperideal whose tables
+        verify and that has a scalar identity, with the quotient expansions
+        the registry induces: the only quotients T20, T21 and T27 read."""
         out = []
-        for ideal in self.S.lattice:
+        for ideal in self.S.lattice.proper():
             res = quotient(self.S, ideal.members)
-            if res.ok and res.axiom_report.ok:
+            if res.ok and res.axiom_report.ok and res.quotient.structure.one is not None:
                 qs = res.quotient
                 induced = {name: quotient_expansion(qs, d) for name, d in self.registry.items()}
                 out.append(Quotient(qs, induced))
@@ -307,18 +312,17 @@ class StructureContext:
     @cached_property
     def hom_fixtures(self) -> list[HomFixture]:
         """One record per homomorphism out of the structure (the identity,
-        the quotient projections and small monomorphisms) that some
-        registered (delta, gamma) pair makes expansion-compatible, with
-        every such pair."""
+        the projections onto ``quotients``, monomorphisms into small verified
+        catalog structures with a scalar identity) that some registered
+        (delta, gamma) pair makes expansion-compatible, with every such pair."""
         S = self.S
         # (tag, hom, induced expansions)
         homs = [("identity", identity_hom(S), {})]
         for quot in self.quotients:
             tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
             homs.append((tag, projection_hom(quot.q), quot.induced))
-        for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
-            T = other.structure
-            if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
+        for T in (e.structure for e in self.catalog if e.verified and S.size <= MONO_FIXTURE_MAX_ORDER):
+            if (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER and T.one is not None:
                 for h in enumerate_homomorphisms(S, T, injective_only=True):
                     homs.append((f"mono->{T.name}", h, {}))
         fixtures = []
@@ -332,7 +336,7 @@ class StructureContext:
             lhs = {name: [delta(p) for p in pre.values()] for name, delta in self.registry.items()}
 
             def rhs(gamma):
-                return [h.preimage(gamma(I)) for I in pre]
+                return [pre[g] if g in pre else h.preimage(g) for g in map(gamma, pre)]
 
             # a projection pairs every base expansion with its induced
             # quotient expansion first
@@ -525,14 +529,12 @@ def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
 
 
 def _transfers(ctx, row, ks) -> Iterable[tuple]:
-    """(fixture, delta, gamma, row, k, side, Q, mapped): per fixture whose
-    target has a scalar identity and per compatible pair, the target ideals
+    """(fixture, delta, gamma, row, k, side, Q, mapped): per fixture (each
+    target has a scalar identity) and per compatible pair, the target ideals
     pulled back along a monomorphism, then the source ideals over the kernel
     pushed along an epimorphism, each with where it lands; ``row`` is the
     predicate that transfers."""
     for fix in ctx.hom_fixtures:
-        if fix.hom.target.one is None:
-            continue
         for delta, gamma in fix.pairs:
             for k in ks:
                 for Q, mapped in fix.preimages.items():
@@ -575,7 +577,7 @@ def _transfer_holds(ctx, fix, delta, gamma, row, k, side, Q, mapped) -> Optional
 
 def _quotient_ideals(ctx) -> Iterable[tuple]:
     for quot in ctx.quotients:
-        for delta in ctx.registry.values() if quot.q.structure.one is not None else ():
+        for delta in ctx.registry.values():
             for big in ctx.proper:
                 if quot.q.modulus <= big:
                     yield quot, delta, big

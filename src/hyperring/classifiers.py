@@ -186,11 +186,14 @@ def compose_expansions(
 def validate_expansion(lattice: IdealLattice, delta: ExpansionFunction) -> AxiomReport:
     """Check totality, inflationarity and monotonicity over the lattice.
     A failed check names its first witness in lattice order, except that a
-    key off the lattice, or with its value off it, comes in table order."""
+    key off the lattice, or with its value off it, comes in table order:
+    totality names a member I the table misses as (I,), a key K off the
+    lattice as (K,) and a member with its value off it as (I, delta(I))."""
     table, checks = delta.table, []
     defined = [i.members for i in lattice if i.members in table]
     missing = ((i.members,) for i in lattice if i.members not in table)
-    stray = ((k,) for k, v in table.items() if k not in lattice or v not in lattice)
+    off = ((k, v) for k, v in table.items() if k not in lattice or v not in lattice)
+    stray = ((k, v) if k in lattice else (k,) for k, v in off)
     crossed = ((I, J) for I in defined for J in defined if I <= J and not table[I] <= table[J])
     for axiom, found in (
         ("expansion-total", chain(missing, stray)),

@@ -13,8 +13,9 @@ Schema (all labels are strings, entries are arrays so files diff cleanly):
     }
 
 Tables must be total over multisets; args may come in any order and are
-canonicalized, with conflicting duplicates rejected.  Export writes sorted
-entries with a fixed layout so parse/export round-trips are byte-exact.
+canonicalized into the ranked cells that ``FiniteStructure`` keeps, with
+conflicting duplicates rejected.  Export writes sorted entries with a
+fixed layout so parse/export round-trips are byte-exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import BITS, FiniteStructure, StructureError, msort, multisets
+from .core import BITS, FiniteStructure, StructureError, TableView, msort, multisets, table_shape
 
 
 class ParseError(ValueError):
@@ -96,6 +97,7 @@ def parse_structure(text: str) -> FiniteStructure:
             if not isinstance(entry, dict):
                 raise ParseError(f"{fld} entry {entry!r} must be an object")
 
+    bit = {label: 1 << i for i, label in enumerate(labels)}
     tables: dict = {}
     for fld, arity in (("f", m), ("g", n)):
         table = tables[fld] = {}
@@ -108,12 +110,15 @@ def parse_structure(text: str) -> FiniteStructure:
                 raise ParseError(f"empty value set in f entry for args {args}")
             if fld == "g" and not isinstance(value, str):
                 raise ParseError(f"g entry for args {args} needs a single value label")
-            key = msort(resolve(a, f"{fld} args") for a in args)
-            if fld == "f":
-                value = frozenset(resolve(v, "f value") for v in value)
-            else:
-                value = resolve(value, "g value")
-            if table.setdefault(key, value) != value:
+            try:  # an f cell is a bitmask, the sum of distinct bits; a g cell an id
+                key = msort([index[a] for a in args])
+                cell = index[value] if fld == "g" else sum({bit[v] for v in value})
+            except (KeyError, TypeError):  # resolve names the first unknown or unhashable label
+                for a in args:
+                    resolve(a, f"{fld} args")
+                for v in value if fld == "f" else [value]:
+                    resolve(v, f"{fld} value")
+            if table.setdefault(key, cell) != cell:
                 raise ParseError(
                     f"conflicting {fld} entries for multiset {sorted(args)} after reordering"
                 )
@@ -125,6 +130,8 @@ def parse_structure(text: str) -> FiniteStructure:
     for fld, arity in (("f", m), ("g", n)):
         table = tables[fld]
         if len(table) == math.comb(len(labels) + arity - 1, arity):
+            shape = table_shape(len(labels), arity)
+            tables[fld] = TableView(shape, tuple(map(table.__getitem__, shape.keys)), fld == "f")
             continue
         if (len(table) + 1) * arity > len(text):
             raise ParseError(
@@ -134,9 +141,7 @@ def parse_structure(text: str) -> FiniteStructure:
         key = next(key for key in multisets(len(labels), arity) if key not in table)
         raise ParseError(f"incomplete {fld} table: missing multiset {[labels[i] for i in key]}")
     try:
-        return FiniteStructure.build(
-            doc["name"], m, n, tuple(labels), tables["f"], tables["g"], zero, declared_one
-        )
+        return FiniteStructure.build(doc["name"], m, n, labels, *tables.values(), zero, declared_one)
     except StructureError as e:
         raise ParseError(str(e)) from None
 

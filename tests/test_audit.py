@@ -24,6 +24,8 @@ from hyperring import (
     is_delta_gamma_hom,
     kernel,
     projection_hom,
+    quotient,
+    quotient_expansion,
     replay_axiom_check,
     run_audit,
     table_expansion,
@@ -154,7 +156,12 @@ def test_default_audit_builds_each_lattice_and_registry_once(monkeypatch):
     # fixtures and quotients hold structures and read their lattices as
     # S.lattice, so no record or call can rebuild one: building the default
     # catalog enumerates 2 lattices (_representative_slice reads is_local on
-    # order-4 structures) and its audit 161 more, with 157 registries
+    # order-4 structures) and its audit 133 more, with 133 registries.  The
+    # quotient by the carrier is not built: it moves no proper ideal, so
+    # T20, T21 and T27 read nothing from it.  That saves the lattices of 28
+    # one-element quotients and the registries of 24 of them (the other 4
+    # are quotients of one-element structures, where T20 and T27 skip
+    # before any fixture reads a registry)
     calls = Counter()
 
     def counting(name, fn):
@@ -173,7 +180,7 @@ def test_default_audit_builds_each_lattice_and_registry_once(monkeypatch):
     entries = default_catalog()
     assert calls == {"lattice": 2}
     run_audit(entries)
-    assert calls == {"lattice": 163, "registry": 157}
+    assert calls == {"lattice": 135, "registry": 133}
 
 
 def test_replay_reproduces_every_cell(small_catalog):
@@ -267,6 +274,17 @@ def test_memo_renames_a_witness_found_for_another_expansion(cyclic):
     assert (first.witness.delta, hit.witness.delta) == ("delta0", "delta1")
     assert hit == _fresh("absorbing", ctx.S, zero, registry["delta1"], 2)
     assert ctx.verdict("absorbing", zero, registry["delta0"], 2) is first
+
+
+def test_memo_renames_each_witness_once(cyclic):
+    # a renamed result is kept per memo entry and expansion name, so a
+    # second read under delta1 returns the first renaming, not a new copy
+    ctx = StructureContext(CatalogEntry(cyclic(30), "file"), [], k_max=3)
+    zero, registry = frozenset({0}), ctx.registry
+    ctx.verdict("absorbing", zero, registry["delta0"], 2)
+    hit = ctx.verdict("absorbing", zero, registry["delta1"], 2)
+    assert ctx.verdict("absorbing", zero, registry["delta1"], 2) is hit
+    assert hit.witness.delta == "delta1" and len(ctx._verdicts) == 1
 
 
 def test_memo_keeps_no_expansion_for_a_set_outside_the_lattice(cyclic):
@@ -478,64 +496,104 @@ def test_transfer_theorems_hold_on_fixtures(audit_report):
 
 def test_hom_fixture_population(small_catalog):
     # identity always present; projection fixtures appear for verified
-    # structures with well-defined quotients
-    entries = [e for e in small_catalog if e.verified and e.structure.size == 3]
+    # structures with well-defined quotients.  Fixtures are read only where
+    # the structure has a scalar identity, so the entry has one
+    entries = [
+        e
+        for e in small_catalog
+        if e.verified and e.structure.size == 3 and e.structure.one is not None
+    ]
     ctx = StructureContext(entries[0], entries, k_max=3)
     tags = {f.tag for f in ctx.hom_fixtures}
     assert "identity" in tags
     assert any(t.startswith("projection/") for t in tags)
 
 
+def _reference_quotients(ctx):
+    """The well-defined, verifying quotient by every lattice member, the
+    carrier included, whatever its identity."""
+    results = (quotient(ctx.S, ideal.members) for ideal in ctx.S.lattice)
+    return [res.quotient for res in results if res.ok and res.axiom_report.ok]
+
+
 def _per_pair_hom_fixtures(ctx):
-    """(tag, mapping, delta, gamma) of every compatible pair of every hom
-    fixture, each pair decided on its own by ``is_delta_gamma_hom``."""
+    """(kept, tag, hom, delta, gamma) of every compatible pair, each decided
+    on its own by ``is_delta_gamma_hom``, of every homomorphism of the
+    unfiltered population: the identity, the projection onto each reference
+    quotient and every monomorphism into a verified same-arity catalog
+    structure of order at most 3.  ``kept``: the target has a scalar
+    identity and a projection's modulus is proper."""
     S = ctx.S
-    homs = [("identity", identity_hom(S), {})]
-    for quot in ctx.quotients:
-        tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
-        homs.append((tag, projection_hom(quot.q), quot.induced))
+    homs = [("identity", identity_hom(S), {}, True)]
+    for q in _reference_quotients(ctx):
+        tag = f"projection/{{{','.join(S.labels_of(q.modulus))}}}"
+        induced = {name: quotient_expansion(q, d) for name, d in ctx.registry.items()}
+        homs.append((tag, projection_hom(q), induced, q.modulus != ctx.top))
     for other in ctx.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
         T = other.structure
         if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER:
             for h in enumerate_homomorphisms(S, T):
                 if h.injective:
-                    homs.append((f"mono->{T.name}", h, {}))
+                    homs.append((f"mono->{T.name}", h, {}, True))
     out = []
-    for tag, h, induced in homs:
+    for tag, h, induced, proper in homs:
+        kept = proper and h.target.one is not None
         pairs = [(ctx.registry[name], dq) for name, dq in induced.items()]
         pairs += product(ctx.registry.values(), h.target.lattice.registry.values())
         for delta, gamma in pairs:
             if is_delta_gamma_hom(h, delta, gamma)[0]:
-                out.append((tag, h.mapping, delta.name, gamma.name))
+                out.append((kept, tag, h, delta.name, gamma.name))
     return out
 
 
+def _moved(ctx, h):
+    """The preimages of the proper target ideals along a monomorphism and
+    the images of the proper ideals over the kernel along an epimorphism."""
+    preimages = {I.members: h.preimage(I.members) for I in h.target.lattice.proper()}
+    ker = kernel(h)
+    images = {Q: h.image(Q) for Q in ctx.proper if ker <= Q}
+    return (preimages if h.injective else {}), (images if h.surjective else {})
+
+
 def test_hom_fixtures_match_the_per_pair_reference(full_catalog):
-    # one record per hom gives the pairs, in order, that deciding each
-    # (delta, gamma) pair on its own gives; fixture order is the T20 and
-    # T27 instance order, so it must not depend on the hash seed
+    # the records give the pairs, in order, of the reference records that
+    # are kept; fixture order is the T20 and T27 instance order, so it must
+    # not depend on the hash seed.  Every other reference record gives
+    # _transfers no instance (its target has no scalar identity, or it moves
+    # no ideal), and every other reference quotient gives T21 none (it has
+    # no identity, or no proper ideal contains the carrier), so leaving
+    # them out changes no cell
     ordered = sorted(full_catalog, key=lambda e: e.structure.name)
     records = pairs = 0
+    reference_records, reference_pairs = set(), 0
     for entry in ordered:
         if not entry.verified or entry.structure.one is None:
             continue
         ctx = StructureContext(entry, ordered, k_max=3)
+        name = entry.structure.name
+        quotients = [q for q in _reference_quotients(ctx) if q.modulus != ctx.top]
+        assert [q.q.modulus for q in ctx.quotients] == [
+            q.modulus for q in quotients if q.structure.one is not None
+        ], name
+        reference = _per_pair_hom_fixtures(ctx)
         got = [
             (f.tag, f.hom.mapping, delta.name, gamma.name)
             for f in ctx.hom_fixtures
             for delta, gamma in f.pairs
         ]
-        assert got == _per_pair_hom_fixtures(ctx), entry.structure.name
+        assert got == [(tag, h.mapping, d, g) for kept, tag, h, d, g in reference if kept], name
+        for kept, tag, h, _, _ in reference:
+            if not kept:
+                assert h.target.one is None or _moved(ctx, h) == ({}, {}), (name, tag)
+            reference_records.add((name, tag, h.mapping))
+        reference_pairs += len(reference)
         pairs += len(got)
         for f in ctx.hom_fixtures:
-            h, tl = f.hom, f.hom.target.lattice
-            preimages = {I.members: h.preimage(I.members) for I in tl.proper()}
-            assert f.preimages == (preimages if h.injective else {})
-            ker = kernel(h)
-            images = {Q: h.image(Q) for Q in ctx.proper if ker <= Q}
-            assert f.images == (images if h.surjective else {})
+            assert (f.preimages, f.images) == _moved(ctx, f.hom)
             records += 1
-    assert (records, pairs) == (206, 1678)
+    # the reference gives the population before it was narrowed
+    assert (len(reference_records), reference_pairs) == (206, 1678)
+    assert (records, pairs) == (110, 730)
 
 
 def test_no_theorem_is_vacuous_over_the_catalog(audit_report):
