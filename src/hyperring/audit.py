@@ -223,7 +223,6 @@ class StructureContext:
         self.k_max = k_max
         self.S: FiniteStructure = entry.structure
         self._verdicts: dict = {}
-        self._renamed: dict = {}  # (memo key, expansion name) -> the result renamed
         self._composed: dict = {}
 
     @cached_property
@@ -267,10 +266,7 @@ class StructureContext:
             evaluate = PREDICATES[row].evaluate if row in PREDICATES else _FORMS[row]
             res = self._verdicts[key] = evaluate(S, Q, delta, k)
         elif moved is not None and getattr(res, "witness", None) and res.witness.delta != delta.name:
-            named = key, delta.name
-            if named not in self._renamed:
-                self._renamed[named] = replace(res, witness=replace(res.witness, delta=delta.name))
-            res = self._renamed[named]
+            res = replace(res, witness=replace(res.witness, delta=delta.name))
         return res
 
     @cached_property
@@ -314,15 +310,17 @@ class StructureContext:
         """One record per homomorphism out of the structure (the identity,
         the projections onto ``quotients``, monomorphisms into small verified
         catalog structures with a scalar identity) that some registered
-        (delta, gamma) pair makes expansion-compatible, with every such pair."""
+        (delta, gamma) pair makes expansion-compatible, with every such pair.
+        Only the identity's target, S itself, may lack a scalar identity."""
         S = self.S
         # (tag, hom, induced expansions)
         homs = [("identity", identity_hom(S), {})]
         for quot in self.quotients:
             tag = f"projection/{{{','.join(S.labels_of(quot.q.modulus))}}}"
             homs.append((tag, projection_hom(quot.q), quot.induced))
-        for T in (e.structure for e in self.catalog if e.verified and S.size <= MONO_FIXTURE_MAX_ORDER):
-            if (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER and T.one is not None:
+        for other in self.catalog if S.size <= MONO_FIXTURE_MAX_ORDER else ():
+            T = other.structure
+            if other.verified and (T.m, T.n) == (S.m, S.n) and T.size <= MONO_FIXTURE_MAX_ORDER and T.one is not None:
                 for h in enumerate_homomorphisms(S, T, injective_only=True):
                     homs.append((f"mono->{T.name}", h, {}))
         fixtures = []
@@ -335,8 +333,9 @@ class StructureContext:
             # for every target hyperideal I: one side per delta, one per gamma
             lhs = {name: [delta(p) for p in pre.values()] for name, delta in self.registry.items()}
 
+            # every gamma maps lattice members to members, all of them in pre
             def rhs(gamma):
-                return [pre[g] if g in pre else h.preimage(g) for g in map(gamma, pre)]
+                return [pre[gamma(I)] for I in pre]
 
             # a projection pairs every base expansion with its induced
             # quotient expansion first
@@ -529,11 +528,12 @@ def _local_iff_delta_j(ctx, delta) -> Optional[dict]:
 
 
 def _transfers(ctx, row, ks) -> Iterable[tuple]:
-    """(fixture, delta, gamma, row, k, side, Q, mapped): per fixture (each
-    target has a scalar identity) and per compatible pair, the target ideals
-    pulled back along a monomorphism, then the source ideals over the kernel
-    pushed along an epimorphism, each with where it lands; ``row`` is the
-    predicate that transfers."""
+    """(fixture, delta, gamma, row, k, side, Q, mapped): per fixture and per
+    compatible pair, the target ideals pulled back along a monomorphism,
+    then the source ideals over the kernel pushed along an epimorphism, each
+    with where it lands; ``row`` is the predicate that transfers.  Every
+    target has a scalar identity: the identity fixture's target is S, which
+    the ``needs_identity`` gate of T20 and T27 guarantees has one."""
     for fix in ctx.hom_fixtures:
         for delta, gamma in fix.pairs:
             for k in ks:

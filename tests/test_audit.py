@@ -276,17 +276,6 @@ def test_memo_renames_a_witness_found_for_another_expansion(cyclic):
     assert ctx.verdict("absorbing", zero, registry["delta0"], 2) is first
 
 
-def test_memo_renames_each_witness_once(cyclic):
-    # a renamed result is kept per memo entry and expansion name, so a
-    # second read under delta1 returns the first renaming, not a new copy
-    ctx = StructureContext(CatalogEntry(cyclic(30), "file"), [], k_max=3)
-    zero, registry = frozenset({0}), ctx.registry
-    ctx.verdict("absorbing", zero, registry["delta0"], 2)
-    hit = ctx.verdict("absorbing", zero, registry["delta1"], 2)
-    assert ctx.verdict("absorbing", zero, registry["delta1"], 2) is hit
-    assert hit.witness.delta == "delta1" and len(ctx._verdicts) == 1
-
-
 def test_memo_keeps_no_expansion_for_a_set_outside_the_lattice(cyclic):
     # the memo reads delta(Q) from the expansion's table, which holds exactly
     # the lattice's members: a set outside the lattice is IMPROPER under
