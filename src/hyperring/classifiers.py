@@ -35,11 +35,12 @@ calls the carrier and every non-ideal IMPROPER.
 
 Scans run over multisets and per-length product tables (commutativity is
 structural) and report concrete tuples as witnesses.  The absorbing scan
-tests each distinct row signature (value bitmasks, built once per structure
-and length from split ranks kept per shape) in first-row order, so the
-first failing one gives the row-by-row scan's witness.  ``replay_witness``
-re-checks the prime and drop clauses with the functions their scans use,
-and the absorbing scan against the literal tuple-level definition.
+tests each distinct row signature (value bitmasks from split ranks kept per
+shape, built once per multiplication table and length, shared by live
+structures) in first-row order, so the first failing one gives the
+row-by-row scan's witness.  ``replay_witness`` re-checks the prime and
+drop clauses with the functions their scans use, and the absorbing scan
+against the literal tuple-level definition.
 """
 
 from __future__ import annotations
@@ -344,11 +345,9 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
     (total, part) absorbing scan, each with its first rank, in rank order.
     P is the bitmask of a row's sub-product values; single holds those that
     exactly one split gives, when that split has no repeat.  Built once per
-    structure and (total, part), kept out of equality and hashing, after the
-    splits, and the key elements of the product tables, are counted against
-    the work budget."""
-    tables = vars(S).setdefault("_absorbing", {})
-    if (total, part) not in tables:
+    multiplication table, shared by live structures in ``S.mul_memo``, after
+    the splits and the product tables' key elements pass the work budget."""
+    if (total, part) not in S.mul_memo:
         Meter(f"{S.name}: absorbing signature splits").spend(plan_splits(S.size, total, part))
         meter = Meter(f"{S.name}: absorbing product tables")
         for t in range(1, total + 1, S.n - 1):
@@ -364,8 +363,8 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
             for a in lone:
                 single |= bit[a]
             first.setdefault((1 << wholes[r], P, single & ~multi), r)
-        tables[total, part] = tuple((*sig, r) for sig, r in first.items())
-    return tables[total, part]
+        S.mul_memo[total, part] = tuple((*sig, r) for sig, r in first.items())
+    return S.mul_memo[total, part]
 
 
 def is_absorbing_delta_j(

@@ -30,6 +30,7 @@ witness's case, so a scan and its replay cannot drift apart.
 
 from __future__ import annotations
 
+import weakref
 from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -190,6 +191,12 @@ BITS = _Memo(lambda mask: tuple(x for x in range(mask.bit_length()) if mask >> x
 SETS = _Memo(lambda mask: frozenset(BITS[mask]))
 
 
+class _MulMemo(dict):
+    """A ``FiniteStructure.mul_memo``; ``live`` holds one per table, weakly."""
+
+    live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """The bitmask of a set of carrier elements."""
     mask = 0
@@ -309,9 +316,9 @@ class FiniteStructure:
     ``TableView``s over the ranked cells ``add_cells`` (bitmasks) and
     ``mul_cells`` (elements) of the shapes ``add_shape`` and ``mul_shape``.
     ``zero`` is the declared additive neutral element.  Values derived from
-    the tables, such as the scalar identity ``one`` and the hyperideal
-    ``lattice`` (with its ``registry`` of standard expansions), are computed
-    on first read and take no part in equality, hashing or export.
+    the tables (``one``, the ``lattice`` and its ``registry``; ``mul_memo``,
+    per multiplication table, shared by live structures) are computed on
+    first read and take no part in equality, hashing or export.
     Construction checks well-formedness only; the algebraic axioms are the
     verifiers' job, so deliberately broken tables can be built and audited.
     """
@@ -499,17 +506,26 @@ class FiniteStructure:
             acc = cells[shape.ext[shape.rest_rank[msort(args[i : i + n - 1])]][acc]]
         return acc
 
+    @cached_property
+    def mul_memo(self) -> dict:
+        """Product tables and absorbing signatures, shared per multiplication table."""
+        key = self.size, self.n, self.mul_cells
+        return _MulMemo.live.setdefault(key, _MulMemo({1: tuple(self.carrier)}))
+
     def product_table(self, t: int) -> tuple:
         """Entry r is ``multiply_iterated`` of the t-multiset of rank r, for
         t = l(n-1)+1: g(product of its first t-n+1 elements, its last n-1),
-        read from the (t-n+1)-table.  Built once per structure and length and
-        kept out of equality and hashing."""
-        tables = vars(self).setdefault("_products", {1: tuple(self.carrier)})
-        if t not in tables:
-            _check_length(t, self.n, "multiplication")
-            prev, cells = self.product_table(t - self.n + 1), self.mul_cells
-            tables[t] = tuple(cells[row[prev[a]]] for a, row in _fold_plan(self.size, t, self.n))
-        return tables[t]
+        read from the (t-n+1)-table.  Built once per multiplication table and shared
+        (``mul_memo``), once the key elements up to length t pass the budget."""
+        memo, n, cells = self.mul_memo, self.n, self.mul_cells
+        if t not in memo:
+            _check_length(t, n, "multiplication")
+            steps = sum(count_multisets(self.size, u) * u for u in range(1, t + 1, n - 1))
+            Meter(f"{self.name}: product tables").spend(steps)
+            for u in [u for u in range(n, t + 1, n - 1) if u not in memo]:
+                prev = memo[u - n + 1]
+                memo[u] = tuple(cells[row[prev[a]]] for a, row in _fold_plan(self.size, u, n))
+        return memo[t]
 
     @cached_property
     def lattice(self) -> IdealLattice:

@@ -391,8 +391,7 @@ def test_absorbing_cap_reports_not_applicable(b24, b33):
     assert res.note == (
         "builtin24: absorbing signature splits: 2,194,720 steps exceed the work budget of 2,000,000"
     )
-    assert (88, 85) not in vars(S).get("_absorbing", {})
-    assert 88 not in vars(S).get("_products", {})
+    assert (88, 85) not in S.mul_memo and 88 not in S.mul_memo
     # k = 222 on the 3-element builtin33 passes the split count (592,740),
     # but its product tables, up to length 445, are refused by their key
     # elements before any is built
@@ -400,7 +399,7 @@ def test_absorbing_cap_reports_not_applicable(b24, b33):
     res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 222, lat)
     assert res.verdict is Verdict.NOT_APPLICABLE
     assert re.fullmatch(r"builtin33: absorbing product tables: .* budget of 2,000,000", res.note)
-    assert 445 not in vars(S).get("_products", {})
+    assert 445 not in S.mul_memo
 
 
 def _seeded_zero_row_tables(count: int, seed: int):
@@ -579,7 +578,9 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
     def absorbing(T):
         for k in (2, 3):
             is_absorbing_delta_j(T, frozenset({0}), registry["delta0"], k, lat)
-        assert set(vars(T)["_absorbing"]) == {absorbing_arity(3, 2), absorbing_arity(3, 3)}
+        # kept in the memo of the multiplication table, which S shares
+        assert T.mul_memo is S.mul_memo
+        assert {absorbing_arity(3, 2), absorbing_arity(3, 3)} <= set(T.mul_memo)
 
     def ideal_masks(T):
         enumerate_hyperideals(T)
@@ -590,12 +591,12 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
         assert set(T.lattice.registry) == {"delta0", "delta1", "deltaR"}
         assert "lattice" in vars(T)
 
-    # each per-structure value, the absorbing signatures, the hyperideal
-    # masks and the lattice with its registry, is filled in on a fresh
-    # structure without changing it
-    fills = ((absorbing, "_absorbing"), (ideal_masks, "_ideal_masks"), (lattice, "lattice"))
+    # each derived value, the absorbing signatures (per multiplication
+    # table), the hyperideal masks and the lattice with its registry, is
+    # filled in on a fresh structure without changing it
+    fills = ((absorbing, "mul_memo"), (ideal_masks, "_ideal_masks"), (lattice, "lattice"))
     for fill, cache in fills:
-        scanned = dataclasses.replace(S)  # a fresh structure, without cached tables
+        scanned = dataclasses.replace(S)  # a fresh structure; it shares S's mul_memo only
         text = export_structure(scanned)
         fill(scanned)
         # the generated __eq__ and __hash__ read the dataclass fields only

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import random
@@ -658,6 +659,52 @@ def test_product_table_is_the_iterated_product_of_each_key(S):
         table = S.product_table(t)
         assert list(table) == [S.multiply_iterated(key) for key in multisets(S.size, t)]
         assert S.product_table(t) is table
+
+
+def test_product_table_is_refused_over_the_work_budget(b33):
+    # the tables up to length 201 hold about 10^8 key elements; they are
+    # counted before any is built, and the refusal names the structure
+    steps = sum(core.count_multisets(3, u) * u for u in range(1, 202, 2))
+    with pytest.raises(CapExceeded) as refused:
+        b33.structure.product_table(201)
+    assert str(refused.value) == (
+        f"builtin33: product tables: {steps:,} steps exceed the work budget of 2,000,000"
+    )
+    assert 201 not in b33.structure.mul_memo
+
+
+def test_product_table_builds_a_long_table_without_recursion():
+    # on one element the tables up to length 1,200 stay within the work
+    # budget, and each is built from the one before in a loop
+    S = FiniteStructure("one", 2, 2, ("0",), {(0, 0): frozenset({0})}, {(0, 0): 0}, 0)
+    assert S.product_table(1_200) == (0,)
+
+
+def test_mul_memo_is_shared_by_structures_with_one_multiplication_table(cyclic, monkeypatch):
+    builds = []  # the (size, total, part) of each signature build
+    split_ranks = classifiers._split_ranks
+    monkeypatch.setattr(classifiers, "_split_ranks", lambda *k: builds.append(k) or split_ranks(*k))
+    S = cyclic(7, 3)
+    key = (S.size, S.n, S.mul_cells)
+    assert key not in core._MulMemo.live  # no other live structure carries the table
+    # another name and another hyperaddition over the same multiplication table
+    T = dataclasses.replace(S, name="other", add={k: frozenset(range(7)) for k in multisets(7, 2)})
+    assert T != S and T.mul_memo is S.mul_memo is core._MulMemo.live[key]
+    assert all(T.product_table(t) is S.product_table(t) for t in (3, 5, 7))
+    total, part = classifiers.absorbing_arity(3, 2)
+    assert classifiers._signatures(S, total, part) is classifiers._signatures(T, total, part)
+    assert builds == [(7, total, part)]
+    # a refusal on T names T and stores nothing in the memo that S shares
+    kept = dict(S.mul_memo)
+    with pytest.raises(CapExceeded, match="^other: absorbing signature splits: "):
+        classifiers._signatures(T, *classifiers.absorbing_arity(3, 30))
+    with pytest.raises(CapExceeded, match="^other: product tables: "):
+        T.product_table(21)
+    assert S.mul_memo == kept
+    # ``_MulMemo.live`` holds the memos weakly: the last structure takes one along
+    del S, T
+    gc.collect()
+    assert key not in core._MulMemo.live
 
 
 # -- the table storage against the input dicts --------------------------------
