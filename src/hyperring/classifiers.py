@@ -57,7 +57,6 @@ from .core import (
     CapExceeded,
     FiniteStructure,
     Meter,
-    count_multisets,
     mask_of,
     msort,
     multisets,
@@ -349,9 +348,6 @@ def _signatures(S: FiniteStructure, total: int, part: int) -> tuple:
     the splits and the product tables' key elements pass the work budget."""
     if (total, part) not in S.mul_memo:
         Meter(f"{S.name}: absorbing signature splits").spend(plan_splits(S.size, total, part))
-        meter = Meter(f"{S.name}: absorbing product tables")
-        for t in range(1, total + 1, S.n - 1):
-            meter.spend(count_multisets(S.size, t) * t)
         wholes = S.product_table(total)
         bit = [1 << v for v in S.product_table(part)]
         first: dict = {}

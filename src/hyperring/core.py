@@ -192,7 +192,8 @@ SETS = _Memo(lambda mask: frozenset(BITS[mask]))
 
 
 class _MulMemo(dict):
-    """A ``FiniteStructure.mul_memo``; ``live`` holds one per table, weakly."""
+    """A ``FiniteStructure.mul_memo`` or ``table_memo``; ``live`` holds one
+    per key, weakly."""
 
     live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -317,7 +318,8 @@ class FiniteStructure:
     ``mul_cells`` (elements) of the shapes ``add_shape`` and ``mul_shape``.
     ``zero`` is the declared additive neutral element.  Values derived from
     the tables (``one``, the ``lattice`` and its ``registry``; ``mul_memo``,
-    per multiplication table, shared by live structures) are computed on
+    per multiplication table, and ``table_memo``, per pair of tables, both
+    shared by live structures) are computed on
     first read and take no part in equality, hashing or export.
     Construction checks well-formedness only; the algebraic axioms are the
     verifiers' job, so deliberately broken tables can be built and audited.
@@ -511,6 +513,12 @@ class FiniteStructure:
         """Product tables and absorbing signatures, shared per multiplication table."""
         key = self.size, self.n, self.mul_cells
         return _MulMemo.live.setdefault(key, _MulMemo({1: tuple(self.carrier)}))
+
+    @cached_property
+    def table_memo(self) -> dict:
+        """Axiom checks, hyperideal masks and member sets, shared per pair of tables."""
+        key = self.size, self.m, self.n, self.zero, self.add_cells, self.mul_cells
+        return _MulMemo.live.setdefault(key, _MulMemo())
 
     def product_table(self, t: int) -> tuple:
         """Entry r is ``multiply_iterated`` of the t-multiset of rank r, for
@@ -1008,14 +1016,15 @@ def verify_canonical_hypergroup(
 
 
 def verify_krasner(S: FiniteStructure, size_guard: bool = True) -> AxiomReport:
-    """Full Krasner (m,n)-hyperring verification with witnesses, under the budget."""
+    """Full Krasner (m,n)-hyperring verification with witnesses, under the
+    budget; the checks before ``mul-identity`` are kept per pair of tables."""
     if size_guard:
         _guard(S, ring=True)
-    checks = list(verify_canonical_hypergroup(S, size_guard=False).checks)
-    checks.append(_MUL_COMMUTES)
-    checks.extend(_check(clause, S) for clause in RING_AXIOMS)
-    checks.append(_identity_info(S))
-    return AxiomReport(S.name, tuple(checks))
+    memo = S.table_memo
+    if "checks" not in memo:
+        hypergroup = verify_canonical_hypergroup(S, size_guard=False).checks
+        memo["checks"] = (*hypergroup, _MUL_COMMUTES, *(_check(c, S) for c in RING_AXIOMS))
+    return AxiomReport(S.name, (*memo["checks"], _identity_info(S)))
 
 
 def replay_axiom_check(S: FiniteStructure, check: AxiomCheck) -> bool:

@@ -114,8 +114,7 @@ IDEAL_CLAUSES = {
 
 def _ideal_masks(S: FiniteStructure) -> tuple:
     """(zero, absorb, closed, rows): the hyperideal clauses as bitmask
-    tables, built once per structure and kept out of equality, hashing and
-    export.
+    tables, built once per pair of tables and kept in ``S.table_memo``.
 
     ``zero`` is the bit of the zero element.  ``absorb[x]`` is the mask of
     every product with x as a factor.  ``closed`` pairs each support mask
@@ -124,8 +123,8 @@ def _ideal_masks(S: FiniteStructure) -> tuple:
     (m-1)-multiset rest with its row of hyperaddition cells f(rest, t) over
     t.
     """
-    masks = vars(S).get("_ideal_masks")
-    if masks is None:
+    memo = S.table_memo
+    if "masks" not in memo:
         absorb = [0] * S.size
         for row in S.mul_shape.ext:
             for x, r in enumerate(row):
@@ -139,13 +138,13 @@ def _ideal_masks(S: FiniteStructure) -> tuple:
             (mask_of(rest), tuple(cells[r] for r in shape.ext[rr]))
             for rest, rr in shape.rest_rank.items()
         )
-        masks = vars(S)["_ideal_masks"] = (
+        memo["masks"] = (
             1 << S.zero,
             tuple(absorb),
             tuple((support, value) for support, value in closed.items() if value & ~support),
             rows,
         )
-    return masks
+    return memo["masks"]
 
 
 def _is_ideal_mask(masks: tuple, M: int) -> bool:
@@ -281,18 +280,21 @@ class IdealLattice:
 
 
 def enumerate_hyperideals(S: FiniteStructure) -> IdealLattice:
-    """Compute the full hyperideal lattice afresh; ``S.lattice`` keeps one.
+    """The full hyperideal lattice as a fresh lattice object; ``S.lattice``
+    keeps one.  The member sets are shared per pair of tables.
 
     Up to ``SCAN_LIMIT`` elements every subset is tested; above it ideals
     are grown from generator closures (over single-element extensions),
-    whose steps count against the work budget.
+    whose steps count against the work budget.  Sets kept with more steps
+    than the budget now allows are searched again, so the search refuses.
     """
-    found = _enumerate_scan(S) if S.size <= SCAN_LIMIT else _enumerate_closure(S)
-    ideals = tuple(
-        Hyperideal(S, members)
-        for members in sorted(found, key=lambda ms: (len(ms), sorted(ms)))
-    )
-    return IdealLattice(S, ideals)
+    meter = Meter(f"{S.name}: hyperideal closure steps")
+    found, steps = S.table_memo.get("ideals", (None, meter.limit + 1))
+    if steps > meter.limit:  # not kept, or kept under a larger budget
+        found = _enumerate_scan(S) if S.size <= SCAN_LIMIT else _enumerate_closure(S, meter)
+        found = tuple(sorted(found, key=lambda ms: (len(ms), sorted(ms))))
+        S.table_memo["ideals"] = found, meter.steps
+    return IdealLattice(S, tuple(Hyperideal(S, members) for members in found))
 
 
 def _enumerate_scan(S: FiniteStructure) -> set:
@@ -331,8 +333,7 @@ def _close_under_ops(S: FiniteStructure, seed: frozenset, meter: Meter) -> froze
     return frozenset(cur)
 
 
-def _enumerate_closure(S: FiniteStructure) -> set:
-    meter = Meter(f"{S.name}: hyperideal closure steps")
+def _enumerate_closure(S: FiniteStructure, meter: Meter) -> set:
     base = _close_under_ops(S, frozenset(), meter)
     found = set()
     queue = [base]

@@ -304,7 +304,7 @@ def test_a_refused_lattice_is_tried_once_per_audit(monkeypatch, cyclic):
     assert entry.verified  # verified before the budget is lowered
     tries = []
     closure = ideals._enumerate_closure
-    monkeypatch.setattr(ideals, "_enumerate_closure", lambda S: tries.append(S) or closure(S))
+    monkeypatch.setattr(ideals, "_enumerate_closure", lambda S, meter: tries.append(S) or closure(S, meter))
     monkeypatch.setattr(core, "WORK_BUDGET", 2_000)
     cells = run_audit([entry]).cells
     assert len(tries) == 1

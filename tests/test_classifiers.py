@@ -398,7 +398,7 @@ def test_absorbing_cap_reports_not_applicable(b24, b33):
     S, lat, registry = ctx(b33)
     res = is_absorbing_delta_j(S, frozenset({0}), registry["delta0"], 222, lat)
     assert res.verdict is Verdict.NOT_APPLICABLE
-    assert re.fullmatch(r"builtin33: absorbing product tables: .* budget of 2,000,000", res.note)
+    assert re.fullmatch(r"builtin33: product tables: .* budget of 2,000,000", res.note)
     assert 445 not in S.mul_memo
 
 
@@ -584,7 +584,9 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
 
     def ideal_masks(T):
         enumerate_hyperideals(T)
-        assert "_ideal_masks" in vars(T)
+        # kept in the memo of the pair of tables, which S shares
+        assert T.table_memo is S.table_memo
+        assert {"masks", "ideals"} <= set(T.table_memo)
 
     def lattice(T):
         assert T.lattice.registry is T.lattice.registry
@@ -592,11 +594,12 @@ def test_absorbing_signatures_stay_out_of_equality_and_export(b33):
         assert "lattice" in vars(T)
 
     # each derived value, the absorbing signatures (per multiplication
-    # table), the hyperideal masks and the lattice with its registry, is
-    # filled in on a fresh structure without changing it
-    fills = ((absorbing, "mul_memo"), (ideal_masks, "_ideal_masks"), (lattice, "lattice"))
+    # table), the hyperideal masks and member sets (per pair of tables) and
+    # the lattice with its registry, is filled in on a fresh structure
+    # without changing it
+    fills = ((absorbing, "mul_memo"), (ideal_masks, "table_memo"), (lattice, "lattice"))
     for fill, cache in fills:
-        scanned = dataclasses.replace(S)  # a fresh structure; it shares S's mul_memo only
+        scanned = dataclasses.replace(S)  # a fresh structure; it shares S's memos only
         text = export_structure(scanned)
         fill(scanned)
         # the generated __eq__ and __hash__ read the dataclass fields only

@@ -22,6 +22,7 @@ from hyperring import (
     MissingIdentityError,
     StructureError,
     builtin_examples,
+    enumerate_hyperideals,
     enumerate_structures,
     export_structure,
     is_hyperideal,
@@ -705,6 +706,66 @@ def test_mul_memo_is_shared_by_structures_with_one_multiplication_table(cyclic, 
     del S, T
     gc.collect()
     assert key not in core._MulMemo.live
+
+
+def test_table_memo_is_shared_by_structures_with_equal_tables(b33, cyclic, monkeypatch):
+    S = b33.structure
+    checks = verify_krasner(S).checks[:-1]
+    # another name and other labels over the tables of builtin33: its
+    # report reuses S's checks and carries its own name and identity label
+    T = dataclasses.replace(S, name="twin", labels=("z", "e", "y"))
+    scans = []
+    with monkeypatch.context() as patch:
+        check = core._check
+        patch.setattr(core, "_check", lambda *a: scans.append(a) or check(*a))
+        report = verify_krasner(T)
+    assert T.table_memo is S.table_memo and scans == []
+    assert len(report.checks) == len(checks) + 1
+    assert all(a is b for a, b in zip(report.checks, checks))
+    assert report.structure == "twin" and report.checks[-1].note == "detected e"
+    assert verify_krasner(S).checks[-1].note == "detected 1"
+    # equal cells under another zero, or of another shape, key another memo
+    add, mul = dict.fromkeys(multisets(2, 2), frozenset({0})), dict.fromkeys(multisets(2, 2), 0)
+    zeros = [FiniteStructure("z", 2, 2, ("0", "1"), add, mul, zero) for zero in (0, 1)]
+    assert zeros[0].add_cells == zeros[1].add_cells
+    assert zeros[0].table_memo is not zeros[1].table_memo
+    shapes = []
+    for size, arity in ((3, 2), (2, 5)):  # 6 cells in each table
+        keys = list(multisets(size, arity))
+        add, mul = dict.fromkeys(keys, frozenset({0})), dict.fromkeys(keys, 0)
+        shapes.append(FiniteStructure("s", arity, arity, tuple(map(str, range(size))), add, mul, 0))
+    assert (shapes[0].add_cells, shapes[0].mul_cells) == (shapes[1].add_cells, shapes[1].mul_cells)
+    assert shapes[0].table_memo is not shapes[1].table_memo
+    # the member sets are shared, each lattice object is fresh
+    fresh = enumerate_hyperideals(T)
+    assert fresh is not T.lattice and fresh is not enumerate_hyperideals(T)
+    assert [i.members for i in fresh] == [i.members for i in S.lattice]
+    assert all(i.parent is T for i in fresh)
+    # a lowered budget refuses a twin of a structure verified and searched
+    # under the default one (Z_13 is past SCAN_LIMIT, so its lattice is
+    # grown by closures), and the twin's partner keeps what it stored
+    Z = cyclic(13)
+    verify_krasner(Z)
+    enumerate_hyperideals(Z)
+    kept = Z.table_memo["ideals"]
+    W = dataclasses.replace(Z, name="Z13twin")
+    key = (13, 2, 2, 0, Z.add_cells, Z.mul_cells)
+    assert W.table_memo is Z.table_memo is core._MulMemo.live[key]
+    monkeypatch.setattr(core, "WORK_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match=r"^Z13twin: verification plan splits \(.*\): 3,718 steps"):
+        verify_krasner(W)
+    with pytest.raises(CapExceeded, match="^Z13twin: hyperideal closure steps: "):
+        enumerate_hyperideals(W)
+    assert Z.table_memo["ideals"] is kept
+    # ``_MulMemo.live`` holds the memos weakly: the last structure takes one along
+    del Z, W
+    gc.collect()
+    assert key not in core._MulMemo.live
+    # a refusal stores no member sets
+    U = cyclic(13)
+    with pytest.raises(CapExceeded, match="^Z13: hyperideal closure steps: "):
+        enumerate_hyperideals(U)
+    assert "ideals" not in U.table_memo
 
 
 # -- the table storage against the input dicts --------------------------------

@@ -35,7 +35,7 @@ from hyperring import (
     verify_krasner,
 )
 from hyperring import classifiers, ideals
-from hyperring.core import msort, multisets
+from hyperring.core import Meter, msort, multisets
 from hyperring.ideals import power_exponents
 
 
@@ -181,7 +181,7 @@ def test_scan_and_closure_strategies_agree(small_catalog, b24):
         if not entry.verified:
             continue  # the closure operations lean on canonical axioms
         S = entry.structure
-        assert ideals._enumerate_scan(S) == ideals._enumerate_closure(S)
+        assert ideals._enumerate_scan(S) == ideals._enumerate_closure(S, Meter("closure"))
 
 
 def _direct_product(A, B):
@@ -208,7 +208,7 @@ def test_closure_lattice_above_the_scan_limit(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(ideals, "_enumerate_scan", None)  # not taken at this size
             found = {i.members for i in S.lattice}
-        assert found == ideals._enumerate_scan(S) == ideals._enumerate_closure(S)
+        assert found == ideals._enumerate_scan(S) == ideals._enumerate_closure(S, Meter("closure"))
         sizes.append(len(found))
     assert sizes == [16, 12]
 
